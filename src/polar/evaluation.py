@@ -137,7 +137,10 @@ def load_graphs(path: str) -> dict[str, MemoryGraph]:
             raise ParseError(exc.msg, line=exc.lineno) from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError("unsupported or missing graph bundle format_version")
-    return {k: MemoryGraph.from_json(g) for k, g in doc.get("graphs", {}).items()}
+    graphs = doc.get("graphs", {})
+    if not isinstance(graphs, dict):
+        raise ParseError("graph bundle 'graphs' must be a JSON object")
+    return {k: MemoryGraph.from_json(g) for k, g in graphs.items()}
 
 
 # -- evaluation contexts ----------------------------------------------------------

@@ -8,6 +8,24 @@ object -> semantic or object -> episodic, carry the episode timestamp, and
 are never deleted: superseding a fact deactivates the old edge and adds a
 new active one, so history stays queryable.
 
+Indexes. Besides the edge list, the graph keeps three edge indexes in step
+with every mutation: the edges out of each object, the edges into each node,
+and the one active edge of each (object, node) pair. `neighbors` and
+supersession therefore cost O(degree), not O(edges). Semantic embeddings
+live in one contiguous S x dim matrix with a vector of their norms, grown
+by doubling (each `SemanticNode.embedding` is a view of its row), and every
+statement keeps a count of its active linking edges. `from_json` rebuilds
+all of it.
+
+Exactness. A matrix-vector product does not round like `encoder.cosine`, so
+the matrix only shortlists (`shortlist`): every statement whose approximate
+cosine lies within _SHORTLIST_MARGIN of the cutoff (the best score for
+dedup, the k-th best linked score for retrieval) is kept, and only the
+shortlist is scored with `cosine()`, in sorted node-id order. The margin is
+far above a matvec's rounding error, so the shortlist holds the exact winners
+and all their ties; scores, dedup choices and tie-breaks are bit-identical
+to a full scalar scan. Matrix row order never decides a tie.
+
 Single-writer discipline: one ingestion sequence mutates a graph at a time;
 concurrent readers are safe between mutations.
 """
@@ -30,6 +48,8 @@ EDGE_SEMANTIC = "object->semantic"
 EDGE_EPISODIC = "object->episodic"
 
 _UNIT_TOL = 1e-6
+_SHORTLIST_MARGIN = 1e-9  # matvec cosines of 256-dim unit vectors differ from cosine() by <= 2e-16
+_MIN_ROWS = 16  # first capacity of the embedding matrix
 
 
 @dataclass
@@ -77,6 +97,13 @@ def _check_unit(vec: np.ndarray, what: str) -> None:
         raise RejectedInput(f"{what} must be unit norm, got {norm:.6f}")
 
 
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """Copy of a lengthened to `rows` rows; np.zeros leaves the new tail's pages untouched."""
+    out = np.zeros((rows, *a.shape[1:]), a.dtype)
+    out[: len(a)] = a
+    return out
+
+
 @dataclass
 class _Counters:
     object: int = 1
@@ -96,6 +123,15 @@ class MemoryGraph:
         self.edges: list[Edge] = []
         self.counters = _Counters()
         self.clock = 0
+        self._out: dict[str, list[Edge]] = {}  # object id -> its edges, in edge-list order
+        self._in: dict[str, list[Edge]] = {}  # node id -> edges into it, in edge-list order
+        self._active: dict[tuple[str, str], Edge] = {}  # (src, dst) -> the active edge
+        self._row_ids: list[str] = []  # matrix row -> semantic node id
+        self._rows: dict[str, int] = {}  # semantic node id -> matrix row
+        self._matrix = np.zeros((0, 0))  # rows [:len(_row_ids)] hold the embeddings
+        self._norms = np.zeros(0)
+        self._active_links = np.zeros(0, dtype=np.int64)  # active edges into each row's statement
+        self._links = np.zeros(0, dtype=np.int64)  # all edges into each row's statement
 
     # -- mutation ---------------------------------------------------------
 
@@ -150,10 +186,12 @@ class MemoryGraph:
         if not statement:
             raise RejectedInput("statement must be non-empty")
         emb = np.asarray(embedding, dtype=np.float64)
+        if emb.ndim != 1:
+            raise RejectedInput(f"statement embedding must be a vector, got shape {emb.shape}")
         _check_unit(emb, "statement embedding")
         self._touch(timestamp)
         best_id, best_score = None, -2.0
-        for sid in sorted(self.semantic):
+        for sid in self.shortlist(emb, 1):
             score = cosine(emb, self.semantic[sid].embedding)
             if score > best_score:
                 best_id, best_score = sid, score
@@ -163,8 +201,9 @@ class MemoryGraph:
             node_id = f"sem_{self.counters.semantic:04d}"
             self.counters.semantic += 1
             self.semantic[node_id] = SemanticNode(node_id, statement, emb, timestamp)
+            self._add_row(self.semantic[node_id])
         if self._active_edge(object_ref, node_id) is None:
-            self.edges.append(Edge(object_ref, node_id, EDGE_SEMANTIC, timestamp, True))
+            self._add_edge(Edge(object_ref, node_id, EDGE_SEMANTIC, timestamp, True))
         return node_id
 
     def add_episodic(
@@ -205,7 +244,7 @@ class MemoryGraph:
             rendered_text,
             timestamp,
         )
-        self.edges.append(Edge(object_ref, node_id, EDGE_EPISODIC, timestamp, True))
+        self._add_edge(Edge(object_ref, node_id, EDGE_EPISODIC, timestamp, True))
         return node_id
 
     def supersede(self, object_ref: str, old_id: str, new_id: str, timestamp: int) -> None:
@@ -219,13 +258,13 @@ class MemoryGraph:
         if old_edge is None or old_edge.kind != EDGE_SEMANTIC:
             raise NotFound(f"no active semantic edge {object_ref!r} -> {old_id!r}")
         self._touch(timestamp)
-        old_edge.active = False
+        self._deactivate(old_edge)
         existing = self._active_edge(object_ref, new_id)
         if existing is not None:
             if existing.timestamp == timestamp:
                 return
-            existing.active = False  # keep at most one active edge per pair; old record stays
-        self.edges.append(Edge(object_ref, new_id, EDGE_SEMANTIC, timestamp, True))
+            self._deactivate(existing)  # keep at most one active edge per pair; old record stays
+        self._add_edge(Edge(object_ref, new_id, EDGE_SEMANTIC, timestamp, True))
 
     # -- queries ----------------------------------------------------------
 
@@ -241,27 +280,85 @@ class MemoryGraph:
                 raise RejectedInput(f"unknown neighbor kind {kind!r}")
             rows = [
                 (e.dst, e.timestamp)
-                for e in self.edges
-                if e.src == node_id and (want is None or e.kind == want) and (e.active or not active_only)
+                for e in self._out.get(node_id, ())
+                if (want is None or e.kind == want) and (e.active or not active_only)
             ]
         elif node_id in self.semantic or node_id in self.episodic:
             if kind not in (None, "object"):
                 raise RejectedInput(f"reverse queries only yield objects, not {kind!r}")
-            rows = [
-                (e.src, e.timestamp)
-                for e in self.edges
-                if e.dst == node_id and (e.active or not active_only)
-            ]
+            rows = [(e.src, e.timestamp) for e in self._in.get(node_id, ()) if e.active or not active_only]
         else:
             raise NotFound(f"unknown node {node_id!r}")
         rows.sort(key=lambda r: (-r[1], r[0]))
         return rows
 
+    def shortlist(self, query: np.ndarray, k: int, *, active_only: bool | None = None) -> list[str]:
+        """Sorted ids of every statement that may rank among the k best by cosine to query.
+
+        active_only=None considers every statement; True only statements with an
+        active linking edge, False those with any linking edge, as
+        neighbors(node, active_only=...) finds them. The ids come from one
+        matrix-vector product and include every statement within
+        _SHORTLIST_MARGIN of the k-th best approximate score, so the exact top k
+        by cosine() and all of its ties are in it.
+        """
+        n = len(self._row_ids)
+        if active_only is None:
+            rows = np.arange(n)
+        else:
+            rows = np.flatnonzero((self._active_links if active_only else self._links)[:n])
+        if len(rows) == 0:
+            return []
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != self._matrix.shape[1:]:
+            raise RejectedInput(f"dimension mismatch: {query.shape} vs {self._matrix.shape[1:]}")
+        if len(rows) > k:
+            denom = self._norms[:n] * float(np.linalg.norm(query))
+            dots = self._matrix[:n] @ query
+            approx = np.divide(dots, denom, out=np.zeros(n), where=denom > 0)[rows]
+            cutoff = np.partition(approx, len(rows) - k)[len(rows) - k]
+            rows = rows[approx >= cutoff - _SHORTLIST_MARGIN]
+        return sorted(self._row_ids[r] for r in rows)
+
     def _active_edge(self, src: str, dst: str) -> Edge | None:
-        for e in self.edges:
-            if e.active and e.src == src and e.dst == dst:
-                return e
-        return None
+        return self._active.get((src, dst))
+
+    def _add_edge(self, edge: Edge) -> None:
+        self.edges.append(edge)
+        self._index_edge(edge)
+
+    def _index_edge(self, edge: Edge) -> None:
+        self._out.setdefault(edge.src, []).append(edge)
+        self._in.setdefault(edge.dst, []).append(edge)
+        if edge.active:
+            self._active[(edge.src, edge.dst)] = edge
+        if edge.kind == EDGE_SEMANTIC:
+            row = self._rows[edge.dst]
+            self._links[row] += 1
+            self._active_links[row] += edge.active
+
+    def _deactivate(self, edge: Edge) -> None:
+        edge.active = False
+        del self._active[(edge.src, edge.dst)]
+        if edge.kind == EDGE_SEMANTIC:
+            self._active_links[self._rows[edge.dst]] -= 1
+
+    def _add_row(self, node: SemanticNode) -> None:
+        """Store node's embedding as the next matrix row and make node.embedding a view of it."""
+        n = len(self._row_ids)
+        if n == 0:
+            self._matrix = np.zeros((0, node.embedding.shape[0]))
+        if n == len(self._matrix):
+            self._matrix, self._norms, self._active_links, self._links = (
+                _grown(a, max(_MIN_ROWS, 2 * n)) for a in (self._matrix, self._norms, self._active_links, self._links)
+            )
+            for row, node_id in enumerate(self._row_ids):  # let the old matrix go
+                self.semantic[node_id].embedding = self._matrix[row]
+        self._matrix[n] = node.embedding
+        node.embedding = self._matrix[n]
+        self._norms[n] = np.linalg.norm(node.embedding)
+        self._rows[node.node_id] = n
+        self._row_ids.append(node.node_id)
 
     def _touch(self, timestamp: int) -> None:
         self.clock = max(self.clock, timestamp)
@@ -367,9 +464,17 @@ class MemoryGraph:
                 )
             for row in doc["edges"]:
                 g.edges.append(Edge(row["src"], row["dst"], row["kind"], int(row["timestamp"]), bool(row["active"])))
+            for node in g.semantic.values():
+                if node.embedding.ndim != 1:
+                    raise ValueError(f"embedding of {node.node_id!r} is not a vector")
+                g._add_row(node)
+            if not np.isfinite(g._norms).all():
+                raise ValueError("semantic embeddings must have finite norms")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph snapshot: {exc}") from exc
         g._validate_structure()
+        for edge in g.edges:
+            g._index_edge(edge)
         return g
 
     @classmethod

@@ -72,12 +72,16 @@ def retrieve_semantic(
     """Top-k semantic nodes by cosine; ties break to newer edges, then node id."""
     if k < 1:
         raise RejectedInput(f"k must be >= 1, got {k}")
-    query = encode(instruction, encoder_config)
+    return _rank_semantic(graph, encode(instruction, encoder_config), k, active_only, recency_tiebreak)
+
+
+def _rank_semantic(
+    graph: MemoryGraph, query: np.ndarray, k: int, active_only: bool, recency_tiebreak: bool
+) -> list[SemanticHit]:
+    """retrieve_semantic for an already encoded query."""
     hits = []
-    for node_id in sorted(graph.semantic):
+    for node_id in graph.shortlist(query, k, active_only=active_only):
         linking = graph.neighbors(node_id, kind="object", active_only=active_only)
-        if not linking:
-            continue
         newest = linking[0][1]
         score = cosine(query, graph.semantic[node_id].embedding)
         hits.append(SemanticHit(node_id, score, newest, sorted({obj for obj, _ in linking})))
@@ -132,16 +136,11 @@ def retrieve(
     recency_tiebreak: bool = True,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
 ) -> RetrievalResult:
-    """retrieve_semantic + assemble_candidates in one call."""
-    hits = retrieve_semantic(
-        graph,
-        instruction,
-        k,
-        active_only=active_only,
-        recency_tiebreak=recency_tiebreak,
-        encoder_config=encoder_config,
-    )
+    """retrieve_semantic + assemble_candidates in one call, encoding the instruction once."""
+    if k < 1:
+        raise RejectedInput(f"k must be >= 1, got {k}")
     query = encode(instruction, encoder_config)
+    hits = _rank_semantic(graph, query, k, active_only, recency_tiebreak)
     return RetrievalResult(instruction, hits, assemble_candidates(graph, hits, instruction_embedding=query))
 
 

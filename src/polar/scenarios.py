@@ -636,4 +636,7 @@ def load_specs(path: str) -> list[ScenarioSpec]:
             raise ParseError(exc.msg, line=exc.lineno) from exc
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError("unsupported or missing scenario format_version")
-    return [spec_from_json(row) for row in doc.get("specs", [])]
+    specs = doc.get("specs", [])
+    if not isinstance(specs, list):
+        raise ParseError("scenario file 'specs' must be a JSON list")
+    return [spec_from_json(row) for row in specs]

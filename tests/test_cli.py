@@ -134,6 +134,22 @@ def test_eval_polar_without_graphs_is_domain_error(tmp_path, capsys):
     assert "memorize" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["specs", "graphs"])
+def test_eval_rejects_wrong_container_type(tmp_path, capsys, bad):
+    specs = _specs_path(tmp_path)
+    graphs = str(tmp_path / "graphs.json")
+    with open(graphs, "w") as fh:
+        json.dump({"format_version": 1, "graphs": []}, fh)
+    if bad == "specs":
+        with open(specs, "w") as fh:
+            json.dump({"format_version": 1, "specs": {}}, fh)
+    capsys.readouterr()
+    code = main(["eval", "--specs", specs, "--mode", "polar", "--graphs", graphs, "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("polar: error:") and err.count("\n") == 1 and f"'{bad}'" in err
+
+
 def test_run_all_requires_out_dir(capsys):
     assert main(["run-all", "--kinds", "distractor"]) == 1
     assert "--out-dir" in capsys.readouterr().err

@@ -102,6 +102,10 @@ def test_load_graphs_rejects_bad_input(tmp_path):
     not_json.write_text("{nope")
     with pytest.raises(ParseError):
         load_graphs(str(not_json))
+    graphs_list = tmp_path / "list.json"
+    graphs_list.write_text(json.dumps({"format_version": 1, "graphs": []}))
+    with pytest.raises(ParseError):
+        load_graphs(str(graphs_list))
 
 
 def test_world_for_spec_is_cached(single_suite):

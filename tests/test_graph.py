@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unit_vec
+from polar.encoder import cosine
 from polar.errors import NotFound, ParseError, RejectedInput
-from polar.graph import EDGE_EPISODIC, EDGE_SEMANTIC, MemoryGraph, THETA_DEDUP, THETA_OBJ
+from polar.graph import EDGE_EPISODIC, EDGE_SEMANTIC, Edge, MemoryGraph, SemanticNode, THETA_DEDUP, THETA_OBJ
+from polar.retrieval import _rank_semantic
 
 
 DIM = 8
@@ -98,6 +102,17 @@ def test_add_semantic_below_threshold_creates_new_node():
     b = g.add_semantic("mug_01", "location = desk", unit_vec(DIM, math.acos(THETA_DEDUP) + 1e-3), 2)
     assert a != b
     assert len(g.semantic) == 2
+
+
+def test_add_semantic_dedup_tie_goes_to_first_sorted_id():
+    g = _graph()
+    g.upsert_object("mug", object_id="mug_01")
+    g.counters.semantic = 9999
+    a, b = np.zeros(DIM), np.zeros(DIM)
+    a[0] = b[0] = math.cos(0.35)
+    a[2] = b[3] = math.sin(0.35)  # a and b stay apart (cosine 0.883); both score exactly cos(0.35) to e0
+    assert [g.add_semantic("mug_01", s, v, 1) for s, v in (("a", a), ("b", b))] == ["sem_9999", "sem_10000"]
+    assert g.add_semantic("mug_01", "c", unit_vec(DIM), 2) == "sem_10000"  # sorts before sem_9999
 
 
 def test_add_semantic_relink_is_idempotent():
@@ -263,8 +278,171 @@ def test_load_rejects_duplicate_active_edges():
         MemoryGraph.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "embedding", [[math.nan] + [0.0] * (DIM - 1), [1.0] + [0.0] * DIM, [[1.0] + [0.0] * (DIM - 1)]]
+)
+def test_load_rejects_bad_embeddings(embedding):
+    doc = _populated().to_json()
+    doc["semantic_nodes"][0]["embedding"] = embedding  # not finite, another length, not a vector
+    with pytest.raises(ParseError):
+        MemoryGraph.from_json(doc)
+
+
 def test_load_rejects_unknown_edge_kind():
     doc = _populated().to_json()
     doc["edges"][0]["kind"] = "object->psychic"
     with pytest.raises(ParseError):
         MemoryGraph.from_json(doc)
+
+
+# -- indexes against a full scan ---------------------------------------------
+
+
+class _ScanGraph(MemoryGraph):
+    """Reference graph without indexes: dedup scores every statement with cosine()
+    in sorted-id order, and edge lookups scan the whole edge list."""
+
+    def add_semantic(self, object_ref, statement, embedding, timestamp):
+        emb = np.asarray(embedding, dtype=np.float64)
+        self._touch(timestamp)
+        best_id, best_score = None, -2.0
+        for sid in sorted(self.semantic):
+            score = cosine(emb, self.semantic[sid].embedding)
+            if score > best_score:
+                best_id, best_score = sid, score
+        if best_id is not None and best_score >= self.theta_dedup:
+            node_id = best_id
+        else:
+            node_id = f"sem_{self.counters.semantic:04d}"
+            self.counters.semantic += 1
+            self.semantic[node_id] = SemanticNode(node_id, statement, emb, timestamp)
+        if self._active_edge(object_ref, node_id) is None:
+            self.edges.append(Edge(object_ref, node_id, EDGE_SEMANTIC, timestamp, True))
+        return node_id
+
+    def supersede(self, object_ref, old_id, new_id, timestamp):
+        old_edge = self._active_edge(object_ref, old_id)
+        self._touch(timestamp)
+        old_edge.active = False
+        existing = self._active_edge(object_ref, new_id)
+        if existing is not None:
+            if existing.timestamp == timestamp:
+                return
+            existing.active = False
+        self.edges.append(Edge(object_ref, new_id, EDGE_SEMANTIC, timestamp, True))
+
+    def _active_edge(self, src, dst):
+        return next((e for e in self.edges if e.active and e.src == src and e.dst == dst), None)
+
+    def _add_edge(self, edge):
+        self.edges.append(edge)
+
+
+def _scan_neighbors(graph, node_id, active_only):
+    if node_id in graph.objects:
+        rows = [(e.dst, e.timestamp) for e in graph.edges if e.src == node_id and (e.active or not active_only)]
+    else:
+        rows = [(e.src, e.timestamp) for e in graph.edges if e.dst == node_id and (e.active or not active_only)]
+    return sorted(rows, key=lambda r: (-r[1], r[0]))
+
+
+def _scan_hits(graph, query, k, active_only, recency_tiebreak):
+    hits = []
+    for node_id in sorted(graph.semantic):
+        linking = _scan_neighbors(graph, node_id, active_only)
+        if linking:
+            score = cosine(query, graph.semantic[node_id].embedding)
+            hits.append((node_id, score, linking[0][1], sorted({obj for obj, _ in linking})))
+    if recency_tiebreak:
+        hits.sort(key=lambda h: (-h[1], -h[2], h[0]))
+    else:
+        hits.sort(key=lambda h: (-h[1], h[0]))
+    return [(node_id, score.hex(), ts, objs) for node_id, score, ts, objs in hits[:k]]
+
+
+_LATTICE = st.lists(st.sampled_from([-1.0, 0.0, 0.0, 1.0, 2.0]), min_size=DIM, max_size=DIM).filter(any)
+_ANGLES = (0.0, 0.35, math.acos(THETA_DEDUP) - 1e-6, math.acos(THETA_DEDUP) + 1e-6, 1.0)
+# "axis": cos(a) e_i + sin(a) e_j, whose cosine against e_i is exactly cos(a), so
+# statements and queries tie exactly or sit 1e-6 either side of THETA_DEDUP;
+# "copy": an earlier vector again; "lattice": a vector of small integers, normalized.
+_EMBEDDING = st.one_of(
+    st.tuples(st.just("axis"), st.integers(0, 1), st.integers(2, DIM - 1), st.sampled_from(_ANGLES)),
+    st.tuples(st.just("copy"), st.integers(0, 60)),
+    st.tuples(st.just("lattice"), _LATTICE),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("semantic"), st.integers(0, 2), _EMBEDDING, st.integers(0, 1)),
+        st.tuples(st.just("episodic"), st.integers(0, 2), st.integers(0, 1)),
+        st.tuples(st.just("supersede"), st.integers(0, 60), st.integers(0, 60), st.integers(0, 1)),
+        st.tuples(st.just("retrieve"), _EMBEDDING, st.integers(1, 4), st.booleans(), st.booleans()),
+    ),
+    max_size=40,
+)
+_OBJECTS = ("mug_01", "mug_02", "vase_01")
+
+
+def _embedding(spec, pool):
+    if spec[0] == "axis":
+        _, i, j, angle = spec
+        v = np.zeros(DIM)
+        v[i], v[j] = math.cos(angle), math.sin(angle)
+        return v
+    if spec[0] == "copy":
+        return pool[spec[1] % len(pool)].copy() if pool else unit_vec(DIM)
+    return np.asarray(spec[1]) / np.linalg.norm(spec[1])
+
+
+def _replay(ops, graphs, pool, t):
+    """Apply ops to every graph in turn; every retrieval must agree bit for bit."""
+    for op in ops:
+        t += op[-1] if op[0] in ("semantic", "episodic", "supersede") else 0
+        if op[0] == "semantic":
+            emb = _embedding(op[2], pool)
+            pool.append(emb)
+            ids = {g.add_semantic(_OBJECTS[op[1]], f"fact {len(pool)}", emb, t) for g in graphs}
+            assert len(ids) == 1
+        elif op[0] == "episodic":
+            for g in graphs:
+                _add_epi(g, _OBJECTS[op[1]], t=t, episode_id=f"ep{t}")
+        elif op[0] == "supersede":
+            live = sorted((e.src, e.dst) for e in graphs[0].edges if e.active and e.kind == EDGE_SEMANTIC)
+            if live:
+                src, old = live[op[1] % len(live)]
+                new = sorted(graphs[0].semantic)[op[2] % len(graphs[0].semantic)]
+                for g in graphs:
+                    g.supersede(src, old, new, t)
+        else:
+            query = _embedding(op[1], pool)
+            pool.append(query)
+            _, _, k, active_only, recency = op
+            want = _scan_hits(graphs[0], query, k, active_only, recency)
+            for g in graphs[1:]:
+                got = _rank_semantic(g, query, k, active_only, recency)
+                assert [(h.node_id, h.score.hex(), h.timestamp, h.object_ids) for h in got] == want
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    before=_OPS,
+    after=_OPS,
+    theta_dedup=st.sampled_from([THETA_DEDUP, 1.5]),  # 1.5 never merges, so duplicates tie
+    first_id=st.sampled_from([1, 9990, 9998]),  # ids past sem_9999 sort before older ones
+)
+def test_indexes_match_full_scan(before, after, theta_dedup, first_id):
+    scan, indexed = _ScanGraph(theta_dedup=theta_dedup), _graph(theta_dedup=theta_dedup)
+    for g in (scan, indexed):
+        g.counters.semantic = first_id
+        for oid in _OBJECTS:
+            g.upsert_object(oid.split("_")[0], object_id=oid)
+    pool: list[np.ndarray] = []
+    t = _replay(before, [scan, indexed], pool, 1)
+    reloaded = MemoryGraph.from_json(indexed.to_json())
+    _replay(after, [scan, indexed, reloaded], pool, t)
+    doc = scan.to_json()
+    assert indexed.to_json() == doc and reloaded.to_json() == doc
+    for g in (indexed, reloaded):
+        for node_id in [*g.objects, *g.semantic, *g.episodic]:
+            for active_only in (True, False):
+                assert g.neighbors(node_id, active_only=active_only) == _scan_neighbors(scan, node_id, active_only)

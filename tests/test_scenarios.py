@@ -150,6 +150,9 @@ def test_load_specs_rejects_bad_documents(tmp_path):
     path.write_text("{oops")
     with pytest.raises(ParseError):
         load_specs(str(path))
+    path.write_text(json.dumps({"format_version": 1, "specs": {}}))
+    with pytest.raises(ParseError):
+        load_specs(str(path))
 
 
 def test_spec_from_json_rejects_missing_fields(one_of_each):
