@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 import requests
 
 from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, statement_fact_value, trajectory_text
@@ -38,7 +39,6 @@ from .world import (
     Observation,
     SceneGraph,
     World,
-    heading_vector,
 )
 
 _EPS = 1e-9
@@ -66,7 +66,6 @@ class RunConfig:
     max_steps: int = 700
     success_radius_m: float = 2.0
     k: int = 5
-    mode: str = "polar"
     seed: int = 0
 
     def __post_init__(self):
@@ -90,7 +89,7 @@ def _turn_toward(current: int, target: int) -> str:
     return TURN_RIGHT if delta <= 180 else TURN_LEFT
 
 
-def _sweep_room(scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
+def sweep_room(scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
     prior = decision.prior_room
     if prior and prior in scene_graph.waypoints and prior not in visited:
         return prior
@@ -184,7 +183,7 @@ class OraclePlanner:
         return score, latest
 
     def choose_room(self, scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
-        return _sweep_room(scene_graph, decision, visited, current_room)
+        return sweep_room(scene_graph, decision, visited, current_room)
 
 
 class NaiveMatcher:
@@ -213,7 +212,7 @@ class NaiveMatcher:
         )
 
     def choose_room(self, scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
-        return _sweep_room(scene_graph, decision, visited, current_room)
+        return sweep_room(scene_graph, decision, visited, current_room)
 
 
 class RemotePlanner:
@@ -353,19 +352,17 @@ def _steer_action(world: World, state: AgentState, goal: tuple[float, float]) ->
     dist_field = world.distance_field(goal)
     cx, cy = world.cell_of(state.position)
     here = dist_field[cy, cx]
-    best = None
-    for heading in HEADINGS:
-        ux, uy = heading_vector(heading)
-        end = (state.position[0] + STRIDE_M * ux, state.position[1] + STRIDE_M * uy)
-        if not world.segment_free(state.position, end):
-            continue
-        ix, iy = world.cell_of(end)
-        value = dist_field[iy, ix]
-        if not value < here - _EPS:
-            continue
-        key = (value, _turn_count(state.heading, heading), heading)
-        if best is None or key < best:
-            best = key
+    free, ends = world.stride_table(state.position)
+    open_rows = np.flatnonzero(free)
+    values = dist_field[ends[open_rows, 1], ends[open_rows, 0]]
+    better = values < here - _EPS
+    best = min(
+        (
+            (value, _turn_count(state.heading, HEADINGS[row]), HEADINGS[row])
+            for row, value in zip(open_rows[better].tolist(), values[better].tolist())
+        ),
+        default=None,
+    )
     if best is None:
         return None
     heading = best[2]
@@ -382,15 +379,15 @@ def plan_low(
     decision: GroundingDecision,
     config: RunConfig,
     target_position: tuple[float, float] | None = None,
-) -> str:
-    """Single low-level action: stop on the target, else descend toward it or the waypoint."""
+) -> str | None:
+    """Single low-level action: stop on the target, else descend toward it or the
+    waypoint; None when no stride gets closer to the goal."""
     if decision.chosen_object_id:
         seen = observation.find(decision.chosen_object_id)
         if seen is not None and seen <= config.success_radius_m + _EPS:
             return STOP
     goal = waypoint if target_position is None else target_position
-    action = _steer_action(world, state, goal)
-    return TURN_RIGHT if action is None else action
+    return _steer_action(world, state, goal)
 
 
 def _visible_ids(observation: Observation) -> list[str]:
@@ -484,13 +481,17 @@ def run_episode(
             while len(plan) > 1 and world.room_of(state.position) == plan[0]:
                 plan.pop(0)
             waypoint = scene_graph.waypoints[plan[-1] if len(plan) == 1 else plan[0]]
-            if len(plan) == 1:
-                arrived = world.shortest_path_length(state.position, waypoint) <= STRIDE_M + _EPS
-                if arrived or _steer_action(world, state, waypoint) is None:
-                    scan_left = 3
-                    plan = []
-                    continue
-            action = plan_low(world, state, observation, waypoint, working, config)
+            final_leg = len(plan) == 1
+            arrived = final_leg and world.shortest_path_length(state.position, waypoint) <= STRIDE_M + _EPS
+            action = None if arrived else plan_low(world, state, observation, waypoint, working, config)
+            if action is None and final_leg:
+                # the last leg ends in a scan once the waypoint is near or no stride
+                # gets closer; the target is unsighted here, so plan_low cannot STOP
+                scan_left = 3
+                plan = []
+                continue
+        if action is None:
+            action = TURN_RIGHT  # no stride gets closer: turn in place
 
         if stall > 12:  # a full turn without progress: give up on this goal locally
             target_sighted = False

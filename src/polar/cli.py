@@ -190,9 +190,7 @@ def _cmd_eval(args, config):
     specs = load_specs(args.specs)
     graphs = load_graphs(args.graphs) if args.graphs else None
     episodes = group_by_scenario(load_episodes(args.episodes)) if args.episodes else None
-    run_config = RunConfig(
-        k=_pick(args, config, "k", 5), mode=args.mode, seed=_resolve_seed(args, config)
-    )
+    run_config = RunConfig(k=_pick(args, config, "k", 5), seed=_resolve_seed(args, config))
     report = evaluate(
         specs,
         args.mode,
@@ -254,7 +252,7 @@ def _cmd_run_all(args, config):
             evaluate(
                 specs,
                 mode,
-                RunConfig(k=_pick(args, config, "k", 5), mode=mode, seed=seed),
+                RunConfig(k=_pick(args, config, "k", 5), seed=seed),
                 graphs=graphs,
                 episodes=by_scenario,
                 encoder_config=encoder,

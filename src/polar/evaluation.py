@@ -259,7 +259,7 @@ def evaluate(
 ) -> MetricsReport:
     if mode not in MODES:
         raise RejectedInput(f"unknown evaluation mode {mode!r}; expected one of {', '.join(MODES)}")
-    config = config or RunConfig(mode=mode)
+    config = config or RunConfig()
     rows = []
     for spec in sorted(specs, key=lambda s: s.scenario_id):
         rows.append(

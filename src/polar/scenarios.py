@@ -27,13 +27,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .agent import GroundingDecision, _sweep_room
+from .agent import GroundingDecision, sweep_room
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import render_statement
 from .graph import THETA_DEDUP
 from .retrieval import DEFAULT_K
-from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, gen_world
+from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, clear_of, gen_world
 
 FORMAT_VERSION = 1
 KINDS = (
@@ -188,22 +188,17 @@ def _pick_cell(
     min_far: float = 2.5,
     hidden: bool = False,
 ) -> tuple[float, float]:
-    candidates = []
-    for cell in world.room_cells(room, margin=margin):
-        pos = world.cell_center(cell)
-        if any(_dist(pos, p) < min_clear for p in keep_clear):
-            continue
-        if any(_dist(pos, p) < min_far for p in far_from):
-            continue
-        candidates.append(pos)
+    centers = world.room_centers(room, margin=margin)
+    keep = clear_of(centers, keep_clear, min_clear) & clear_of(centers, far_from, min_far)
+    candidates = centers[keep].tolist()
     if not candidates:
         raise GenerationError(f"no placement cell satisfies the clearances in room {room!r}")
     if not hidden:
-        return rng.choice(sorted(candidates))
+        return tuple(rng.choice(candidates))
     # sightline hiding is costly to test, so probe a seeded shuffle lazily
-    for pos in rng.sample(sorted(candidates), len(candidates)):
-        if _hidden_from_hallway(world, pos):
-            return pos
+    for pos in rng.sample(candidates, len(candidates)):
+        if _hidden_from_hallway(world, tuple(pos)):
+            return tuple(pos)
     raise GenerationError(f"no placement cell in room {room!r} is hidden from hallway sightlines")
 
 
@@ -211,11 +206,12 @@ def _pick_start(
     rng: random.Random, world: World, rooms: list[str] | None = None, avoid: list[tuple[float, float]] = ()
 ) -> tuple[tuple[float, float], int]:
     room = rng.choice(sorted(rooms) if rooms else sorted(world.room_names))
-    candidates = [world.cell_center(c) for c in world.room_cells(room, margin=1)]
-    candidates = sorted(p for p in candidates if all(_dist(p, a) > 1e-9 for a in avoid))
+    centers = world.room_centers(room, margin=1)
+    # starts are cell centers, so "farther than 1e-9 m" means "another cell"
+    candidates = centers[clear_of(centers, avoid, 1e-9)].tolist()
     if not candidates:
         raise GenerationError(f"no free start cell left in room {room!r}")
-    return rng.choice(candidates), rng.choice(HEADINGS)
+    return tuple(rng.choice(candidates)), rng.choice(HEADINGS)
 
 
 def _sweep_path_m(
@@ -230,7 +226,7 @@ def _sweep_path_m(
     probe = GroundingDecision("", "", None, "", "none")
     total = 0.0
     for _ in range(len(scene.rooms) + 1):
-        room = _sweep_room(scene, probe, visited, current)
+        room = sweep_room(scene, probe, visited, current)
         waypoint = scene.waypoints[room]
         total += world.shortest_path_length(pos, waypoint)
         visited.add(room)

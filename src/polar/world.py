@@ -32,6 +32,7 @@ VISIBILITY_RANGE_M = 5.0
 VISIBILITY_HALF_ANGLE_DEG = 45.0
 FEATURE_DIM = 32
 WALL = -1
+MAX_ROOMS = 12  # render_ascii has one symbol per room
 
 ACTION_START = "START"  # pseudo-action tagging the spawn entry of a trajectory
 MOVE_FORWARD = "MOVE_FORWARD"
@@ -224,6 +225,10 @@ class _NavCache:
         self.free_cells = free_cells
         self.fields: dict[tuple[int, int], np.ndarray] = {}
         self.scene_graph: SceneGraph | None = None
+        self.rows = grid.tolist()  # plain lists: scalar cell reads in line_of_sight
+        self.bounds = np.array([nx * resolution, ny * resolution])  # (w, h) in meters
+        # one STRIDE_M step per heading, rows in HEADINGS order
+        self.strides = STRIDE_M * np.array([_HEADING_VECTORS[h] for h in HEADINGS])
 
     def field(self, cell: tuple[int, int]) -> np.ndarray:
         cached = self.fields.get(cell)
@@ -314,11 +319,34 @@ class World:
                 return False
         return True
 
+    def stride_table(self, pos: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+        """The STRIDE_M stride from pos along every heading in HEADINGS, tested at once.
+
+        Returns, per heading, segment_free(pos, end) and cell_of(end), where
+        end is the point step would move to.
+        """
+        res = self.resolution
+        nav = self._nav
+        p0 = np.array(pos, dtype=np.float64)
+        ends = p0 + nav.strides
+        deltas = ends - p0
+        # segment_free's samples for all headings at once, in its float64 expression order
+        n = np.array([max(1, math.ceil(math.hypot(dx, dy) / res - _EPS)) for dx, dy in deltas.tolist()])[:, None]
+        i = np.arange(1, int(n.max()) + 1)
+        samples = p0 + (i / n)[:, :, None] * deltas[:, None, :]
+        inside = (samples >= 0.0) & (samples < nav.bounds)
+        cells = (samples // res).astype(np.intp)
+        # out-of-bounds samples read a clipped cell, but inside already rules them out
+        labels = self.grid.take(cells[:, :, 1] * nav.shape[1] + cells[:, :, 0], mode="clip")
+        free = inside[:, :, 0] & inside[:, :, 1] & (labels != WALL)
+        return (free | (i > n)).all(axis=1), (ends // res).astype(np.intp)
+
     def line_of_sight(self, a: tuple[float, float], b: tuple[float, float]) -> bool:
         """True when no wall cell lies on the straight segment a -> b (grid traversal)."""
+        grid = self._nav.rows
         ix, iy = self.cell_of(a)
         tx, ty = self.cell_of(b)
-        if self.grid[iy, ix] == WALL or self.grid[ty, tx] == WALL:
+        if grid[iy][ix] == WALL or grid[ty][tx] == WALL:
             return False
         dx = b[0] - a[0]
         dy = b[1] - a[1]
@@ -334,7 +362,7 @@ class World:
             guard -= 1
             if abs(t_max_x - t_max_y) < 1e-12:
                 # exact corner crossing: blocked if both flanking cells are walls
-                if self.grid[iy, ix + step_x] == WALL and self.grid[iy + step_y, ix] == WALL:
+                if grid[iy][ix + step_x] == WALL and grid[iy + step_y][ix] == WALL:
                     return False
                 ix += step_x
                 iy += step_y
@@ -346,7 +374,7 @@ class World:
             else:
                 iy += step_y
                 t_max_y += t_delta_y
-            if self.grid[iy, ix] == WALL:
+            if grid[iy][ix] == WALL:
                 return False
         return True
 
@@ -378,30 +406,32 @@ class World:
 
     def observe(self, state: AgentState, blocked: bool = False) -> Observation:
         room = self.room_of(state.position) or ""
-        views = []
-        near: list[int] = []
+        pos = state.position
+        view_headings = [(state.heading + offset) % 360 for offset in (0, -90, 90)]
+        visible: list[list[tuple[str, str, float]]] = [[], [], []]
         if len(self._obj_ids):
-            deltas = self._obj_positions - np.array(state.position)
-            dists = np.hypot(deltas[:, 0], deltas[:, 1])
-            near = [int(i) for i in np.flatnonzero(dists <= VISIBILITY_RANGE_M + _EPS)]
-        for offset in (0, -90, 90):
-            view_heading = (state.heading + offset) % 360
-            visible = []
-            for i in near:
+            deltas = self._obj_positions - np.array(pos)
+            near = np.flatnonzero(np.hypot(deltas[:, 0], deltas[:, 1]) <= VISIBILITY_RANGE_M + _EPS)
+            for i in near.tolist():
                 obj = self.objects[self._obj_ids[i]]
-                dist = math.hypot(obj.position[0] - state.position[0], obj.position[1] - state.position[1])
+                dist = math.hypot(obj.position[0] - pos[0], obj.position[1] - pos[1])
+                row = (obj.object_id, obj.category, dist)
                 if dist < _EPS:
-                    if offset != 0:
-                        continue  # on top of the object: front view only
-                elif angle_diff_deg(bearing_deg(state.position, obj.position), view_heading) > (
-                    VISIBILITY_HALF_ANGLE_DEG + _EPS
-                ):
+                    visible[0].append(row)  # on top of the object: front view only
                     continue
-                if dist >= _EPS and not self.line_of_sight(state.position, obj.position):
-                    continue
-                visible.append((obj.object_id, obj.category, dist))
-            visible.sort(key=lambda row: (row[2], row[0]))
-            views.append(View(view_heading, visible, room))
+                bearing = bearing_deg(pos, obj.position)
+                in_cone = [
+                    k
+                    for k, view_heading in enumerate(view_headings)
+                    if angle_diff_deg(bearing, view_heading) <= VISIBILITY_HALF_ANGLE_DEG + _EPS
+                ]
+                if in_cone and self.line_of_sight(pos, obj.position):
+                    for k in in_cone:
+                        visible[k].append(row)
+        views = [
+            View(view_heading, sorted(rows, key=lambda row: (row[2], row[0])), room)
+            for view_heading, rows in zip(view_headings, visible)
+        ]
         return Observation(front=views[0], left=views[1], right=views[2], blocked=blocked)
 
     # -- navigation metric ---------------------------------------------------
@@ -484,7 +514,14 @@ class World:
                 inner[:, 0] = inner[:, -1] = False
                 eroded = inner
             mask = mask & eroded
-        return [(int(ix), int(iy)) for iy, ix in np.argwhere(mask)]
+        iy, ix = np.nonzero(mask)
+        return list(zip(ix.tolist(), iy.tolist()))
+
+    def room_centers(self, room: str, margin: int = 0) -> np.ndarray:
+        """Centers (x, y) of room_cells(room, margin), sorted by x, then y."""
+        cells = np.array(self.room_cells(room, margin), dtype=np.intp).reshape(-1, 2)
+        cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+        return (cells + 0.5) * self.resolution
 
     # -- persistence -----------------------------------------------------------
 
@@ -559,6 +596,12 @@ class World:
             ]
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ParseError(f"malformed world file: {exc}") from exc
+        if len(room_names) > MAX_ROOMS:
+            raise ParseError(f"at most {MAX_ROOMS} rooms are supported, got {len(room_names)}")
+        if grid.ndim != 2 or grid.size == 0:
+            raise ParseError("world grid is empty")
+        if (grid[[0, -1], :] != WALL).any() or (grid[:, [0, -1]] != WALL).any():
+            raise ParseError("world grid must be enclosed by a ring of wall cells")
         world = cls(grid, room_names, objects, float(doc.get("resolution", RESOLUTION)))
         for obj in objects:
             if not world.is_free(obj.position):
@@ -592,8 +635,8 @@ def gen_world(seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] |
     Same-category instances land in distinct rooms while enough rooms exist;
     objects keep a 0.75 m margin from walls and 1 m from each other.
     """
-    if not 2 <= n_rooms <= 12:
-        raise RejectedInput(f"n_rooms must be in [2, 12], got {n_rooms}")
+    if not 2 <= n_rooms <= MAX_ROOMS:
+        raise RejectedInput(f"n_rooms must be in [2, {MAX_ROOMS}], got {n_rooms}")
     rng = random.Random(seed)
     side_count = n_rooms - 1
     names = ["hallway"] + list(_ROOM_NAME_POOL[:side_count])
@@ -655,6 +698,7 @@ def gen_world(seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] |
     objects: list[ObjectInstance] = []
     placed: list[tuple[float, float]] = []
     side_rooms = [names[i + 1] for i in range(side_count)]
+    centers = {room: world.room_centers(room, margin=3) for room in side_rooms}
     counters: dict[str, int] = {}
     for category, count in objects_spec or []:
         if count < 1:
@@ -666,13 +710,9 @@ def gen_world(seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] |
             position = None
             for attempt in range(len(side_rooms)):
                 room = side_rooms[(offset + j + attempt) % len(side_rooms)]
-                candidates = [
-                    world.cell_center(c)
-                    for c in world.room_cells(room, margin=3)
-                    if all(math.hypot(p[0] - world.cell_center(c)[0], p[1] - world.cell_center(c)[1]) >= 1.0 for p in placed)
-                ]
+                candidates = centers[room][clear_of(centers[room], placed, 1.0)].tolist()
                 if candidates:
-                    position = rng.choice(sorted(candidates))
+                    position = tuple(rng.choice(candidates))
                     break
             if position is None:
                 raise GenerationError(
@@ -682,6 +722,18 @@ def gen_world(seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] |
             feature = _random_unit(rng, FEATURE_DIM)
             objects.append(ObjectInstance(object_id, category, position, feature))
     return World(grid, names, objects, _nav=world._nav)
+
+
+def clear_of(centers: np.ndarray, points, min_m: float) -> np.ndarray:
+    """Mask of the rows of centers (m x 2) that lie at least min_m from every point.
+
+    At the 0.25 m resolution every offset between cell centers is an exact
+    multiple of 0.25 m, so the squared distance and min_m**2 compare exactly
+    as math.hypot(...) >= min_m does.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    offsets = centers[:, None, :] - points[None, :, :]
+    return ((offsets * offsets).sum(axis=2) >= min_m * min_m).all(axis=1)
 
 
 def _random_unit(rng: random.Random, dim: int) -> np.ndarray:

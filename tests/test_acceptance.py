@@ -7,11 +7,13 @@ between criteria; every criterion still works when run alone.
 """
 
 import filecmp
+import hashlib
 import os
 import random
 import time
 
 import numpy as np
+import pytest
 
 from polar.cli import main as cli_main
 from polar.distiller import memorize
@@ -283,11 +285,18 @@ def test_criterion_7_episodic_memory_shortens_joint_searches(capsys):
     )
 
 
-def test_criterion_8_full_pipeline_is_bitwise_deterministic(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def run_all_seed0(tmp_path_factory) -> str:
+    """Artifact directory of one `run-all --seed 0`, shared by the byte-level checks."""
+    out_dir = str(tmp_path_factory.mktemp("run-all") / "runs-a")
+    assert cli_main(["run-all", "--seed", "0", "--out-dir", out_dir]) == 0
+    return out_dir
+
+
+def test_criterion_8_full_pipeline_is_bitwise_deterministic(run_all_seed0, tmp_path, capsys):
     """Two identical run-all invocations write byte-identical artifacts."""
-    dirs = (str(tmp_path / "runs-a"), str(tmp_path / "runs-b"))
-    for out_dir in dirs:
-        assert cli_main(["run-all", "--seed", "0", "--out-dir", out_dir]) == 0
+    dirs = (run_all_seed0, str(tmp_path / "runs-b"))
+    assert cli_main(["run-all", "--seed", "0", "--out-dir", dirs[1]]) == 0
     rel_files = sorted(
         os.path.relpath(os.path.join(root, name), dirs[0])
         for root, _, names in os.walk(dirs[0])
@@ -300,3 +309,53 @@ def test_criterion_8_full_pipeline_is_bitwise_deterministic(tmp_path, capsys):
         f"run-all --seed 0 twice: {len(match)}/{len(rel_files)} files byte-identical"
         + (f"; differing: {mismatch + errors}" if mismatch or errors else ""),
     )
+
+
+# sha256 of every `run-all --seed 0` artifact, as listed in benchmarks/README.md. A change
+# that alters any of them changes what polar computes, however fast it is.
+RUN_ALL_SEED0_SHA256 = {
+    "compositional-joint/episodes.jsonl": "84becb202f700df83a3899fa07ee9e9238ef25dee811dcaee1ca4163f97e9b58",
+    "compositional-joint/graphs.json": "29d7ab44d5b8bf31b20cb8e8a436e8538b4064b910d4768ae3654b117850d3a5",
+    "compositional-joint/metrics.json": "7897090e268bc12919a6066243f6e105f8379a2717f290c1e9080fe7d04c7a0d",
+    "compositional-joint/metrics.txt": "b02b21e192172db0d46af2dd289dba7982a77988f3fb618963b1840843d9c84e",
+    "compositional-joint/specs.json": "40214d1748f708ca1fe8058698b9d10efcbe507ea573046a683b22ad8e6a3a11",
+    "compositional-joint/world.json": "e0239144adf13d73fc835b157a086ba404976e6fd5bc6e64d88fc1dfe8253ea0",
+    "compositional-single/episodes.jsonl": "936cb7ce7da77f39c2bfc42df76858bc9e15213bf3a2af3bc9b412468135fe69",
+    "compositional-single/graphs.json": "8c930ed204760c367b02b9b9da26a8295a64e61b98e3b2989a29e0b7a156148b",
+    "compositional-single/metrics.json": "0d304e91114d9fa4fc7877f9b5696502c94d831f2b390e3f13d66de74614fcb5",
+    "compositional-single/metrics.txt": "9b3ecbfc250da25fdeab6b42e96a9d48c4c72550916740babb79250042c99853",
+    "compositional-single/specs.json": "942ae13822a4fb2f4bc0728edb617bf87a6701a5e0de14df51ce65b5c37ffbfa",
+    "compositional-single/world.json": "0c47ebca5e398c20e791fd08883e272906c5e1c3a6f7567e310f63d7164912c9",
+    "config.json": "0885ba255bbc65f92e32c3e6cb8890683a92496c04a9830ca2a8de68e1e0a6ba",
+    "distractor/episodes.jsonl": "9e1ea80737d1721fa6d4ef2817fef6b904875e69d7c52c0a3ef5e29c84e276ad",
+    "distractor/graphs.json": "854e61c14ca439196782928e1a3aaed808313edb35d13378c3379e269f6bf9d1",
+    "distractor/metrics.json": "38d75ea67a7b3708b681c1ac6b104356389110edb2c8765721f92e2cab75d785",
+    "distractor/metrics.txt": "0ea1adcbbe58d4f89981940a97b1ec2528e6bc8e7239a028f8e3444c9ab8b71f",
+    "distractor/specs.json": "3501ab4a81550166e60dcd277bb8ae0812312c833cf57ea920c78c8439e287fa",
+    "distractor/world.json": "d43eb9d27794046e0863e2ec40210e1914e8749a9fc12fdd10c6015c354794f9",
+    "metrics.json": "1cd508f87302e58e49eff0678ab6862bb93d2a08c6a5c963445f0dfd272c56ed",
+    "metrics.txt": "bd73d4e56ea6cb6b75cb96dde79d2b28cafbc6867542b39e63934e18023852a0",
+    "temporal-context/episodes.jsonl": "3ff883e4806f21700cd1d391f477ed560b65d0a284ad52a368813cc0ec416b33",
+    "temporal-context/graphs.json": "83af7b1b6485565eea05539567bb79f8e1d0ac442f7f8f1b932ea86a82ecf7b5",
+    "temporal-context/metrics.json": "999d4829db6e815bd3213f4be1783358bff4e11909893fb438ce12226e4ed37a",
+    "temporal-context/metrics.txt": "2e5b807005945396e3d049ae28e2d27b78321a5276d858e3af7474eb07612e13",
+    "temporal-context/specs.json": "e3514c54c69be8675d785328ef85747127f3cf646df1179d70b57361decc00f3",
+    "temporal-context/world.json": "505931ba726c8929f674f3b57679f4efb77105a696cf7aa7a2215e3c6dd17600",
+    "temporal-object/episodes.jsonl": "5e5b7b0edbbcb1d799f429dbc3883d7f95db935a7a6e19b69d8f00bf161e4f3f",
+    "temporal-object/graphs.json": "626afaa361c9f9d5572fcd1a77aa0cd94affa584dbec36e52eff868076c5189f",
+    "temporal-object/metrics.json": "93fcde595fbd388a2eaff7906610b6a1ffbbbdc91258981f06c8c1fa5bf560df",
+    "temporal-object/metrics.txt": "5a4c2cea950c818ab8767e502300cae3e0de8f4e65f234fe92abd406859cf540",
+    "temporal-object/specs.json": "d53d5a2efbed4372955a355aa876ee283c8ce8d0fed2cec241a5b2dcd63fede1",
+    "temporal-object/world.json": "054801dee3a2056b78681453f9c5952f19bd2ee3ddf758b391d53d4b2fa9afe8",
+}
+
+
+def test_run_all_seed0_artifacts_match_pinned_hashes(run_all_seed0):
+    got = {}
+    for root, _, names in os.walk(run_all_seed0):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                got[os.path.relpath(path, run_all_seed0).replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
+    assert sorted(got) == sorted(RUN_ALL_SEED0_SHA256)
+    assert {k: v for k, v in got.items() if v != RUN_ALL_SEED0_SHA256[k]} == {}

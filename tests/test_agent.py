@@ -11,7 +11,7 @@ from polar.agent import (
     RunConfig,
     _category_only,
     _prior_room_from_renderings,
-    _sweep_room,
+    sweep_room,
     _turn_count,
     _turn_toward,
     ground_target,
@@ -61,29 +61,29 @@ def test_run_config_validation():
 
 
 def test_sweep_prefers_unvisited_prior_room():
-    assert _sweep_room(_scene(), _decision(prior="pantry"), set(), "hallway") == "pantry"
+    assert sweep_room(_scene(), _decision(prior="pantry"), set(), "hallway") == "pantry"
 
 
 def test_sweep_skips_visited_prior_room():
-    room = _sweep_room(_scene(), _decision(prior="pantry"), {"pantry"}, "hallway")
+    room = sweep_room(_scene(), _decision(prior="pantry"), {"pantry"}, "hallway")
     assert room != "pantry"
 
 
 def test_sweep_orders_by_hops_then_degree():
     scene = _scene()
     # the spawn room itself is searched first (0 hops)
-    assert _sweep_room(scene, _decision(), set(), "hallway") == "hallway"
+    assert sweep_room(scene, _decision(), set(), "hallway") == "hallway"
     # then: den and kitchen are both 1 hop, but den is a degree-1 dead end
     # while kitchen is a degree-2 connector, so den wins the tie
-    assert _sweep_room(scene, _decision(), {"hallway"}, "hallway") == "den"
-    assert _sweep_room(scene, _decision(), {"hallway", "den"}, "hallway") == "kitchen"
-    assert _sweep_room(scene, _decision(), {"hallway", "den", "kitchen"}, "hallway") == "pantry"
+    assert sweep_room(scene, _decision(), {"hallway"}, "hallway") == "den"
+    assert sweep_room(scene, _decision(), {"hallway", "den"}, "hallway") == "kitchen"
+    assert sweep_room(scene, _decision(), {"hallway", "den", "kitchen"}, "hallway") == "pantry"
 
 
 def test_sweep_exhaustion_raises():
     scene = _scene()
     with pytest.raises(ExplorationExhausted):
-        _sweep_room(scene, _decision(), set(scene.rooms), "hallway")
+        sweep_room(scene, _decision(), set(scene.rooms), "hallway")
 
 
 class _FixedPlanner:

@@ -4,21 +4,28 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dijkstra_oracle
+from polar.agent import _steer_action, _turn_count, _turn_toward
 from polar.errors import ParseError, RejectedInput
 from polar.world import (
+    HEADINGS,
     MOVE_FORWARD,
     RESOLUTION,
     STOP,
+    STRIDE_M,
     TURN_LEFT,
     TURN_RIGHT,
+    VISIBILITY_HALF_ANGLE_DEG,
     VISIBILITY_RANGE_M,
     WALL,
     AgentState,
     World,
     angle_diff_deg,
     bearing_deg,
+    clear_of,
     gen_world,
     heading_vector,
 )
@@ -297,3 +304,183 @@ def test_duplicate_object_ids_rejected(small_world):
     objs = list(small_world.objects.values())
     with pytest.raises(RejectedInput):
         World(small_world.grid, small_world.room_names, [objs[0], objs[0]])
+
+
+def test_world_load_rejects_grid_without_wall_border():
+    grid = np.zeros((6, 6), dtype=np.int16)  # all free: no wall ring
+    doc = World(grid.copy(), ["hallway"], []).to_json()
+    with pytest.raises(ParseError, match="ring of wall cells"):
+        World.from_json(doc)
+    grid = np.full((6, 6), WALL, dtype=np.int16)
+    grid[1:5, 1:6] = 0  # one free cell on the right edge
+    with pytest.raises(ParseError, match="ring of wall cells"):
+        World.from_json(World(grid.copy(), ["hallway"], []).to_json())
+    grid[1:5, 5] = WALL
+    assert World.from_json(World(grid.copy(), ["hallway"], []).to_json()).line_of_sight((0.375, 0.375), (1.125, 1.125))
+    doc["grid_rows"] = []
+    with pytest.raises(ParseError):
+        World.from_json(doc)
+
+
+def test_world_load_rejects_more_than_twelve_rooms():
+    names = [f"room_{i}" for i in range(13)]
+    grid = np.full((3, 15), WALL, dtype=np.int16)
+    grid[1, 1:14] = np.arange(13)
+    with pytest.raises(ParseError, match="at most 12 rooms"):
+        World.from_json(World(grid.copy(), names, []).to_json())
+    grid[1, 13] = WALL
+    loaded = World.from_json(World(grid.copy(), names[:12], []).to_json())
+    assert "l=room_11" in loaded.render_ascii()
+
+
+# -- differential tests: array paths against the scalar per-sample loops ------------------
+
+_DIFF_WORLDS = [
+    gen_world(0, 5, [("mug", 2), ("vase", 1)]),
+    gen_world(4, 8, [("lamp", 3), ("keys", 2), ("watch", 1), ("shoes", 1)]),
+    gen_world(9, 3, [("bottle", 2), ("pillow", 2)]),
+]
+
+
+def _reference_strides(world, pos):
+    """Per heading: scalar segment_free of the stride and cell_of of its end."""
+    rows = []
+    for heading in HEADINGS:
+        ux, uy = heading_vector(heading)
+        end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
+        rows.append((world.segment_free(pos, end), world.cell_of(end)))
+    return rows
+
+
+def _reference_steer(world, state, goal):
+    """The per-heading steering loop over segment_free and cell_of."""
+    dist_field = world.distance_field(goal)
+    cx, cy = world.cell_of(state.position)
+    here = dist_field[cy, cx]
+    best = None
+    for heading, (free, (ix, iy)) in zip(HEADINGS, _reference_strides(world, state.position)):
+        if not free:
+            continue
+        value = dist_field[iy, ix]
+        if not value < here - 1e-9:
+            continue
+        key = (value, _turn_count(state.heading, heading), heading)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    if best[2] == state.heading:
+        return MOVE_FORWARD
+    return _turn_toward(state.heading, best[2])
+
+
+def _reference_observe(world, state):
+    """The per-view observation loop: bearing and sightline tested per object and view."""
+    positions = np.array([o.position for o in world.objects.values()]).reshape(-1, 2)
+    deltas = positions - np.array(state.position)
+    near = np.flatnonzero(np.hypot(deltas[:, 0], deltas[:, 1]) <= VISIBILITY_RANGE_M + 1e-9)
+    objects = list(world.objects.values())
+    views = []
+    for offset in (0, -90, 90):
+        view_heading = (state.heading + offset) % 360
+        visible = []
+        for i in near:
+            obj = objects[i]
+            dist = math.hypot(obj.position[0] - state.position[0], obj.position[1] - state.position[1])
+            if dist < 1e-9:
+                if offset != 0:
+                    continue
+            elif angle_diff_deg(bearing_deg(state.position, obj.position), view_heading) > (
+                VISIBILITY_HALF_ANGLE_DEG + 1e-9
+            ):
+                continue
+            if dist >= 1e-9 and not world.line_of_sight(state.position, obj.position):
+                continue
+            visible.append((obj.object_id, obj.category, dist))
+        visible.sort(key=lambda row: (row[2], row[0]))
+        views.append((view_heading, visible, world.room_of(state.position) or ""))
+    return views
+
+
+@st.composite
+def _world_positions(draw, margin_m=0.0):
+    """A world and a position in it: anywhere, on exact cell corners and edges,
+    inside cells that touch a wall, on or near an object, or at 45 degrees from one."""
+    world = _DIFF_WORLDS[draw(st.integers(0, len(_DIFF_WORLDS) - 1))]
+    ny, nx = world.grid.shape
+    res = world.resolution
+    kind = draw(st.sampled_from(["any", "corner", "edge", "by_wall", "object", "diagonal"]))
+    if kind == "any":
+        pos = (
+            draw(st.floats(-margin_m, nx * res + margin_m, exclude_max=True)),
+            draw(st.floats(-margin_m, ny * res + margin_m, exclude_max=True)),
+        )
+    elif kind in ("corner", "edge"):
+        ix, iy = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        frac = 0.0 if kind == "corner" else draw(st.floats(0.0, 1.0, exclude_max=True))
+        pos = (ix * res, (iy + frac) * res) if draw(st.booleans()) else ((ix + frac) * res, iy * res)
+    elif kind == "by_wall":
+        free = world.grid != WALL
+        walled = np.zeros_like(free)
+        walled[1:-1, 1:-1] = ~(free[:-2, 1:-1] & free[2:, 1:-1] & free[1:-1, :-2] & free[1:-1, 2:])
+        cells = np.argwhere(free & walled)
+        iy, ix = cells[draw(st.integers(0, len(cells) - 1))]
+        pos = (
+            (ix + draw(st.floats(0.0, 1.0, exclude_max=True))) * res,
+            (iy + draw(st.floats(0.0, 1.0, exclude_max=True))) * res,
+        )
+    else:
+        obj = draw(st.sampled_from(sorted(world.objects.values(), key=lambda o: o.object_id)))
+        if kind == "object":
+            step = draw(st.sampled_from([0.0, 1e-12, 0.25, 1.0, 4.9999999995, 5.0]))
+        else:
+            step = draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+        sx, sy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (0, 1)]))
+        pos = (obj.position[0] + sx * step, obj.position[1] + sy * step)
+    return world, pos
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_world_positions(margin_m=1.5))
+def test_stride_table_matches_segment_free_per_heading(world_pos):
+    world, pos = world_pos
+    free, ends = world.stride_table(pos)
+    got = [(bool(f), (int(ix), int(iy))) for f, (ix, iy) in zip(free, ends)]
+    assert got == _reference_strides(world, pos)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_world_positions(), st.sampled_from(HEADINGS), st.integers(0, 10**6))
+def test_steer_action_matches_scalar_steering_loop(world_pos, heading, goal_pick):
+    world, pos = world_pos
+    if not world.in_bounds(pos):
+        return
+    free_cells = world._nav.free_cells
+    gy, gx = free_cells[goal_pick % len(free_cells)]
+    goal = world.cell_center((int(gx), int(gy)))
+    state = AgentState(pos, heading)
+    assert _steer_action(world, state, goal) == _reference_steer(world, state, goal)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_world_positions(), st.sampled_from(HEADINGS))
+def test_observe_matches_per_view_loop(world_pos, heading):
+    world, pos = world_pos
+    if not world.in_bounds(pos):
+        return
+    state = AgentState(pos, heading)
+    got = [(v.view_heading, v.visible, v.room) for v in world.observe(state).views]
+    assert got == _reference_observe(world, state)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=30),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=8),
+    st.sampled_from([1e-9, 1.0, 2.5]),
+)
+def test_clear_of_matches_hypot_on_cell_centers(cells, points, min_m):
+    centers = np.array([((ix + 0.5) * RESOLUTION, (iy + 0.5) * RESOLUTION) for ix, iy in cells])
+    points = [((ix + 0.5) * RESOLUTION, (iy + 0.5) * RESOLUTION) for ix, iy in points]
+    want = [all(math.hypot(c[0] - p[0], c[1] - p[1]) >= min_m for p in points) for c in centers.tolist()]
+    assert clear_of(centers, points, min_m).tolist() == want
