@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 import requests
 
 from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, statement_fact_value, trajectory_text
@@ -29,7 +28,6 @@ from .errors import ExplorationExhausted, GroundingFailed, PlannerUnavailable, R
 from .retrieval import CandidateObject, RetrievalResult
 from .world import (
     ACTION_START,
-    HEADINGS,
     MOVE_FORWARD,
     STOP,
     STRIDE_M,
@@ -349,18 +347,8 @@ def plan_high(
 
 def _steer_action(world: World, state: AgentState, goal: tuple[float, float]) -> str | None:
     """One action descending the goal's distance field; None when no stride improves."""
-    dist_field = world.distance_field(goal)
-    cx, cy = world.cell_of(state.position)
-    here = dist_field[cy, cx]
-    free, ends = world.stride_table(state.position)
-    open_rows = np.flatnonzero(free)
-    values = dist_field[ends[open_rows, 1], ends[open_rows, 0]]
-    better = values < here - _EPS
     best = min(
-        (
-            (value, _turn_count(state.heading, HEADINGS[row]), HEADINGS[row])
-            for row, value in zip(open_rows[better].tolist(), values[better].tolist())
-        ),
+        ((value, _turn_count(state.heading, heading), heading) for value, heading in world.descents(state.position, goal)),
         default=None,
     )
     if best is None:

@@ -37,6 +37,7 @@ from .evaluation import (
     memorize_suite,
     render_table,
     save_graphs,
+    world_for_spec,
     write_report,
 )
 from .fileio import atomic_write_text, dump_json
@@ -239,7 +240,7 @@ def _cmd_run_all(args, config):
         os.makedirs(kind_dir, exist_ok=True)
         specs = gen_scenarios(seed, kind, n, n_rooms=n_rooms, encoder_config=encoder)
         save_specs(specs, os.path.join(kind_dir, "specs.json"))
-        world = gen_world(specs[0].world_seed, specs[0].world_n_rooms, list(specs[0].world_objects))
+        world = world_for_spec(specs[0])
         world.save(os.path.join(kind_dir, "world.json"))
         episodes = []
         for spec in specs:

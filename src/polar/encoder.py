@@ -59,6 +59,13 @@ DEFAULT_ENCODER = EncoderConfig()
 
 
 @lru_cache(maxsize=16384)
+def _gram_slot(dim: int, gram: str) -> tuple[int, float]:
+    """Bucket and sign of one n-gram; the same grams recur across texts."""
+    h = fnv1a_64(gram.encode("utf-8"))
+    return h % dim, 1.0 if (h >> 63) == 0 else -1.0
+
+
+@lru_cache(maxsize=16384)
 def _hash_text(dim: int, ngram: int, text: str) -> tuple[float, ...]:
     lowered = text.lower()
     if not lowered:
@@ -69,9 +76,8 @@ def _hash_text(dim: int, ngram: int, text: str) -> tuple[float, ...]:
         grams = [lowered[i : i + ngram] for i in range(len(lowered) - ngram + 1)]
     vec = [0.0] * dim
     for gram in grams:
-        h = fnv1a_64(gram.encode("utf-8"))
-        sign = 1.0 if (h >> 63) == 0 else -1.0
-        vec[h % dim] += sign
+        bucket, sign = _gram_slot(dim, gram)
+        vec[bucket] += sign
     norm = math.sqrt(sum(v * v for v in vec))
     if norm == 0.0:
         # Pathological exact sign cancellation across distinct grams; fall back to a

@@ -8,7 +8,8 @@ degrees (0 = +y, clockwise positive, so heading 90 = +x) and observes
 front/left/right views: a +-45 degree cone, 5.0 m range, occlusion by wall
 cells via grid ray casting. Worlds are immutable after generation; moving
 an object between evaluation stages returns a new World sharing the grid
-and navigation caches.
+and navigation caches. A turn leaves the position unchanged, so it reuses
+that position's sightings and stride descents and only reruns the view cones.
 """
 
 from __future__ import annotations
@@ -229,6 +230,7 @@ class _NavCache:
         self.bounds = np.array([nx * resolution, ny * resolution])  # (w, h) in meters
         # one STRIDE_M step per heading, rows in HEADINGS order
         self.strides = STRIDE_M * np.array([_HEADING_VECTORS[h] for h in HEADINGS])
+        self.last_descents: tuple[tuple, tuple] | None = None  # last ((x, y, goal cell), descents)
 
     def field(self, cell: tuple[int, int]) -> np.ndarray:
         cached = self.fields.get(cell)
@@ -278,6 +280,7 @@ class World:
         self._nav = _nav if _nav is not None else _NavCache(grid, resolution)
         self._obj_ids = [o.object_id for o in objects]
         self._obj_positions = np.array([o.position for o in objects], dtype=np.float64).reshape(len(objects), 2)
+        self._sightings: tuple[tuple, str, list] | None = None  # last observed (x, y), room, sightings
 
     # -- geometry ----------------------------------------------------------
 
@@ -343,6 +346,8 @@ class World:
 
     def line_of_sight(self, a: tuple[float, float], b: tuple[float, float]) -> bool:
         """True when no wall cell lies on the straight segment a -> b (grid traversal)."""
+        if not (self.in_bounds(a) and self.in_bounds(b)):
+            return False
         grid = self._nav.rows
         ix, iy = self.cell_of(a)
         tx, ty = self.cell_of(b)
@@ -405,29 +410,40 @@ class World:
         return new_state, self.observe(new_state, blocked=blocked), done
 
     def observe(self, state: AgentState, blocked: bool = False) -> Observation:
-        room = self.room_of(state.position) or ""
         pos = state.position
+        key = (pos[0], pos[1])
+        if self._sightings is None or self._sightings[0] != key:
+            # per in-range object: [row, position, bearing (None when on top of it), line of sight]
+            sightings: list[list] = []
+            if len(self._obj_ids):
+                deltas = self._obj_positions - np.array(pos)
+                near = np.flatnonzero(np.hypot(deltas[:, 0], deltas[:, 1]) <= VISIBILITY_RANGE_M + _EPS)
+                for i in near.tolist():
+                    obj = self.objects[self._obj_ids[i]]
+                    dist = math.hypot(obj.position[0] - pos[0], obj.position[1] - pos[1])
+                    bearing = None if dist < _EPS else bearing_deg(pos, obj.position)
+                    sightings.append([(obj.object_id, obj.category, dist), obj.position, bearing, None])
+            self._sightings = (key, self.room_of(pos) or "", sightings)
+        _key, room, sightings = self._sightings
         view_headings = [(state.heading + offset) % 360 for offset in (0, -90, 90)]
         visible: list[list[tuple[str, str, float]]] = [[], [], []]
-        if len(self._obj_ids):
-            deltas = self._obj_positions - np.array(pos)
-            near = np.flatnonzero(np.hypot(deltas[:, 0], deltas[:, 1]) <= VISIBILITY_RANGE_M + _EPS)
-            for i in near.tolist():
-                obj = self.objects[self._obj_ids[i]]
-                dist = math.hypot(obj.position[0] - pos[0], obj.position[1] - pos[1])
-                row = (obj.object_id, obj.category, dist)
-                if dist < _EPS:
-                    visible[0].append(row)  # on top of the object: front view only
-                    continue
-                bearing = bearing_deg(pos, obj.position)
-                in_cone = [
-                    k
-                    for k, view_heading in enumerate(view_headings)
-                    if angle_diff_deg(bearing, view_heading) <= VISIBILITY_HALF_ANGLE_DEG + _EPS
-                ]
-                if in_cone and self.line_of_sight(pos, obj.position):
-                    for k in in_cone:
-                        visible[k].append(row)
+        for sighting in sightings:
+            row, position, bearing, clear = sighting
+            if bearing is None:
+                visible[0].append(row)  # on top of the object: front view only
+                continue
+            in_cone = [
+                k
+                for k, view_heading in enumerate(view_headings)
+                if angle_diff_deg(bearing, view_heading) <= VISIBILITY_HALF_ANGLE_DEG + _EPS
+            ]
+            if not in_cone:
+                continue
+            if clear is None:  # traced the first time the object falls in a view cone
+                clear = sighting[3] = self.line_of_sight(pos, position)
+            if clear:
+                for k in in_cone:
+                    visible[k].append(row)
         views = [
             View(view_heading, sorted(rows, key=lambda row: (row[2], row[0])), room)
             for view_heading, rows in zip(view_headings, visible)
@@ -436,11 +452,41 @@ class World:
 
     # -- navigation metric ---------------------------------------------------
 
-    def distance_field(self, goal: tuple[float, float]) -> np.ndarray:
-        """Meters-to-goal per cell (inf where unreachable); cached per goal cell."""
+    def _goal_cell(self, goal: tuple[float, float]) -> tuple[int, int]:
         if not self.in_bounds(goal):
             raise RejectedInput(f"goal {goal} outside world bounds {self.bounds_m}")
-        return self._nav.field(self._nav.snap(goal))
+        return self._nav.snap(goal)
+
+    def distance_field(self, goal: tuple[float, float]) -> np.ndarray:
+        """Meters-to-goal per cell (inf where unreachable); cached per goal cell."""
+        return self._nav.field(self._goal_cell(goal))
+
+    def descents(self, pos: tuple[float, float], goal: tuple[float, float]) -> tuple[tuple[float, int], ...]:
+        """(distance-field value, heading) of every free STRIDE_M stride from pos that
+        ends closer to goal, in HEADINGS order.
+
+        The last (pos, goal cell) is cached on the grid's shared nav cache, so turns
+        in place while steering reuse it.
+        """
+        nav = self._nav
+        cell = self._goal_cell(goal)
+        key = (pos[0], pos[1], cell)
+        if nav.last_descents is None or nav.last_descents[0] != key:
+            dist_field = nav.field(cell)
+            cx, cy = self.cell_of(pos)
+            here = dist_field[cy, cx]
+            free, ends = self.stride_table(pos)
+            open_rows = np.flatnonzero(free)
+            values = dist_field[ends[open_rows, 1], ends[open_rows, 0]]
+            better = values < here - _EPS
+            nav.last_descents = (
+                key,
+                tuple(
+                    (value, HEADINGS[row])
+                    for row, value in zip(open_rows[better].tolist(), values[better].tolist())
+                ),
+            )
+        return nav.last_descents[1]
 
     def shortest_path_length(self, start: tuple[float, float], goal: tuple[float, float]) -> float:
         """8-connected grid distance in meters between the nearest free cells."""

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from polar.world import WALL, World, gen_world
+from polar.agent import _turn_count, _turn_toward
+from polar.world import HEADINGS, MOVE_FORWARD, STRIDE_M, WALL, World, gen_world, heading_vector
 
 
 def dijkstra_oracle(grid: np.ndarray, start: tuple[int, int], resolution: float = 0.25) -> dict[tuple[int, int], float]:
@@ -52,6 +53,42 @@ def unit_vec(dim: int, angle_from_e0: float = 0.0) -> np.ndarray:
     v[0] = math.cos(angle_from_e0)
     v[1] = math.sin(angle_from_e0)
     return v
+
+
+def reference_strides(world, pos):
+    """Per heading: scalar segment_free of the stride and cell_of of its end."""
+    rows = []
+    for heading in HEADINGS:
+        ux, uy = heading_vector(heading)
+        end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
+        rows.append((world.segment_free(pos, end), world.cell_of(end)))
+    return rows
+
+
+def reference_descents(world, pos, goal):
+    """(field value, heading) per free stride that gets closer, from the scalar strides."""
+    dist_field = world.distance_field(goal)
+    cx, cy = world.cell_of(pos)
+    here = dist_field[cy, cx]
+    return [
+        (dist_field[iy, ix], heading)
+        for heading, (free, (ix, iy)) in zip(HEADINGS, reference_strides(world, pos))
+        if free and dist_field[iy, ix] < here - 1e-9
+    ]
+
+
+def reference_steer(world, state, goal):
+    """The per-heading steering loop over segment_free and cell_of."""
+    best = None
+    for value, heading in reference_descents(world, state.position, goal):
+        key = (value, _turn_count(state.heading, heading), heading)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    if best[2] == state.heading:
+        return MOVE_FORWARD
+    return _turn_toward(state.heading, best[2])
 
 
 @pytest.fixture(scope="session")

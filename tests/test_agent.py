@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_descents, reference_steer
 from polar.agent import (
     GroundingDecision,
     NaiveMatcher,
@@ -11,6 +14,7 @@ from polar.agent import (
     RunConfig,
     _category_only,
     _prior_room_from_renderings,
+    _steer_action,
     sweep_room,
     _turn_count,
     _turn_toward,
@@ -28,7 +32,7 @@ from polar.errors import (
 )
 from polar.graph import MemoryGraph
 from polar.retrieval import retrieve
-from polar.world import ACTION_START, STOP, TURN_LEFT, TURN_RIGHT, AgentState, SceneGraph, gen_world
+from polar.world import ACTION_START, HEADINGS, STOP, TURN_LEFT, TURN_RIGHT, AgentState, SceneGraph, gen_world
 
 
 def _scene() -> SceneGraph:
@@ -55,6 +59,49 @@ def test_run_config_validation():
         RunConfig(max_steps=0)
     with pytest.raises(RejectedInput):
         RunConfig(success_radius_m=0.0)
+
+
+# -- steering ------------------------------------------------------------------
+
+_STEER_WORLD = gen_world(4, 8, [("lamp", 3), ("keys", 2)])
+_STEER_WORLDS = (
+    _STEER_WORLD,
+    _STEER_WORLD.move_object("lamp_01", _STEER_WORLD.build_scene_graph().waypoints["hallway"]),
+)
+
+
+@st.composite
+def _point_in_cell(draw, cells):
+    """A point anywhere inside one of the given (iy, ix) cells, corners included."""
+    iy, ix = cells[draw(st.integers(0, len(cells) - 1))]
+    fx, fy = (draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)) for _ in range(2))
+    res = _STEER_WORLD.resolution
+    return ((int(ix) + fx) * res, (int(iy) + fy) * res)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_descents_and_steering_sequences_match_scalar_loop(data):
+    """Positions reused with new goals and goal cells reached through different goal
+    points, on two Worlds of one grid: the cached descents must never go stale."""
+    free = _STEER_WORLD._nav.free_cells
+    positions = data.draw(st.lists(_point_in_cell(free), min_size=1, max_size=3))
+    # goal cells may be walls, whose points snap to the nearest free cell
+    ny, nx = _STEER_WORLD.grid.shape
+    cells = data.draw(st.lists(st.tuples(st.integers(0, ny - 1), st.integers(0, nx - 1)), min_size=1, max_size=3))
+    steps = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(positions) - 1), _point_in_cell(cells), st.sampled_from(HEADINGS), st.booleans()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    for at, goal, heading, moved in steps:
+        world = _STEER_WORLDS[moved]
+        pos = positions[at]
+        assert list(world.descents(pos, goal)) == reference_descents(world, pos, goal)
+        state = AgentState(pos, heading)
+        assert _steer_action(world, state, goal) == reference_steer(world, state, goal)
 
 
 # -- sweep policy --------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polar.encoder import DEFAULT_ENCODER, EncoderConfig, cosine, encode, encode_batch, fnv1a_64
+from polar.encoder import DEFAULT_ENCODER, EncoderConfig, _hash_text, cosine, encode, encode_batch, fnv1a_64
 from polar.errors import EncoderUnavailable, RejectedInput
 from polar.graph import THETA_DEDUP
 
@@ -19,6 +19,38 @@ def test_fnv1a_reference_vectors():
 
 def test_fnv1a_seed_changes_hash():
     assert fnv1a_64(b"abc", seed=1) != fnv1a_64(b"abc")
+
+
+def _reference_hash_text(dim, ngram, text):
+    """The per-gram loop: hash every gram with fnv1a_64, accumulate signs in text order."""
+    lowered = text.lower()
+    if not lowered:
+        return (0.0,) * dim
+    grams = [lowered] if len(lowered) < ngram else [lowered[i : i + ngram] for i in range(len(lowered) - ngram + 1)]
+    vec = [0.0] * dim
+    for gram in grams:
+        h = fnv1a_64(gram.encode("utf-8"))
+        vec[h % dim] += 1.0 if (h >> 63) == 0 else -1.0
+    norm = math.sqrt(sum(v * v for v in vec))
+    if norm == 0.0:
+        vec[fnv1a_64(lowered.encode("utf-8"), seed=1) % dim] = 1.0
+        norm = 1.0
+    return tuple(v / norm for v in vec)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(),  # random Unicode, including characters whose lowercase is longer
+        st.text(alphabet="aAbBİßΣς ", max_size=12),  # mixed case, repeated grams
+        st.text(max_size=4),  # empty and shorter than n
+    ),
+    st.sampled_from([(16, 2), (64, 3), (256, 3), (256, 5)]),
+)
+def test_hash_text_matches_per_gram_reference(text, dim_ngram):
+    dim, ngram = dim_ngram
+    got = np.array(_hash_text(dim, ngram, text))
+    assert got.tobytes() == np.array(_reference_hash_text(dim, ngram, text)).tobytes()
 
 
 def test_encode_unit_norm_and_shape():

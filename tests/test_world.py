@@ -1,21 +1,21 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dijkstra_oracle
-from polar.agent import _steer_action, _turn_count, _turn_toward
+from conftest import dijkstra_oracle, reference_steer, reference_strides
+from polar.agent import _steer_action
 from polar.errors import ParseError, RejectedInput
 from polar.world import (
     HEADINGS,
     MOVE_FORWARD,
     RESOLUTION,
     STOP,
-    STRIDE_M,
     TURN_LEFT,
     TURN_RIGHT,
     VISIBILITY_HALF_ANGLE_DEG,
@@ -342,38 +342,6 @@ _DIFF_WORLDS = [
 ]
 
 
-def _reference_strides(world, pos):
-    """Per heading: scalar segment_free of the stride and cell_of of its end."""
-    rows = []
-    for heading in HEADINGS:
-        ux, uy = heading_vector(heading)
-        end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
-        rows.append((world.segment_free(pos, end), world.cell_of(end)))
-    return rows
-
-
-def _reference_steer(world, state, goal):
-    """The per-heading steering loop over segment_free and cell_of."""
-    dist_field = world.distance_field(goal)
-    cx, cy = world.cell_of(state.position)
-    here = dist_field[cy, cx]
-    best = None
-    for heading, (free, (ix, iy)) in zip(HEADINGS, _reference_strides(world, state.position)):
-        if not free:
-            continue
-        value = dist_field[iy, ix]
-        if not value < here - 1e-9:
-            continue
-        key = (value, _turn_count(state.heading, heading), heading)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    if best[2] == state.heading:
-        return MOVE_FORWARD
-    return _turn_toward(state.heading, best[2])
-
-
 def _reference_observe(world, state):
     """The per-view observation loop: bearing and sightline tested per object and view."""
     positions = np.array([o.position for o in world.objects.values()]).reshape(-1, 2)
@@ -404,9 +372,15 @@ def _reference_observe(world, state):
 
 @st.composite
 def _world_positions(draw, margin_m=0.0):
-    """A world and a position in it: anywhere, on exact cell corners and edges,
-    inside cells that touch a wall, on or near an object, or at 45 degrees from one."""
+    """A world and a position in it (see _positions)."""
     world = _DIFF_WORLDS[draw(st.integers(0, len(_DIFF_WORLDS) - 1))]
+    return world, draw(_positions(world, margin_m))
+
+
+@st.composite
+def _positions(draw, world, margin_m=0.0):
+    """A position in world: anywhere, on exact cell corners and edges, inside
+    cells that touch a wall, on or near an object, or at 45 degrees from one."""
     ny, nx = world.grid.shape
     res = world.resolution
     kind = draw(st.sampled_from(["any", "corner", "edge", "by_wall", "object", "diagonal"]))
@@ -437,7 +411,7 @@ def _world_positions(draw, margin_m=0.0):
             step = draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
         sx, sy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (0, 1)]))
         pos = (obj.position[0] + sx * step, obj.position[1] + sy * step)
-    return world, pos
+    return pos
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -446,7 +420,7 @@ def test_stride_table_matches_segment_free_per_heading(world_pos):
     world, pos = world_pos
     free, ends = world.stride_table(pos)
     got = [(bool(f), (int(ix), int(iy))) for f, (ix, iy) in zip(free, ends)]
-    assert got == _reference_strides(world, pos)
+    assert got == reference_strides(world, pos)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -459,7 +433,7 @@ def test_steer_action_matches_scalar_steering_loop(world_pos, heading, goal_pick
     gy, gx = free_cells[goal_pick % len(free_cells)]
     goal = world.cell_center((int(gx), int(gy)))
     state = AgentState(pos, heading)
-    assert _steer_action(world, state, goal) == _reference_steer(world, state, goal)
+    assert _steer_action(world, state, goal) == reference_steer(world, state, goal)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -471,6 +445,66 @@ def test_observe_matches_per_view_loop(world_pos, heading):
     state = AgentState(pos, heading)
     got = [(v.view_heading, v.visible, v.room) for v in world.observe(state).views]
     assert got == _reference_observe(world, state)
+
+
+# each generated world beside a copy with one object moved: both share one nav cache
+_MOVED_WORLDS = [
+    world.move_object(min(world.objects), world.build_scene_graph().waypoints[world.room_names[-1]])
+    for world in _DIFF_WORLDS
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_observe_sequences_match_uncached_loop(data):
+    """Every heading in turn at one position, positions revisited out of order and
+    on the moved-object copy: the cached sightings must never go stale."""
+    pick = data.draw(st.integers(0, len(_DIFF_WORLDS) - 1))
+    worlds = (_DIFF_WORLDS[pick], _MOVED_WORLDS[pick])
+    pool = data.draw(st.lists(_positions(worlds[0]).filter(worlds[0].in_bounds), min_size=1, max_size=3))
+    visits = data.draw(
+        st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans(), st.permutations(HEADINGS)), min_size=1, max_size=6)
+    )
+    for at, moved, headings in visits:
+        world = worlds[moved]
+        for heading in headings:
+            state = AgentState(pool[at], heading)
+            got = [(v.view_heading, v.visible, v.room) for v in world.observe(state).views]
+            assert got == _reference_observe(world, state)
+
+
+def test_in_place_scan_traces_each_sightline_at_most_once():
+    world = gen_world(4, 8, [("lamp", 3), ("keys", 2), ("watch", 1), ("shoes", 1)])  # fresh: nothing cached
+    objects = list(world.objects.values())
+
+    def in_range(pos):
+        return [o for o in objects if math.hypot(o.position[0] - pos[0], o.position[1] - pos[1]) <= VISIBILITY_RANGE_M]
+
+    free = world._nav.free_centers.tolist()
+    pos = tuple(max(free, key=lambda c: len(in_range(c))))
+    assert len(in_range(pos)) >= 2
+    state = AgentState(pos, 0)
+    with mock.patch.object(World, "line_of_sight", autospec=True, side_effect=World.line_of_sight) as los:
+        observations = [world.observe(state)]  # the START entry
+        for _ in range(3):
+            state, observation, _ = world.step(state, TURN_RIGHT)
+            observations.append(observation)
+    targets = [call.args[2] for call in los.call_args_list]
+    assert targets, "no object fell in a view cone"
+    assert len(targets) == len(set(targets)) <= len(in_range(pos))
+    for heading, observation in zip((0, 30, 60, 90), observations):
+        got = [(v.view_heading, v.visible, v.room) for v in observation.views]
+        assert got == _reference_observe(world, AgentState(pos, heading))
+
+
+def test_line_of_sight_is_false_past_every_edge():
+    world = gen_world(0, 6)
+    width, height = world.bounds_m
+    inside = world.build_scene_graph().waypoints["hallway"]
+    for outside in ((-0.3, 2.0), (width + 0.3, 2.0), (width, 2.0), (2.0, -0.3), (2.0, height + 0.3), (2.0, height)):
+        assert not world.line_of_sight(inside, outside)
+        assert not world.line_of_sight(outside, inside)
+        assert not world.line_of_sight(outside, outside)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
