@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import requests
-
-from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, statement_fact_value, trajectory_text
+from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, parse_statement, trajectory_text
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import ExplorationExhausted, GroundingFailed, PlannerUnavailable, RejectedInput
+from .fileio import post_json
 from .retrieval import CandidateObject, RetrievalResult
 from .world import (
     ACTION_START,
@@ -167,16 +166,16 @@ class OraclePlanner:
             own_nodes.add(st.node_id)
             latest = max(latest, st.timestamp)
             score += cosine(query, encode(st.text, self.encoder_config))
-            value = statement_fact_value(st.text)
-            if value:
-                own_value_tokens.update(_tokens(value))
+            parsed = parse_statement(st.text)
+            if parsed and parsed[1]:
+                own_value_tokens.update(_tokens(parsed[1]))
         # joint composition: inherit each foreign retrieved statement at most once
         for hit in context.hits:
             if hit.node_id in own_nodes:
                 continue
             text = node_texts.get(hit.node_id)
-            value = statement_fact_value(text) if text else None
-            if value and set(_tokens(value)) & own_value_tokens:
+            parsed = parse_statement(text) if text else None
+            if parsed and set(_tokens(parsed[1])) & own_value_tokens:
                 score += hit.score
         return score, latest
 
@@ -222,21 +221,6 @@ class RemotePlanner:
         self.endpoint = endpoint.rstrip("/")
         self.timeout_s = timeout_s
 
-    def _post(self, route: str, payload: dict) -> dict:
-        try:
-            response = requests.post(f"{self.endpoint}/{route}", json=payload, timeout=self.timeout_s)
-        except requests.RequestException as exc:
-            raise PlannerUnavailable(f"planner request failed: {exc}") from exc
-        if not 200 <= response.status_code < 300:
-            raise PlannerUnavailable(f"planner returned status {response.status_code}")
-        try:
-            doc = response.json()
-        except ValueError as exc:
-            raise PlannerUnavailable("planner returned a non-JSON body") from exc
-        if not isinstance(doc, dict):
-            raise PlannerUnavailable("planner response must be an object")
-        return doc
-
     def ground(self, instruction: str, context: RetrievalResult, scene_graph: SceneGraph | None = None) -> GroundingDecision:
         if not isinstance(context, RetrievalResult) or not context.candidates:
             raise GroundingFailed("no retrieved candidates to ground against")
@@ -257,7 +241,7 @@ class RemotePlanner:
             ],
             "scene_graph": scene_graph.to_json() if scene_graph is not None else None,
         }
-        doc = self._post("ground", payload)
+        doc = post_json(f"{self.endpoint}/ground", payload, self.timeout_s, PlannerUnavailable)
         object_id = doc.get("object_id")
         if not isinstance(object_id, str) or not object_id:
             raise PlannerUnavailable("planner response lacks object_id")
@@ -279,7 +263,7 @@ class RemotePlanner:
             "visited_rooms": sorted(visited),
             "current_room": current_room,
         }
-        doc = self._post("choose_room", payload)
+        doc = post_json(f"{self.endpoint}/choose_room", payload, self.timeout_s, PlannerUnavailable)
         room = doc.get("room")
         if room not in scene_graph.waypoints:
             raise PlannerUnavailable(f"planner chose unknown room {room!r}")

@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 domain error (one-line reason on stderr), 2 usage error
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -40,7 +39,7 @@ from .evaluation import (
     world_for_spec,
     write_report,
 )
-from .fileio import atomic_write_text, dump_json
+from .fileio import atomic_write_text, dump_json, read_json
 from .graph import THETA_DEDUP, THETA_OBJ
 from .scenarios import KINDS, gen_scenarios, load_specs, save_specs
 from .world import gen_world
@@ -66,13 +65,7 @@ CONFIG_FIELDS = {
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("config file must hold a flat object")
     for key, value in doc.items():

@@ -7,9 +7,11 @@ order, unpromising rooms, where the target was found, meters walked). A second
 fact arriving later under the same key supersedes the earlier statement's edge
 for that object rather than editing history.
 
-Remote mode posts {"instruction", "trajectory_text"} and expects
-{"statements": [{"text", "fact_key"}, ...], "summary_text"}; the graph still
-keeps the canonical deterministic episodic rendering.
+Remote mode posts {"instruction", "trajectory_text"} with `fileio.post_json`
+and reads only {"statements": [{"text", "fact_key"}, ...]} from the reply;
+the graph keeps the canonical deterministic episodic rendering either way.
+`parse_statement` inverts STATEMENT_TEMPLATE into (key, value) for both
+supersession (keys) and grounding (value tokens).
 """
 
 from __future__ import annotations
@@ -18,18 +20,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from .encoder import EncoderConfig, DEFAULT_ENCODER, encode
 from .errors import DistillerUnavailable, ParseError, RejectedInput
+from .fileio import MALFORMED, atomic_write_text, post_json, read_json_lines
 from .graph import MemoryGraph
-
-from .world import ACTION_START, MOVE_FORWARD, STOP, TURN_LEFT, TURN_RIGHT
-
-ACTION_FORWARD = MOVE_FORWARD
-ACTION_LEFT = TURN_LEFT
-ACTION_RIGHT = TURN_RIGHT
-ACTION_STOP = STOP
+from .world import MOVE_FORWARD
 
 STATEMENT_TEMPLATE = "user: {key} = {value} refers to {category} {object_id}"
 
@@ -113,23 +109,12 @@ def render_statement(key: str, value: str, category: str, object_id: str) -> str
     return STATEMENT_TEMPLATE.format(key=key, value=value, category=category, object_id=object_id)
 
 
-def statement_fact_key(text: str) -> str | None:
-    """Recover the fact key from a templated statement; None if not template-shaped."""
+def parse_statement(text: str) -> tuple[str, str] | None:
+    """(fact key, fact value) of a templated statement; None if not template-shaped."""
     if not text.startswith("user: ") or " refers to " not in text:
         return None
-    body = text[len("user: ") :].rsplit(" refers to ", 1)[0]
-    if " = " not in body:
-        return None
-    return body.split(" = ", 1)[0]
-
-
-def statement_fact_value(text: str) -> str | None:
-    if not text.startswith("user: ") or " refers to " not in text:
-        return None
-    body = text[len("user: ") :].rsplit(" refers to ", 1)[0]
-    if " = " not in body:
-        return None
-    return body.split(" = ", 1)[1]
+    key, sep, value = text[len("user: ") :].rsplit(" refers to ", 1)[0].partition(" = ")
+    return (key, value) if sep else None
 
 
 def trajectory_text(episode: EpisodeLog) -> str:
@@ -149,37 +134,21 @@ def distill_semantic(episode: EpisodeLog, config: DistillerConfig = DEFAULT_DIST
             )
             for key, value in episode.facts
         ]
-    statements, _ = _remote_distill(episode, config)
-    return statements
+    return _remote_distill(episode, config)
 
 
-def _remote_distill(episode: EpisodeLog, config: DistillerConfig) -> tuple[list[SemanticStatement], str]:
+def _remote_distill(episode: EpisodeLog, config: DistillerConfig) -> list[SemanticStatement]:
     payload = {"instruction": episode.instruction, "trajectory_text": trajectory_text(episode)}
-    try:
-        resp = requests.post(config.endpoint, json=payload, timeout=config.timeout_s)
-    except requests.RequestException as exc:
-        raise DistillerUnavailable(f"distiller endpoint unreachable: {exc}") from exc
-    if resp.status_code // 100 != 2:
-        raise DistillerUnavailable(f"distiller endpoint returned HTTP {resp.status_code}")
-    try:
-        doc = resp.json()
-        rows = doc["statements"]
-        summary_text = doc["summary_text"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DistillerUnavailable(f"malformed distiller response: {exc}") from exc
+    rows = post_json(config.endpoint, payload, config.timeout_s, DistillerUnavailable).get("statements")
+    if not isinstance(rows, list):
+        raise DistillerUnavailable("distiller reply has no 'statements' list")
     statements = []
-    for row in rows if isinstance(rows, list) else [None]:
+    for row in rows:
         if not isinstance(row, dict) or not row.get("text") or not row.get("fact_key"):
             raise DistillerUnavailable(f"distiller statement must carry text and fact_key: {row!r}")
-        statements.append(
-            SemanticStatement(
-                object_id=episode.target_object_id,
-                text=str(row["text"]),
-                source_fact_key=str(row["fact_key"]),
-                supersedes_key=str(row["fact_key"]),
-            )
-        )
-    return statements, str(summary_text)
+        key = str(row["fact_key"])
+        statements.append(SemanticStatement(episode.target_object_id, str(row["text"]), key, supersedes_key=key))
+    return statements
 
 
 def summarize_episodic(episode: EpisodeLog) -> EpisodicSummary:
@@ -193,7 +162,7 @@ def summarize_episodic(episode: EpisodeLog) -> EpisodicSummary:
     forward = 0
     prev = episode.trajectory[0].position
     for step in episode.trajectory[1:]:
-        if step.action == ACTION_FORWARD and step.position != prev:
+        if step.action == MOVE_FORWARD and step.position != prev:
             forward += 1
         prev = step.position
     path_length_m = 1.0 * forward
@@ -252,7 +221,8 @@ def memorize(
         if stmt.supersedes_key is not None:
             for sem_id, _ts in graph.neighbors(object_ref, kind="semantic", active_only=True):
                 node = graph.semantic[sem_id]
-                if statement_fact_key(node.statement) == stmt.supersedes_key and node.statement != stmt.text:
+                parsed = parse_statement(node.statement)
+                if parsed and parsed[0] == stmt.supersedes_key and node.statement != stmt.text:
                     stale.append(sem_id)
         new_id = graph.add_semantic(object_ref, stmt.text, encode(stmt.text, encoder_config), t)
         for old_id in stale:
@@ -330,31 +300,22 @@ def episode_from_json(doc: dict) -> EpisodeLog:
             success=bool(doc["success"]),
             final_position=(float(doc["final_position"][0]), float(doc["final_position"][1])),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except MALFORMED as exc:
         raise ParseError(f"malformed episode record: {exc}") from exc
     episode.validate()
     return episode
 
 
 def save_episodes(episodes: list[EpisodeLog], path: str) -> None:
-    from .fileio import atomic_write_text
-
     lines = [json.dumps(episode_to_json(e), sort_keys=True) for e in episodes]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_episodes(path: str) -> list[EpisodeLog]:
     episodes = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(exc.msg, line=lineno) from exc
-            try:
-                episodes.append(episode_from_json(doc))
-            except (ParseError, RejectedInput) as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+    for lineno, doc in read_json_lines(path):
+        try:
+            episodes.append(episode_from_json(doc))
+        except (ParseError, RejectedInput) as exc:
+            raise ParseError(str(exc), line=lineno) from exc
     return episodes

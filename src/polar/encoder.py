@@ -8,7 +8,7 @@ always embed identically and unrelated strings are near-orthogonal.
 Empty text maps to the zero vector, which scores 0 against everything.
 
 A remote mode posts {"texts": [...]} to an HTTP endpoint and expects
-{"embeddings": [[...], ...]} back, one vector per input text.
+{"embeddings": [[...], ...]} back, one finite vector per input text.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import requests
 
 from .errors import EncoderUnavailable, RejectedInput
+from .fileio import MALFORMED, post_json
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -98,26 +98,22 @@ def encode(text: str, config: EncoderConfig = DEFAULT_ENCODER) -> np.ndarray:
 def encode_batch(texts: list[str], config: EncoderConfig = DEFAULT_ENCODER) -> list[np.ndarray]:
     if config.mode == "builtin":
         return [encode(t, config) for t in texts]
-    try:
-        resp = requests.post(config.endpoint, json={"texts": list(texts)}, timeout=config.timeout_s)
-    except requests.RequestException as exc:
-        raise EncoderUnavailable(f"encoder endpoint unreachable: {exc}") from exc
-    if resp.status_code // 100 != 2:
-        raise EncoderUnavailable(f"encoder endpoint returned HTTP {resp.status_code}")
-    try:
-        payload = resp.json()
-        rows = payload["embeddings"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise EncoderUnavailable(f"malformed encoder response: {exc}") from exc
+    doc = post_json(config.endpoint, {"texts": list(texts)}, config.timeout_s, EncoderUnavailable)
+    rows = doc.get("embeddings")
     if not isinstance(rows, list) or len(rows) != len(texts):
         raise EncoderUnavailable(
-            f"encoder returned {len(rows) if isinstance(rows, list) else '?'} rows for {len(texts)} texts"
+            f"encoder returned {len(rows) if isinstance(rows, list) else 'no'} rows for {len(texts)} texts"
         )
     out = []
     for row in rows:
-        arr = np.asarray(row, dtype=np.float64)
+        try:
+            arr = np.asarray(row, dtype=np.float64)
+        except MALFORMED as exc:
+            raise EncoderUnavailable(f"embedding is not numeric: {exc}") from exc
         if arr.ndim != 1 or arr.shape[0] != config.dim:
             raise EncoderUnavailable(f"embedding dimension mismatch: got {arr.shape}, want ({config.dim},)")
+        if not np.isfinite(arr).all():
+            raise EncoderUnavailable("embedding holds NaN or infinity")
         out.append(arr)
     return out
 

@@ -32,12 +32,12 @@ from .agent import GroundingDecision, NaiveMatcher, NoPriorContext, OraclePlanne
 from .distiller import EpisodeLog, memorize, summarize_episodic, trajectory_text
 from .encoder import EncoderConfig, DEFAULT_ENCODER
 from .errors import ConfigurationError, ParseError, RejectedInput
+from .fileio import FORMAT_VERSION, MALFORMED, atomic_write_text, dump_json, load_json
 from .graph import MemoryGraph, THETA_DEDUP, THETA_OBJ
 from .retrieval import RetrievalResult, raw_retrieve, recall_at_k, retrieve
 from .scenarios import ScenarioSpec
-from .world import AgentState, World, gen_world
+from .world import AgentState, World, cached_world
 
-FORMAT_VERSION = 1
 MODES = (
     "no-prior",
     "raw-interaction",
@@ -48,18 +48,9 @@ MODES = (
 )
 RAW_SAMPLE_SIZE = 15
 
-_WORLD_CACHE: dict[tuple, World] = {}
-
-
 def world_for_spec(spec: ScenarioSpec) -> World:
-    key = (spec.world_seed, spec.world_n_rooms, tuple(spec.world_objects))
-    world = _WORLD_CACHE.get(key)
-    if world is None:
-        if len(_WORLD_CACHE) >= 16:
-            _WORLD_CACHE.clear()
-        world = gen_world(spec.world_seed, spec.world_n_rooms, list(spec.world_objects))
-        _WORLD_CACHE[key] = world
-    return world
+    """The World that gen_scenarios built this spec's suite in."""
+    return cached_world(spec.world_seed, spec.world_n_rooms, spec.world_objects)
 
 
 # -- acquisition + memorization ---------------------------------------------------
@@ -122,25 +113,11 @@ def memorize_suite(
 
 
 def save_graphs(graphs: dict[str, MemoryGraph], path: str) -> None:
-    from .fileio import dump_json
-
     dump_json(path, {"format_version": FORMAT_VERSION, "graphs": {k: g.to_json() for k, g in sorted(graphs.items())}})
 
 
 def load_graphs(path: str) -> dict[str, MemoryGraph]:
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno) from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise ParseError("unsupported or missing graph bundle format_version")
-    graphs = doc.get("graphs", {})
-    if not isinstance(graphs, dict):
-        raise ParseError("graph bundle 'graphs' must be a JSON object")
-    return {k: MemoryGraph.from_json(g) for k, g in graphs.items()}
+    return {k: MemoryGraph.from_json(g) for k, g in load_json(path, "graphs", dict).items()}
 
 
 # -- evaluation contexts ----------------------------------------------------------
@@ -402,8 +379,6 @@ def render_table(reports: list[MetricsReport]) -> str:
 
 
 def write_report(reports: list[MetricsReport] | MetricsReport, json_path: str, table_path: str | None = None) -> str:
-    from .fileio import atomic_write_text, dump_json
-
     if isinstance(reports, MetricsReport):
         reports = [reports]
     dump_json(json_path, {"format_version": FORMAT_VERSION, "reports": [r.to_json() for r in reports]})
@@ -413,25 +388,21 @@ def write_report(reports: list[MetricsReport] | MetricsReport, json_path: str, t
     return table
 
 
-def load_reports(path: str) -> list[MetricsReport]:
-    import json
+def _metric(value) -> float | None:
+    return None if value is None else float(value)
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno) from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise ParseError("unsupported or missing metrics format_version")
+
+def load_reports(path: str) -> list[MetricsReport]:
     reports = []
-    for row in doc.get("reports", []):
+    for row in load_json(path, "reports", list):
         try:
             reports.append(
                 MetricsReport(
-                    row["mode"], row["kind"], int(row["n"]), row["sr"], row["spl"], row["cm"],
-                    dict(row["recall"]), list(row["rows"]),
+                    str(row["mode"]), str(row["kind"]), int(row["n"]),
+                    _metric(row["sr"]), _metric(row["spl"]), _metric(row["cm"]),
+                    {str(k): _metric(v) for k, v in row["recall"].items()}, list(row["rows"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise ParseError(f"malformed metrics report: {exc}") from exc
     return reports

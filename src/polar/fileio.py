@@ -1,10 +1,31 @@
-"""Atomic, byte-deterministic file writes shared by every persistence path."""
+"""File and wire I/O shared by every stage.
+
+Writes are atomic and byte-deterministic. Every persisted file is read
+through `read_json`, `read_json_lines` or `load_json` (which also checks the
+format_version and the type of the one top-level container), so any input
+that is not UTF-8 JSON of the expected shape raises ParseError; record
+parsers map the exceptions in `MALFORMED` to ParseError as well.
+`post_json` is the one JSON-over-POST client, on `urllib.request`, of the
+remote encoder, distiller and planner.
+"""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import tempfile
+import urllib.error
+import urllib.request
+from contextlib import contextmanager
+
+from .errors import ParseError
+
+FORMAT_VERSION = 1
+
+# What indexing, unpacking and int()/float() raise on a JSON value of the wrong shape
+# (OverflowError: int() of the inf that a literal such as 1e400 parses to).
+MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -24,3 +45,69 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def dump_json(path: str, doc: object, indent: int | None = 2) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+
+
+@contextmanager
+def _json_faults(line: int | None = None):
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line or exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # integer literals past the digit limit, deep nesting
+        raise ParseError(f"unreadable JSON: {exc}", line) from exc
+
+
+def read_json(path: str) -> object:
+    """The JSON value a UTF-8 file holds."""
+    with open(path, encoding="utf-8") as fh, _json_faults():
+        return json.load(fh)
+
+
+def read_json_lines(path: str):
+    """Yield (line number, JSON value) for each non-blank line of a UTF-8 file."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if raw.strip():
+                with _json_faults(lineno):
+                    doc = json.loads(raw.decode("utf-8"))
+                yield lineno, doc
+
+
+def check_version(doc: object, what: str) -> dict:
+    """doc, once it is known to be an object of the current format_version."""
+    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+        raise ParseError(f"unsupported or missing {what} format_version")
+    return doc
+
+
+def load_json(path: str, key: str, container: type) -> dict | list:
+    """The `key` container of a versioned file {"format_version": 1, key: ...}."""
+    doc = check_version(read_json(path), f"{key!r} file")
+    if key not in doc:
+        raise ParseError(f"file has no top-level {key!r}")
+    if not isinstance(doc[key], container):
+        raise ParseError(f"{key!r} must be a JSON {'object' if container is dict else 'list'}")
+    return doc[key]
+
+
+def post_json(url: str, payload: dict, timeout_s: float, error: type[Exception]) -> dict:
+    """POST payload as JSON to url and return the reply object; any fault raises `error`."""
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            body = response.read()
+    except urllib.error.HTTPError as exc:  # every non-2xx status
+        raise error(f"{url} returned HTTP {exc.code}") from exc
+    except (OSError, http.client.HTTPException) as exc:  # HTTPException: a reply that is not HTTP
+        raise error(f"{url} unreachable: {exc}") from exc
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{url} returned a body that is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{url} returned {type(doc).__name__}, not a JSON object")
+    return doc

@@ -32,15 +32,14 @@ concurrent readers are safe between mutations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoder import cosine
 from .errors import NotFound, ParseError, RejectedInput
+from .fileio import FORMAT_VERSION, MALFORMED, check_version, dump_json, read_json
 
-FORMAT_VERSION = 1
 THETA_DEDUP = 0.92  # statements at or above this cosine collapse to one node
 THETA_OBJ = 0.95  # reference features at or above this cosine are the same object
 
@@ -415,16 +414,11 @@ class MemoryGraph:
         }
 
     def save(self, path: str) -> None:
-        from .fileio import atomic_write_text
-
-        atomic_write_text(path, json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n")
+        dump_json(path, self.to_json())
 
     @classmethod
     def from_json(cls, doc: dict) -> "MemoryGraph":
-        if not isinstance(doc, dict):
-            raise ParseError("graph snapshot must be a JSON object")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
+        check_version(doc, "graph snapshot")
         try:
             thresholds = doc.get("thresholds", {})
             g = cls(
@@ -470,21 +464,16 @@ class MemoryGraph:
                 g._add_row(node)
             if not np.isfinite(g._norms).all():
                 raise ValueError("semantic embeddings must have finite norms")
-        except (KeyError, TypeError, ValueError) as exc:
+            g._validate_structure()
+        except MALFORMED as exc:
             raise ParseError(f"malformed graph snapshot: {exc}") from exc
-        g._validate_structure()
         for edge in g.edges:
             g._index_edge(edge)
         return g
 
     @classmethod
     def load(cls, path: str) -> "MemoryGraph":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(exc.msg, line=exc.lineno) from exc
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path))
 
     def _validate_structure(self) -> None:
         active_pairs = set()

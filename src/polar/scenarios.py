@@ -22,7 +22,6 @@ ahead) and refuses to emit a spec that would not behave as labeled.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -31,11 +30,11 @@ from .agent import GroundingDecision, sweep_room
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import render_statement
+from .fileio import FORMAT_VERSION, MALFORMED, dump_json, load_json
 from .graph import THETA_DEDUP
 from .retrieval import DEFAULT_K
-from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, clear_of, gen_world
+from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
 
-FORMAT_VERSION = 1
 KINDS = (
     "compositional-single",
     "compositional-joint",
@@ -333,7 +332,7 @@ def gen_scenarios(
         "distractor": 3,
     }[kind]
     world_objects = [(main_category, instances)] + [(c, 1) for c in categories[:filler_count]]
-    world = gen_world(seed, n_rooms, world_objects)
+    world = cached_world(seed, n_rooms, world_objects)
     scene = world.build_scene_graph()
     specs = []
     for i in range(n):
@@ -614,25 +613,13 @@ def spec_from_json(doc: dict) -> ScenarioSpec:
             eval_agent_start=(float(doc["eval_agent_start"][0]), float(doc["eval_agent_start"][1])),
             eval_agent_heading=int(doc["eval_agent_heading"]),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except MALFORMED as exc:
         raise ParseError(f"malformed scenario spec: {exc}") from exc
 
 
 def save_specs(specs: list[ScenarioSpec], path: str) -> None:
-    from .fileio import dump_json
-
     dump_json(path, {"format_version": FORMAT_VERSION, "specs": [spec_to_json(s) for s in specs]})
 
 
 def load_specs(path: str) -> list[ScenarioSpec]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno) from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise ParseError("unsupported or missing scenario format_version")
-    specs = doc.get("specs", [])
-    if not isinstance(specs, list):
-        raise ParseError("scenario file 'specs' must be a JSON list")
-    return [spec_from_json(row) for row in specs]
+    return [spec_from_json(row) for row in load_json(path, "specs", list)]

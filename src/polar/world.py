@@ -14,7 +14,6 @@ that position's sightings and stride descents and only reruns the view cones.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -24,8 +23,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import GenerationError, ParseError, RejectedInput
+from .fileio import FORMAT_VERSION, MALFORMED, check_version, dump_json, read_json
 
-FORMAT_VERSION = 1
 RESOLUTION = 0.25
 STRIDE_M = 1.0
 TURN_DEG = 30
@@ -254,6 +253,21 @@ class _NavCache:
         best = int(np.argmin(d2))
         iy, ix = self.free_cells[best]
         return (int(ix), int(iy))
+
+
+_WORLD_CACHE: dict[tuple, "World"] = {}
+
+
+def cached_world(seed: int, n_rooms: int, objects_spec: list[tuple[str, int]]) -> "World":
+    """gen_world, built once per distinct request. Worlds are immutable, so scenario
+    generation, acquisition and evaluation of one suite all share one World."""
+    key = (seed, n_rooms, tuple(tuple(row) for row in objects_spec))
+    world = _WORLD_CACHE.get(key)
+    if world is None:
+        if len(_WORLD_CACHE) >= 16:
+            _WORLD_CACHE.clear()
+        world = _WORLD_CACHE[key] = gen_world(seed, n_rooms, list(key[2]))
+    return world
 
 
 class World:
@@ -598,23 +612,15 @@ class World:
         }
 
     def save(self, path: str) -> None:
-        from .fileio import dump_json
-
         dump_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "World":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(exc.msg, line=exc.lineno) from exc
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path))
 
     @classmethod
     def from_json(cls, doc: dict) -> "World":
-        if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-            raise ParseError("unsupported or missing world format_version")
+        check_version(doc, "world")
         try:
             room_names = list(doc["room_names"])
             rows = []
@@ -640,15 +646,15 @@ class World:
                 )
                 for o in doc["objects"]
             ]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            if len(room_names) > MAX_ROOMS:
+                raise ParseError(f"at most {MAX_ROOMS} rooms are supported, got {len(room_names)}")
+            if grid.ndim != 2 or grid.size == 0:
+                raise ParseError("world grid is empty")
+            if (grid[[0, -1], :] != WALL).any() or (grid[:, [0, -1]] != WALL).any():
+                raise ParseError("world grid must be enclosed by a ring of wall cells")
+            world = cls(grid, room_names, objects, float(doc.get("resolution", RESOLUTION)))
+        except (*MALFORMED, RejectedInput) as exc:
             raise ParseError(f"malformed world file: {exc}") from exc
-        if len(room_names) > MAX_ROOMS:
-            raise ParseError(f"at most {MAX_ROOMS} rooms are supported, got {len(room_names)}")
-        if grid.ndim != 2 or grid.size == 0:
-            raise ParseError("world grid is empty")
-        if (grid[[0, -1], :] != WALL).any() or (grid[:, [0, -1]] != WALL).any():
-            raise ParseError("world grid must be enclosed by a ring of wall cells")
-        world = cls(grid, room_names, objects, float(doc.get("resolution", RESOLUTION)))
         for obj in objects:
             if not world.is_free(obj.position):
                 raise ParseError(f"object {obj.object_id!r} at {obj.position} is not on a free cell")

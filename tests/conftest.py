@@ -1,7 +1,11 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import heapq
+import json
 import math
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -94,3 +98,80 @@ def reference_steer(world, state, goal):
 @pytest.fixture(scope="session")
 def small_world() -> World:
     return gen_world(0, 5, [("mug", 2), ("vase", 1)])
+
+
+# -- stub JSON-over-POST service -------------------------------------------------
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the canned (status, body) of its path; status None
+    writes the body as raw bytes with no HTTP status line."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.requests.append((self.path, json.loads(body)))
+        status, reply = self.server.replies.get(self.path, (404, b""))
+        if status is not None:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+class StubService:
+    def __init__(self, server: HTTPServer):
+        self.server = server
+
+    def url(self, path: str) -> str:
+        return f"http://127.0.0.1:{self.server.server_port}{path}"
+
+    def reply(self, path: str, body=None, status: int | None = 200) -> str:
+        """Serve body (JSON-encoded unless bytes) at path; returns the path's URL."""
+        raw = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+        self.server.replies[path] = (status, raw)
+        return self.url(path)
+
+    @property
+    def requests(self) -> list[tuple[str, object]]:
+        return self.server.requests
+
+
+@pytest.fixture(scope="session")
+def _stub_server():
+    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+@pytest.fixture
+def stub(_stub_server) -> StubService:
+    """One in-process HTTP server on 127.0.0.1, its canned replies reset per test."""
+    _stub_server.replies = {}
+    _stub_server.requests = []
+    return StubService(_stub_server)
+
+
+@pytest.fixture
+def refused_url() -> str:
+    """A localhost URL on a port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/"
+
+
+@pytest.fixture
+def silent_url():
+    """A localhost URL whose listener accepts connections but never answers."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(1)
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}/"

@@ -288,35 +288,18 @@ def test_ground_target_dispatch():
 # -- remote planner wire contract ------------------------------------------------
 
 
-class _Resp:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
 def _result_one_candidate():
     g = _graph_with({"mug_01": ["user: color = crimson refers to mug mug_01"]})
     return retrieve(g, "find my crimson mug", k=5)
 
 
-def test_remote_planner_ground_happy_path(monkeypatch):
-    calls = {}
-
-    def fake_post(url, json=None, timeout=None):
-        calls["url"] = url
-        calls["payload"] = json
-        return _Resp(payload={"object_id": "mug_01", "prior_room": "kitchen", "rationale": "seen there"})
-
-    monkeypatch.setattr("polar.agent.requests.post", fake_post)
-    planner = RemotePlanner("http://planner.local/api/")
+def test_remote_planner_ground_happy_path(stub):
+    stub.reply("/api/ground", {"object_id": "mug_01", "prior_room": "kitchen", "rationale": "seen there"})
+    planner = RemotePlanner(stub.url("/api/"))
     decision = planner.ground("find my crimson mug", _result_one_candidate())
-    assert calls["url"] == "http://planner.local/api/ground"
-    assert calls["payload"]["instruction"] == "find my crimson mug"
+    [(path, payload)] = stub.requests
+    assert path == "/api/ground"
+    assert payload["instruction"] == "find my crimson mug"
     assert decision.chosen_object_id == "mug_01"
     assert decision.prior_room == "kitchen"
 
@@ -324,25 +307,26 @@ def test_remote_planner_ground_happy_path(monkeypatch):
 @pytest.mark.parametrize(
     "resp",
     [
-        _Resp(status_code=500, payload={}),
-        _Resp(payload=None),
-        _Resp(payload={"object_id": "ghost"}),  # not among candidates
-        _Resp(payload={"object_id": ""}),
-        _Resp(payload={"object_id": "mug_01", "prior_room": 7}),
+        (500, {}),
+        (200, b"not json"),
+        (200, {"object_id": "ghost"}),  # not among candidates
+        (200, {"object_id": ""}),
+        (200, {"object_id": "mug_01", "prior_room": 7}),
     ],
 )
-def test_remote_planner_ground_bad_responses(monkeypatch, resp):
-    monkeypatch.setattr("polar.agent.requests.post", lambda *a, **k: resp)
+def test_remote_planner_ground_bad_responses(stub, resp):
+    status, body = resp
+    stub.reply("/ground", body, status)
     with pytest.raises(PlannerUnavailable):
-        RemotePlanner("http://planner.local").ground("find it", _result_one_candidate())
+        RemotePlanner(stub.url("")).ground("find it", _result_one_candidate())
 
 
-def test_remote_planner_choose_room(monkeypatch):
-    monkeypatch.setattr("polar.agent.requests.post", lambda *a, **k: _Resp(payload={"room": "kitchen"}))
-    assert RemotePlanner("http://p.local").choose_room(_scene(), _decision(), set(), "hallway") == "kitchen"
-    monkeypatch.setattr("polar.agent.requests.post", lambda *a, **k: _Resp(payload={"room": "attic"}))
+def test_remote_planner_choose_room(stub):
+    stub.reply("/choose_room", {"room": "kitchen"})
+    assert RemotePlanner(stub.url("")).choose_room(_scene(), _decision(), set(), "hallway") == "kitchen"
+    stub.reply("/choose_room", {"room": "attic"})
     with pytest.raises(PlannerUnavailable):
-        RemotePlanner("http://p.local").choose_room(_scene(), _decision(), set(), "hallway")
+        RemotePlanner(stub.url("")).choose_room(_scene(), _decision(), set(), "hallway")
 
 
 def test_remote_planner_needs_endpoint():

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 
 import pytest
 
@@ -179,3 +180,74 @@ def test_run_all_twice_is_byte_identical(tmp_path, capsys):
     match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], rel_files, shallow=False)
     assert mismatch == [] and errors == []
     assert sorted(match) == rel_files
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """Valid specs, episodes, graphs and metrics files from one compositional-single spec."""
+    d = tmp_path_factory.mktemp("staged")
+    paths = {name: str(d / f"{name}.json") for name in ("specs", "graphs", "metrics")}
+    paths["episodes"] = str(d / "episodes.jsonl")
+    assert main(["scenario", "gen", "--seed", "0", "--kind", "compositional-single", "--n", "1", "--out", paths["specs"]]) == 0
+    assert main(["acquire", "--specs", paths["specs"], "--out", paths["episodes"]]) == 0
+    assert main(["memorize", "--episodes", paths["episodes"], "--out", paths["graphs"]]) == 0
+    assert main(["eval", "--specs", paths["specs"], "--mode", "no-prior", "--out", paths["metrics"]]) == 0
+    return paths
+
+
+def _file_flag_argv(flag: str, path: str, staged: dict, out: str) -> list[str]:
+    return {
+        "--config": ["--config", path, "world", "gen", "--out", out],
+        "--specs": ["eval", "--specs", path, "--mode", "no-prior", "--out", out],
+        "--episodes": ["memorize", "--episodes", path, "--out", out],
+        "--graphs": ["eval", "--specs", staged["specs"], "--mode", "polar", "--graphs", path, "--out", out],
+        "--metrics": ["report", "--metrics", path, "--out", out],
+    }[flag]
+
+
+def _huge(key: str):
+    """The staged file with the first integer value of key replaced by 1e400."""
+    return lambda text: re.sub(f'("{key}": )\\d+', r"\g<1>1e400", text, count=1)
+
+
+_NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
+
+
+@pytest.mark.parametrize(
+    "flag, source, mutate",
+    [
+        ("--config", None, lambda text: _NOT_UTF8),
+        ("--specs", None, lambda text: _NOT_UTF8),
+        ("--episodes", None, lambda text: _NOT_UTF8),
+        ("--graphs", None, lambda text: _NOT_UTF8),
+        ("--metrics", None, lambda text: _NOT_UTF8),
+        ("--metrics", None, lambda text: '{"format_version": 1, "reports": 5}'),
+        ("--specs", None, lambda text: '{"format_version": 1}'),
+        ("--graphs", None, lambda text: '{"format_version": 1}'),
+        ("--metrics", None, lambda text: '{"format_version": 1}'),
+        ("--specs", "specs", _huge("timestamp")),
+        ("--episodes", "episodes", _huge("timestamp")),
+        ("--metrics", "metrics", _huge("n")),
+        ("--metrics", "metrics", lambda text: text.replace('"sr": ', '"sr": "high", "was": ', 1)),
+    ],
+    ids=[
+        "config-not-utf8", "specs-not-utf8", "episodes-not-utf8", "graphs-not-utf8", "metrics-not-utf8",
+        "metrics-reports-not-list", "specs-key-missing", "graphs-key-missing", "metrics-key-missing",
+        "specs-1e400", "episodes-1e400", "metrics-1e400", "metrics-sr-string",
+    ],
+)
+def test_malformed_file_flag_is_one_line_domain_error(tmp_path, capsys, staged, flag, source, mutate):
+    text = ""
+    if source is not None:
+        with open(staged[source], encoding="utf-8") as fh:
+            text = fh.read()
+    data = mutate(text)
+    data = data if isinstance(data, bytes) else data.encode("utf-8")
+    assert data != text.encode("utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    capsys.readouterr()
+    code = main(_file_flag_argv(flag, str(bad), staged, str(tmp_path / "out.json")))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("polar: error:") and err.count("\n") == 1

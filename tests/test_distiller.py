@@ -13,10 +13,9 @@ from polar.distiller import (
     load_episodes,
     memorize,
     parse_rendered_summary,
+    parse_statement,
     render_statement,
     save_episodes,
-    statement_fact_key,
-    statement_fact_value,
     summarize_episodic,
     trajectory_text,
 )
@@ -61,13 +60,13 @@ def _episode(
 def test_statement_template_round_trip():
     text = render_statement("color", "crimson red", "mug", "mug_01")
     assert text == "user: color = crimson red refers to mug mug_01"
-    assert statement_fact_key(text) == "color"
-    assert statement_fact_value(text) == "crimson red"
+    assert parse_statement(text) == ("color", "crimson red")
 
 
 def test_statement_parsers_reject_foreign_text():
-    assert statement_fact_key("a mug is on the desk") is None
-    assert statement_fact_value("user: but no separator") is None
+    assert parse_statement("a mug is on the desk") is None
+    assert parse_statement("user: but no separator") is None
+    assert parse_statement("user: but no separator refers to mug mug_01") is None
 
 
 def test_trajectory_text_pairs_room_and_action():
@@ -143,7 +142,7 @@ def test_memorize_same_key_new_value_supersedes():
     assert report.supersessions == 1
     active = g.neighbors("mug_01", kind="semantic")
     assert len(active) == 1
-    assert statement_fact_value(g.semantic[active[0][0]].statement) == "pale sky blue"
+    assert parse_statement(g.semantic[active[0][0]].statement) == ("color", "pale sky blue")
     stale = [sid for sid, _ in g.neighbors("mug_01", kind="semantic", active_only=False) if sid != active[0][0]]
     assert stale  # the old fact remains as inactive history
 
@@ -205,41 +204,30 @@ def test_distiller_config_validation():
         DistillerConfig(mode="remote")
 
 
-class _Resp:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-def test_remote_distiller_happy_path(monkeypatch):
-    cfg = DistillerConfig(mode="remote", endpoint="http://distill.local/run")
+def test_remote_distiller_happy_path(stub):
     payload = {
         "statements": [{"text": "user: color = red refers to mug mug_01", "fact_key": "color"}],
         "summary_text": "found in kitchen",
     }
-    monkeypatch.setattr("polar.distiller.requests.post", lambda *a, **k: _Resp(payload=payload))
+    cfg = DistillerConfig(mode="remote", endpoint=stub.reply("/run", payload))
     stmts = distill_semantic(_episode(), cfg)
     assert [(s.text, s.source_fact_key) for s in stmts] == [
         ("user: color = red refers to mug mug_01", "color")
     ]
+    assert stub.requests[0][1]["instruction"] == "take note of this mug"
 
 
 @pytest.mark.parametrize(
     "resp",
     [
-        _Resp(status_code=503, payload={}),
-        _Resp(payload=None),
-        _Resp(payload={"statements": [{"text": "x"}], "summary_text": "s"}),  # fact_key missing
-        _Resp(payload={"summary_text": "s"}),
+        (503, {}),
+        (200, b"not json"),
+        (200, {"statements": [{"text": "x"}], "summary_text": "s"}),  # fact_key missing
+        (200, {"summary_text": "s"}),
     ],
 )
-def test_remote_distiller_bad_responses(monkeypatch, resp):
-    cfg = DistillerConfig(mode="remote", endpoint="http://distill.local/run")
-    monkeypatch.setattr("polar.distiller.requests.post", lambda *a, **k: resp)
+def test_remote_distiller_bad_responses(stub, resp):
+    status, body = resp
+    cfg = DistillerConfig(mode="remote", endpoint=stub.reply("/run", body, status))
     with pytest.raises(DistillerUnavailable):
         distill_semantic(_episode(), cfg)

@@ -123,30 +123,11 @@ def test_config_validation():
         EncoderConfig(mode="remote")  # endpoint missing
 
 
-class _Resp:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-def test_remote_encode_happy_path(monkeypatch):
-    cfg = EncoderConfig(mode="remote", dim=16, endpoint="http://enc.local/embed")
+def test_remote_encode_happy_path(stub):
     rows = [[1.0] + [0.0] * 15, [0.0, 1.0] + [0.0] * 14]
-    seen = {}
-
-    def fake_post(url, json=None, timeout=None):
-        seen.update(url=url, json=json, timeout=timeout)
-        return _Resp(payload={"embeddings": rows})
-
-    monkeypatch.setattr("polar.encoder.requests.post", fake_post)
+    cfg = EncoderConfig(mode="remote", dim=16, endpoint=stub.reply("/embed", {"embeddings": rows}))
     out = encode_batch(["a", "b"], cfg)
-    assert seen["url"] == "http://enc.local/embed"
-    assert seen["json"] == {"texts": ["a", "b"]}
+    assert stub.requests == [("/embed", {"texts": ["a", "b"]})]
     assert np.array_equal(out[0], np.array(rows[0]))
     assert np.array_equal(out[1], np.array(rows[1]))
 
@@ -154,28 +135,24 @@ def test_remote_encode_happy_path(monkeypatch):
 @pytest.mark.parametrize(
     "resp",
     [
-        _Resp(status_code=500, payload={"embeddings": []}),
-        _Resp(payload=None),  # non-JSON body
-        _Resp(payload={"wrong": []}),
-        _Resp(payload={"embeddings": [[1.0] * 16]}),  # 1 row for 2 texts
-        _Resp(payload={"embeddings": [[1.0] * 4, [1.0] * 4]}),  # wrong dim
+        (500, {"embeddings": []}),
+        (200, b"no json"),
+        (200, {"wrong": []}),
+        (200, {"embeddings": [[1.0] * 16]}),  # 1 row for 2 texts
+        (200, {"embeddings": [[1.0] * 4, [1.0] * 4]}),  # wrong dim
+        (200, {"embeddings": [["a"] * 16, ["a"] * 16]}),  # rows of strings
+        (200, {"embeddings": [[float("nan")] * 16, [float("inf")] * 16]}),  # non-finite rows
     ],
 )
-def test_remote_encode_bad_responses(monkeypatch, resp):
-    cfg = EncoderConfig(mode="remote", dim=16, endpoint="http://enc.local/embed")
-    monkeypatch.setattr("polar.encoder.requests.post", lambda *a, **k: resp)
+def test_remote_encode_bad_responses(stub, resp):
+    status, body = resp
+    cfg = EncoderConfig(mode="remote", dim=16, endpoint=stub.reply("/embed", body, status))
     with pytest.raises(EncoderUnavailable):
         encode_batch(["a", "b"], cfg)
 
 
-def test_remote_encode_connection_error(monkeypatch):
-    import requests
-
-    def boom(*a, **k):
-        raise requests.ConnectionError("refused")
-
-    monkeypatch.setattr("polar.encoder.requests.post", boom)
-    cfg = EncoderConfig(mode="remote", dim=16, endpoint="http://enc.local/embed")
+def test_remote_encode_connection_error(refused_url):
+    cfg = EncoderConfig(mode="remote", dim=16, endpoint=refused_url)
     with pytest.raises(EncoderUnavailable):
         encode("a", cfg)
 

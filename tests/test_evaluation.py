@@ -115,6 +115,23 @@ def test_world_for_spec_is_cached(single_suite):
     assert world_for_spec(specs[0]) is world_for_spec(specs[1])
 
 
+def test_world_for_spec_is_the_world_gen_scenarios_built(monkeypatch):
+    import polar.world
+
+    built = []
+
+    def recording_gen_world(*args):
+        built.append(real_gen_world(*args))
+        return built[-1]
+
+    real_gen_world = polar.world.gen_world
+    monkeypatch.setattr(polar.world, "gen_world", recording_gen_world)
+    monkeypatch.setattr(polar.world, "_WORLD_CACHE", {})
+    specs = gen_scenarios(0, "compositional-single", 1)
+    assert world_for_spec(specs[0]) is built[0]
+    assert len(built) == 1
+
+
 # -- evaluation contexts -----------------------------------------------------------
 
 

@@ -1,0 +1,90 @@
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+from polar.errors import EncoderUnavailable, ParseError, PlannerUnavailable
+from polar.fileio import load_json, post_json, read_json, read_json_lines
+
+
+def test_post_json_returns_reply_object(stub):
+    url = stub.reply("/echo", {"ok": [1, 2]})
+    assert post_json(url, {"q": "x"}, 5.0, PlannerUnavailable) == {"ok": [1, 2]}
+    assert stub.requests == [("/echo", {"q": "x"})]
+
+
+@pytest.mark.parametrize(
+    "status, body",
+    [
+        (404, {}),
+        (302, {}),  # a redirect without a Location is a non-2xx status like any other
+        (200, b"\xff\xfe not utf-8"),
+        (200, [1, 2]),  # JSON, but not an object
+        (None, b"garbage\r\n\r\n"),  # a raw reply with no HTTP status line
+    ],
+)
+def test_post_json_raises_callers_error(stub, status, body):
+    url = stub.reply("/bad", body, status)
+    with pytest.raises(PlannerUnavailable):
+        post_json(url, {}, 5.0, PlannerUnavailable)
+
+
+def test_post_json_connection_refused(refused_url):
+    with pytest.raises(EncoderUnavailable, match="unreachable"):
+        post_json(refused_url, {}, 5.0, EncoderUnavailable)
+
+
+def test_post_json_times_out_on_a_silent_listener(silent_url):
+    started = time.monotonic()
+    with pytest.raises(EncoderUnavailable):
+        post_json(silent_url, {"texts": ["a"]}, 0.2, EncoderUnavailable)
+    assert time.monotonic() - started < 5.0
+
+
+def test_cli_import_leaves_requests_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, polar.cli; sys.exit('requests' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_readers_map_decode_faults_to_parse_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_json(str(path))
+    path.write_bytes(b"[" * 100_000)
+    with pytest.raises(ParseError):
+        read_json(str(path))
+    path.write_text('{\n  "a": 1,\n}')
+    with pytest.raises(ParseError) as err:
+        read_json(str(path))
+    assert err.value.line == 3
+
+
+def test_read_json_lines_numbers_lines_and_skips_blanks(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n[2]\n')
+    assert list(read_json_lines(str(path))) == [(1, {"a": 1}), (3, [2])]
+    path.write_bytes(b'{"a": 1}\n\n\xff\n')
+    with pytest.raises(ParseError) as err:
+        list(read_json_lines(str(path)))
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"format_version": 2, "specs": []}', "format_version"),
+        ("[]", "format_version"),
+        ('{"format_version": 1}', "'specs'"),
+        ('{"format_version": 1, "specs": {}}', "'specs' must be a JSON list"),
+    ],
+)
+def test_load_json_checks_version_key_and_container(tmp_path, text, message):
+    path = tmp_path / "specs.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_json(str(path), "specs", list)
