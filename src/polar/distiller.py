@@ -23,7 +23,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, DEFAULT_ENCODER, encode
 from .errors import DistillerUnavailable, ParseError, RejectedInput
-from .fileio import MALFORMED, atomic_write_text, post_json, read_json_lines
+from .fileio import MALFORMED, as_text, atomic_write_text, post_json, read_json_lines
 from .graph import MemoryGraph
 from .world import MOVE_FORWARD
 
@@ -66,8 +66,7 @@ class EpisodeLog:
 class SemanticStatement:
     object_id: str
     text: str
-    source_fact_key: str
-    supersedes_key: str | None = None
+    fact_key: str  # a later statement under the same key supersedes this one
 
 
 @dataclass
@@ -129,8 +128,7 @@ def distill_semantic(episode: EpisodeLog, config: DistillerConfig = DEFAULT_DIST
             SemanticStatement(
                 object_id=episode.target_object_id,
                 text=render_statement(key, value, episode.target_category, episode.target_object_id),
-                source_fact_key=key,
-                supersedes_key=key,
+                fact_key=key,
             )
             for key, value in episode.facts
         ]
@@ -146,8 +144,7 @@ def _remote_distill(episode: EpisodeLog, config: DistillerConfig) -> list[Semant
     for row in rows:
         if not isinstance(row, dict) or not row.get("text") or not row.get("fact_key"):
             raise DistillerUnavailable(f"distiller statement must carry text and fact_key: {row!r}")
-        key = str(row["fact_key"])
-        statements.append(SemanticStatement(episode.target_object_id, str(row["text"]), key, supersedes_key=key))
+        statements.append(SemanticStatement(episode.target_object_id, str(row["text"]), str(row["fact_key"])))
     return statements
 
 
@@ -218,12 +215,11 @@ def memorize(
     )
     for stmt in distill_semantic(episode, distiller_config):
         stale = []
-        if stmt.supersedes_key is not None:
-            for sem_id, _ts in graph.neighbors(object_ref, kind="semantic", active_only=True):
-                node = graph.semantic[sem_id]
-                parsed = parse_statement(node.statement)
-                if parsed and parsed[0] == stmt.supersedes_key and node.statement != stmt.text:
-                    stale.append(sem_id)
+        for sem_id, _ts in graph.neighbors(object_ref, kind="semantic", active_only=True):
+            node = graph.semantic[sem_id]
+            parsed = parse_statement(node.statement)
+            if parsed and parsed[0] == stmt.fact_key and node.statement != stmt.text:
+                stale.append(sem_id)
         new_id = graph.add_semantic(object_ref, stmt.text, encode(stmt.text, encoder_config), t)
         for old_id in stale:
             if old_id != new_id:
@@ -280,20 +276,20 @@ def episode_from_json(doc: dict) -> EpisodeLog:
     try:
         feat = doc["reference_feature"]
         episode = EpisodeLog(
-            episode_id=doc["episode_id"],
+            episode_id=as_text(doc["episode_id"]),
             timestamp=int(doc["timestamp"]),
-            instruction=doc["instruction"],
-            facts=[(k, v) for k, v in doc["facts"]],
+            instruction=as_text(doc["instruction"]),
+            facts=[(as_text(k), as_text(v)) for k, v in doc["facts"]],
             reference_feature=None if feat is None else np.asarray(feat, dtype=np.float64),
-            target_object_id=doc["target_object_id"],
-            target_category=doc["target_category"],
+            target_object_id=as_text(doc["target_object_id"]),
+            target_category=as_text(doc["target_category"]),
             trajectory=[
                 TrajectoryStep(
                     position=(float(s["position"][0]), float(s["position"][1])),
                     heading=int(s["heading"]),
-                    action=s["action"],
-                    room=s["room"],
-                    visible_object_ids=list(s["visible_object_ids"]),
+                    action=as_text(s["action"]),
+                    room=as_text(s["room"]),
+                    visible_object_ids=[as_text(oid) for oid in s["visible_object_ids"]],
                 )
                 for s in doc["trajectory"]
             ],

@@ -4,7 +4,8 @@ Writes are atomic and byte-deterministic. Every persisted file is read
 through `read_json`, `read_json_lines` or `load_json` (which also checks the
 format_version and the type of the one top-level container), so any input
 that is not UTF-8 JSON of the expected shape raises ParseError; record
-parsers map the exceptions in `MALFORMED` to ParseError as well.
+parsers map the exceptions in `MALFORMED` to ParseError as well, and read
+their text and id fields through `as_text`.
 `post_json` is the one JSON-over-POST client, on `urllib.request`, of the
 remote encoder, distiller and planner.
 """
@@ -26,6 +27,13 @@ FORMAT_VERSION = 1
 # What indexing, unpacking and int()/float() raise on a JSON value of the wrong shape
 # (OverflowError: int() of the inf that a literal such as 1e400 parses to).
 MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def as_text(value: object, optional: bool = False) -> str | None:
+    """value if it is a str (or None, where optional); TypeError, one of MALFORMED, otherwise."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .encoder import cosine
 from .errors import NotFound, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, check_version, dump_json, read_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_text, check_version, dump_json, read_json
 
 THETA_DEDUP = 0.92  # statements at or above this cosine collapse to one node
 THETA_OBJ = 0.95  # reference features at or above this cosine are the same object
@@ -130,7 +130,6 @@ class MemoryGraph:
         self._matrix = np.zeros((0, 0))  # rows [:len(_row_ids)] hold the embeddings
         self._norms = np.zeros(0)
         self._active_links = np.zeros(0, dtype=np.int64)  # active edges into each row's statement
-        self._links = np.zeros(0, dtype=np.int64)  # all edges into each row's statement
 
     # -- mutation ---------------------------------------------------------
 
@@ -291,21 +290,17 @@ class MemoryGraph:
         rows.sort(key=lambda r: (-r[1], r[0]))
         return rows
 
-    def shortlist(self, query: np.ndarray, k: int, *, active_only: bool | None = None) -> list[str]:
+    def shortlist(self, query: np.ndarray, k: int, *, active_only: bool = False) -> list[str]:
         """Sorted ids of every statement that may rank among the k best by cosine to query.
 
-        active_only=None considers every statement; True only statements with an
-        active linking edge, False those with any linking edge, as
-        neighbors(node, active_only=...) finds them. The ids come from one
+        By default every statement is considered (dedup); active_only=True keeps
+        only statements with an active linking edge (retrieval). The ids come from one
         matrix-vector product and include every statement within
         _SHORTLIST_MARGIN of the k-th best approximate score, so the exact top k
         by cosine() and all of its ties are in it.
         """
         n = len(self._row_ids)
-        if active_only is None:
-            rows = np.arange(n)
-        else:
-            rows = np.flatnonzero((self._active_links if active_only else self._links)[:n])
+        rows = np.flatnonzero(self._active_links[:n]) if active_only else np.arange(n)
         if len(rows) == 0:
             return []
         query = np.asarray(query, dtype=np.float64)
@@ -332,9 +327,7 @@ class MemoryGraph:
         if edge.active:
             self._active[(edge.src, edge.dst)] = edge
         if edge.kind == EDGE_SEMANTIC:
-            row = self._rows[edge.dst]
-            self._links[row] += 1
-            self._active_links[row] += edge.active
+            self._active_links[self._rows[edge.dst]] += edge.active
 
     def _deactivate(self, edge: Edge) -> None:
         edge.active = False
@@ -348,8 +341,8 @@ class MemoryGraph:
         if n == 0:
             self._matrix = np.zeros((0, node.embedding.shape[0]))
         if n == len(self._matrix):
-            self._matrix, self._norms, self._active_links, self._links = (
-                _grown(a, max(_MIN_ROWS, 2 * n)) for a in (self._matrix, self._norms, self._active_links, self._links)
+            self._matrix, self._norms, self._active_links = (
+                _grown(a, max(_MIN_ROWS, 2 * n)) for a in (self._matrix, self._norms, self._active_links)
             )
             for row, node_id in enumerate(self._row_ids):  # let the old matrix go
                 self.semantic[node_id].embedding = self._matrix[row]
@@ -431,29 +424,29 @@ class MemoryGraph:
             for row in doc["object_nodes"]:
                 feat = row["reference_feature"]
                 g.objects[row["object_id"]] = ObjectNode(
-                    row["object_id"],
-                    row["category"],
+                    as_text(row["object_id"]),
+                    as_text(row["category"]),
                     None if feat is None else np.asarray(feat, dtype=np.float64),
                     int(row["created_at"]),
                 )
             for row in doc["semantic_nodes"]:
                 g.semantic[row["node_id"]] = SemanticNode(
-                    row["node_id"],
-                    row["statement"],
+                    as_text(row["node_id"]),
+                    as_text(row["statement"]),
                     np.asarray(row["embedding"], dtype=np.float64),
                     int(row["created_at"]),
                 )
             for row in doc["episodic_nodes"]:
                 g.episodic[row["node_id"]] = EpisodicNode(
-                    row["node_id"],
-                    row["episode_id"],
-                    row["instruction"],
+                    as_text(row["node_id"]),
+                    as_text(row["episode_id"]),
+                    as_text(row["instruction"]),
                     bool(row["success"]),
-                    list(row["room_sequence"]),
-                    list(row["unpromising_rooms"]),
-                    row["found_room"],
+                    [as_text(room) for room in row["room_sequence"]],
+                    [as_text(room) for room in row["unpromising_rooms"]],
+                    as_text(row["found_room"], optional=True),
                     float(row["path_length_m"]),
-                    row["rendered_text"],
+                    as_text(row["rendered_text"]),
                     int(row["created_at"]),
                 )
             for row in doc["edges"]:

@@ -1,7 +1,7 @@
 """Retrieval over the memory graph plus raw-episode baselines.
 
-The graph path scores every semantic node that still has a linking edge
-against the instruction embedding, keeps the top k, and expands each hit
+The graph path scores every semantic node that still has an active linking
+edge against the instruction embedding, keeps the top k, and expands each hit
 through its active edges into candidate objects carrying all of their
 active statements, episodic renderings, and past instructions. The raw
 baselines (Okapi BM25 and dense cosine) rank whole episode documents —
@@ -65,30 +65,23 @@ def retrieve_semantic(
     instruction: str,
     k: int = DEFAULT_K,
     *,
-    active_only: bool = True,
-    recency_tiebreak: bool = True,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
 ) -> list[SemanticHit]:
     """Top-k semantic nodes by cosine; ties break to newer edges, then node id."""
     if k < 1:
         raise RejectedInput(f"k must be >= 1, got {k}")
-    return _rank_semantic(graph, encode(instruction, encoder_config), k, active_only, recency_tiebreak)
+    return _rank_semantic(graph, encode(instruction, encoder_config), k)
 
 
-def _rank_semantic(
-    graph: MemoryGraph, query: np.ndarray, k: int, active_only: bool, recency_tiebreak: bool
-) -> list[SemanticHit]:
+def _rank_semantic(graph: MemoryGraph, query: np.ndarray, k: int) -> list[SemanticHit]:
     """retrieve_semantic for an already encoded query."""
     hits = []
-    for node_id in graph.shortlist(query, k, active_only=active_only):
-        linking = graph.neighbors(node_id, kind="object", active_only=active_only)
+    for node_id in graph.shortlist(query, k, active_only=True):
+        linking = graph.neighbors(node_id, kind="object")
         newest = linking[0][1]
         score = cosine(query, graph.semantic[node_id].embedding)
         hits.append(SemanticHit(node_id, score, newest, sorted({obj for obj, _ in linking})))
-    if recency_tiebreak:
-        hits.sort(key=lambda h: (-h.score, -h.timestamp, h.node_id))
-    else:
-        hits.sort(key=lambda h: (-h.score, h.node_id))
+    hits.sort(key=lambda h: (-h.score, -h.timestamp, h.node_id))
     return hits[:k]
 
 
@@ -132,15 +125,13 @@ def retrieve(
     instruction: str,
     k: int = DEFAULT_K,
     *,
-    active_only: bool = True,
-    recency_tiebreak: bool = True,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
 ) -> RetrievalResult:
     """retrieve_semantic + assemble_candidates in one call, encoding the instruction once."""
     if k < 1:
         raise RejectedInput(f"k must be >= 1, got {k}")
     query = encode(instruction, encoder_config)
-    hits = _rank_semantic(graph, query, k, active_only, recency_tiebreak)
+    hits = _rank_semantic(graph, query, k)
     return RetrievalResult(instruction, hits, assemble_candidates(graph, hits, instruction_embedding=query))
 
 

@@ -30,7 +30,7 @@ from .agent import GroundingDecision, sweep_room
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import render_statement
-from .fileio import FORMAT_VERSION, MALFORMED, dump_json, load_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_text, dump_json, load_json
 from .graph import THETA_DEDUP
 from .retrieval import DEFAULT_K
 from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
@@ -589,16 +589,16 @@ def spec_to_json(spec: ScenarioSpec) -> dict:
 def spec_from_json(doc: dict) -> ScenarioSpec:
     try:
         return ScenarioSpec(
-            scenario_id=doc["scenario_id"],
-            kind=doc["kind"],
+            scenario_id=as_text(doc["scenario_id"]),
+            kind=as_text(doc["kind"]),
             world_seed=int(doc["world_seed"]),
             world_n_rooms=int(doc["world_n_rooms"]),
             world_objects=[(str(c), int(k)) for c, k in doc["world_objects"]],
             scripts=[
                 AcquisitionScript(
-                    instruction=s["instruction"],
+                    instruction=as_text(s["instruction"]),
                     facts=[(str(k), str(v)) for k, v in s["facts"]],
-                    target_object_id=s["target_object_id"],
+                    target_object_id=as_text(s["target_object_id"]),
                     timestamp=int(s["timestamp"]),
                     object_position=(float(s["object_position"][0]), float(s["object_position"][1])),
                     agent_start=(float(s["agent_start"][0]), float(s["agent_start"][1])),
@@ -606,8 +606,8 @@ def spec_from_json(doc: dict) -> ScenarioSpec:
                 )
                 for s in doc["scripts"]
             ],
-            eval_instruction=doc["eval_instruction"],
-            gold_object_id=doc["gold_object_id"],
+            eval_instruction=as_text(doc["eval_instruction"]),
+            gold_object_id=as_text(doc["gold_object_id"]),
             filler_count=int(doc["filler_count"]),
             eval_gold_position=(float(doc["eval_gold_position"][0]), float(doc["eval_gold_position"][1])),
             eval_agent_start=(float(doc["eval_agent_start"][0]), float(doc["eval_agent_start"][1])),

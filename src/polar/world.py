@@ -23,7 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import GenerationError, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, check_version, dump_json, read_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_text, check_version, dump_json, read_json
 
 RESOLUTION = 0.25
 STRIDE_M = 1.0
@@ -225,10 +225,10 @@ class _NavCache:
         self.free_cells = free_cells
         self.fields: dict[tuple[int, int], np.ndarray] = {}
         self.scene_graph: SceneGraph | None = None
-        self.rows = grid.tolist()  # plain lists: scalar cell reads in line_of_sight
-        self.bounds = np.array([nx * resolution, ny * resolution])  # (w, h) in meters
-        # one STRIDE_M step per heading, rows in HEADINGS order
-        self.strides = STRIDE_M * np.array([_HEADING_VECTORS[h] for h in HEADINGS])
+        # plain lists and floats: every scalar cell read (is_free, room_of,
+        # segment_free, line_of_sight) goes through rows and bounds
+        self.rows = grid.tolist()
+        self.bounds = (nx * resolution, ny * resolution)  # (w, h) in meters
         self.last_descents: tuple[tuple, tuple] | None = None  # last ((x, y, goal cell), descents)
 
     def field(self, cell: tuple[int, int]) -> np.ndarray:
@@ -300,8 +300,7 @@ class World:
 
     @property
     def bounds_m(self) -> tuple[float, float]:
-        ny, nx = self.grid.shape
-        return (nx * self.resolution, ny * self.resolution)
+        return self._nav.bounds
 
     def cell_of(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (int(pos[0] // self.resolution), int(pos[1] // self.resolution))
@@ -310,53 +309,38 @@ class World:
         return ((cell[0] + 0.5) * self.resolution, (cell[1] + 0.5) * self.resolution)
 
     def in_bounds(self, pos: tuple[float, float]) -> bool:
-        w, h = self.bounds_m
+        w, h = self._nav.bounds
         return 0.0 <= pos[0] < w and 0.0 <= pos[1] < h
 
     def is_free(self, pos: tuple[float, float]) -> bool:
         if not self.in_bounds(pos):
             return False
         ix, iy = self.cell_of(pos)
-        return bool(self.grid[iy, ix] != WALL)
+        return self._nav.rows[iy][ix] != WALL
 
     def room_of(self, pos: tuple[float, float]) -> str | None:
         if not self.in_bounds(pos):
             return None
         ix, iy = self.cell_of(pos)
-        label = int(self.grid[iy, ix])
+        label = self._nav.rows[iy][ix]
         return None if label == WALL else self.room_names[label]
 
     def segment_free(self, p0: tuple[float, float], p1: tuple[float, float]) -> bool:
-        # every 0.25 m sample along the segment must land in free space
-        dist = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-        n = max(1, math.ceil(dist / self.resolution - _EPS))
+        # every 0.25 m sample along the segment must land in free space; the
+        # is_free test is inlined because descents calls this 12 times per position
+        res = self.resolution
+        w, h = self._nav.bounds
+        rows = self._nav.rows
+        dx = p1[0] - p0[0]
+        dy = p1[1] - p0[1]
+        n = max(1, math.ceil(math.hypot(dx, dy) / res - _EPS))
         for i in range(1, n + 1):
             t = i / n
-            if not self.is_free((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))):
+            x = p0[0] + t * dx
+            y = p0[1] + t * dy
+            if not (0.0 <= x < w and 0.0 <= y < h) or rows[int(y // res)][int(x // res)] == WALL:
                 return False
         return True
-
-    def stride_table(self, pos: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-        """The STRIDE_M stride from pos along every heading in HEADINGS, tested at once.
-
-        Returns, per heading, segment_free(pos, end) and cell_of(end), where
-        end is the point step would move to.
-        """
-        res = self.resolution
-        nav = self._nav
-        p0 = np.array(pos, dtype=np.float64)
-        ends = p0 + nav.strides
-        deltas = ends - p0
-        # segment_free's samples for all headings at once, in its float64 expression order
-        n = np.array([max(1, math.ceil(math.hypot(dx, dy) / res - _EPS)) for dx, dy in deltas.tolist()])[:, None]
-        i = np.arange(1, int(n.max()) + 1)
-        samples = p0 + (i / n)[:, :, None] * deltas[:, None, :]
-        inside = (samples >= 0.0) & (samples < nav.bounds)
-        cells = (samples // res).astype(np.intp)
-        # out-of-bounds samples read a clipped cell, but inside already rules them out
-        labels = self.grid.take(cells[:, :, 1] * nav.shape[1] + cells[:, :, 0], mode="clip")
-        free = inside[:, :, 0] & inside[:, :, 1] & (labels != WALL)
-        return (free | (i > n)).all(axis=1), (ends // res).astype(np.intp)
 
     def line_of_sight(self, a: tuple[float, float], b: tuple[float, float]) -> bool:
         """True when no wall cell lies on the straight segment a -> b (grid traversal)."""
@@ -489,17 +473,16 @@ class World:
             dist_field = nav.field(cell)
             cx, cy = self.cell_of(pos)
             here = dist_field[cy, cx]
-            free, ends = self.stride_table(pos)
-            open_rows = np.flatnonzero(free)
-            values = dist_field[ends[open_rows, 1], ends[open_rows, 0]]
-            better = values < here - _EPS
-            nav.last_descents = (
-                key,
-                tuple(
-                    (value, HEADINGS[row])
-                    for row, value in zip(open_rows[better].tolist(), values[better].tolist())
-                ),
-            )
+            found = []
+            for heading in HEADINGS:
+                ux, uy = _HEADING_VECTORS[heading]
+                end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)  # as step moves
+                if self.segment_free(pos, end):
+                    ex, ey = self.cell_of(end)
+                    value = float(dist_field[ey, ex])
+                    if value < here - _EPS:
+                        found.append((value, heading))
+            nav.last_descents = (key, tuple(found))
         return nav.last_descents[1]
 
     def shortest_path_length(self, start: tuple[float, float], goal: tuple[float, float]) -> float:
@@ -622,7 +605,7 @@ class World:
     def from_json(cls, doc: dict) -> "World":
         check_version(doc, "world")
         try:
-            room_names = list(doc["room_names"])
+            room_names = [as_text(name) for name in doc["room_names"]]
             rows = []
             width = None
             for encoded in doc["grid_rows"]:
@@ -639,8 +622,8 @@ class World:
             grid = np.array(rows, dtype=np.int16)
             objects = [
                 ObjectInstance(
-                    o["object_id"],
-                    o["category"],
+                    as_text(o["object_id"]),
+                    as_text(o["category"]),
                     (float(o["position"][0]), float(o["position"][1])),
                     None if o.get("feature") is None else np.asarray(o["feature"], dtype=np.float64),
                 )

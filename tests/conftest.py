@@ -59,13 +59,36 @@ def unit_vec(dim: int, angle_from_e0: float = 0.0) -> np.ndarray:
     return v
 
 
+def reference_cell(world, pos):
+    """The grid label under pos, read from world.grid with bounds from its shape;
+    None outside the grid."""
+    ny, nx = world.grid.shape
+    res = world.resolution
+    if not (0.0 <= pos[0] < nx * res and 0.0 <= pos[1] < ny * res):
+        return None
+    return int(world.grid[int(pos[1] // res), int(pos[0] // res)])
+
+
+def reference_segment_free(world, p0, p1):
+    """Every 0.25 m sample p0 + t*(p1 - p0), t = i/n, lands on a free cell."""
+    res = world.resolution
+    n = max(1, math.ceil(math.hypot(p1[0] - p0[0], p1[1] - p0[1]) / res - 1e-9))
+    for i in range(1, n + 1):
+        t = i / n
+        label = reference_cell(world, (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
+        if label is None or label == WALL:
+            return False
+    return True
+
+
 def reference_strides(world, pos):
-    """Per heading: scalar segment_free of the stride and cell_of of its end."""
+    """Per heading: whether the stride is free, by the grid reference, and the cell of its end."""
+    res = world.resolution
     rows = []
     for heading in HEADINGS:
         ux, uy = heading_vector(heading)
         end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
-        rows.append((world.segment_free(pos, end), world.cell_of(end)))
+        rows.append((reference_segment_free(world, pos, end), (int(end[0] // res), int(end[1] // res))))
     return rows
 
 
@@ -82,7 +105,7 @@ def reference_descents(world, pos, goal):
 
 
 def reference_steer(world, state, goal):
-    """The per-heading steering loop over segment_free and cell_of."""
+    """The per-heading steering loop over the reference strides."""
     best = None
     for value, heading in reference_descents(world, state.position, goal):
         key = (value, _turn_count(state.heading, heading), heading)

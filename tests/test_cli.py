@@ -210,6 +210,11 @@ def _huge(key: str):
     return lambda text: re.sub(f'("{key}": )\\d+', r"\g<1>1e400", text, count=1)
 
 
+def _retyped(key: str):
+    """The staged file with the first value of key replaced by the number 5."""
+    return lambda text: text.replace(f'"{key}": ', f'"{key}": 5, "was": ', 1)
+
+
 _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
 
 
@@ -229,11 +234,15 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         ("--episodes", "episodes", _huge("timestamp")),
         ("--metrics", "metrics", _huge("n")),
         ("--metrics", "metrics", lambda text: text.replace('"sr": ', '"sr": "high", "was": ', 1)),
+        ("--graphs", "graphs", _retyped("statement")),
+        ("--specs", "specs", _retyped("eval_instruction")),
+        ("--episodes", "episodes", _retyped("instruction")),
     ],
     ids=[
         "config-not-utf8", "specs-not-utf8", "episodes-not-utf8", "graphs-not-utf8", "metrics-not-utf8",
         "metrics-reports-not-list", "specs-key-missing", "graphs-key-missing", "metrics-key-missing",
         "specs-1e400", "episodes-1e400", "metrics-1e400", "metrics-sr-string",
+        "graphs-statement-number", "specs-eval-instruction-number", "episodes-instruction-number",
     ],
 )
 def test_malformed_file_flag_is_one_line_domain_error(tmp_path, capsys, staged, flag, source, mutate):

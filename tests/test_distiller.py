@@ -93,8 +93,7 @@ def test_distill_semantic_one_statement_per_fact():
         "user: color = red refers to mug mug_01",
         "user: location = desk refers to mug mug_01",
     ]
-    assert [s.source_fact_key for s in stmts] == ["color", "location"]
-    assert all(s.supersedes_key == s.source_fact_key for s in stmts)
+    assert [s.fact_key for s in stmts] == ["color", "location"]
 
 
 def test_summarize_episodic_counts_only_effective_forward_moves():
@@ -211,7 +210,7 @@ def test_remote_distiller_happy_path(stub):
     }
     cfg = DistillerConfig(mode="remote", endpoint=stub.reply("/run", payload))
     stmts = distill_semantic(_episode(), cfg)
-    assert [(s.text, s.source_fact_key) for s in stmts] == [
+    assert [(s.text, s.fact_key) for s in stmts] == [
         ("user: color = red refers to mug mug_01", "color")
     ]
     assert stub.requests[0][1]["instruction"] == "take note of this mug"

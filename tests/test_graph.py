@@ -346,17 +346,14 @@ def _scan_neighbors(graph, node_id, active_only):
     return sorted(rows, key=lambda r: (-r[1], r[0]))
 
 
-def _scan_hits(graph, query, k, active_only, recency_tiebreak):
+def _scan_hits(graph, query, k):
     hits = []
     for node_id in sorted(graph.semantic):
-        linking = _scan_neighbors(graph, node_id, active_only)
+        linking = _scan_neighbors(graph, node_id, True)
         if linking:
             score = cosine(query, graph.semantic[node_id].embedding)
             hits.append((node_id, score, linking[0][1], sorted({obj for obj, _ in linking})))
-    if recency_tiebreak:
-        hits.sort(key=lambda h: (-h[1], -h[2], h[0]))
-    else:
-        hits.sort(key=lambda h: (-h[1], h[0]))
+    hits.sort(key=lambda h: (-h[1], -h[2], h[0]))
     return [(node_id, score.hex(), ts, objs) for node_id, score, ts, objs in hits[:k]]
 
 
@@ -375,7 +372,7 @@ _OPS = st.lists(
         st.tuples(st.just("semantic"), st.integers(0, 2), _EMBEDDING, st.integers(0, 1)),
         st.tuples(st.just("episodic"), st.integers(0, 2), st.integers(0, 1)),
         st.tuples(st.just("supersede"), st.integers(0, 60), st.integers(0, 60), st.integers(0, 1)),
-        st.tuples(st.just("retrieve"), _EMBEDDING, st.integers(1, 4), st.booleans(), st.booleans()),
+        st.tuples(st.just("retrieve"), _EMBEDDING, st.integers(1, 4)),
     ),
     max_size=40,
 )
@@ -415,10 +412,10 @@ def _replay(ops, graphs, pool, t):
         else:
             query = _embedding(op[1], pool)
             pool.append(query)
-            _, _, k, active_only, recency = op
-            want = _scan_hits(graphs[0], query, k, active_only, recency)
+            _, _, k = op
+            want = _scan_hits(graphs[0], query, k)
             for g in graphs[1:]:
-                got = _rank_semantic(g, query, k, active_only, recency)
+                got = _rank_semantic(g, query, k)
                 assert [(h.node_id, h.score.hex(), h.timestamp, h.object_ids) for h in got] == want
     return t
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dijkstra_oracle, reference_steer, reference_strides
+from conftest import dijkstra_oracle, reference_cell, reference_steer, reference_strides
 from polar.agent import _steer_action
 from polar.errors import ParseError, RejectedInput
 from polar.world import (
@@ -16,6 +16,7 @@ from polar.world import (
     MOVE_FORWARD,
     RESOLUTION,
     STOP,
+    STRIDE_M,
     TURN_LEFT,
     TURN_RIGHT,
     VISIBILITY_HALF_ANGLE_DEG,
@@ -416,11 +417,37 @@ def _positions(draw, world, margin_m=0.0):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_world_positions(margin_m=1.5))
-def test_stride_table_matches_segment_free_per_heading(world_pos):
+def test_segment_free_matches_grid_reference_per_heading(world_pos):
     world, pos = world_pos
-    free, ends = world.stride_table(pos)
-    got = [(bool(f), (int(ix), int(iy))) for f, (ix, iy) in zip(free, ends)]
+    got = []
+    for heading in HEADINGS:
+        ux, uy = heading_vector(heading)
+        end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
+        got.append((world.segment_free(pos, end), world.cell_of(end)))
     assert got == reference_strides(world, pos)
+
+
+@st.composite
+def _edge_positions(draw):
+    """A world and a position on, just inside or just past an edge of its grid."""
+    world = _DIFF_WORLDS[draw(st.integers(0, len(_DIFF_WORLDS) - 1))]
+    ny, nx = world.grid.shape
+    coords = []
+    for size in (nx * world.resolution, ny * world.resolution):
+        edges = [-0.25, math.nextafter(0.0, -1.0), -0.0, 0.0, math.nextafter(size, 0.0), size]
+        edges += [math.nextafter(size, math.inf), size + 0.25]
+        coords.append(draw(st.sampled_from(edges) | st.floats(0.0, size, exclude_max=True)))
+    return world, tuple(coords)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_world_positions(margin_m=1.5) | _edge_positions())
+def test_cell_reads_match_grid_reference(world_pos):
+    world, pos = world_pos
+    label = reference_cell(world, pos)
+    assert world.in_bounds(pos) == (label is not None)
+    assert world.is_free(pos) == (label is not None and label != WALL)
+    assert world.room_of(pos) == (None if label in (None, WALL) else world.room_names[label])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
