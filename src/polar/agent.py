@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, parse_statement, trajectory_text
+from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, parse_statement
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import ExplorationExhausted, GroundingFailed, PlannerUnavailable, RejectedInput
 from .fileio import post_json
-from .retrieval import CandidateObject, RetrievalResult
+from .retrieval import CandidateObject, RetrievalResult, episode_document, tokenize
 from .world import (
     ACTION_START,
     MOVE_FORWARD,
@@ -70,10 +70,6 @@ class RunConfig:
             raise RejectedInput(f"max_steps must be >= 1, got {self.max_steps}")
         if self.success_radius_m <= 0:
             raise RejectedInput(f"success_radius_m must be positive, got {self.success_radius_m}")
-
-
-def _tokens(text: str) -> list[str]:
-    return text.lower().split()
 
 
 def _turn_count(current: int, target: int) -> int:
@@ -126,24 +122,24 @@ def _prior_room_from_renderings(renderings: list[str], memory_mode: str) -> str 
 
 
 class OraclePlanner:
-    """Transparent deterministic grounding + sweep planning (no model calls)."""
+    """Transparent deterministic grounding + sweep planning (no model calls).
 
-    def __init__(self, encoder_config: EncoderConfig = DEFAULT_ENCODER, memory_mode: str = "episodic"):
+    Statement scores are retrieval's cosines against `context.instruction`;
+    grounding encodes nothing itself.
+    """
+
+    def __init__(self, memory_mode: str = "episodic"):
         if memory_mode not in ("episodic", "summary", "raw", "none"):
             raise RejectedInput(f"unknown memory_mode {memory_mode!r}")
-        self.encoder_config = encoder_config
         self.memory_mode = memory_mode
 
     def ground(self, instruction: str, context: RetrievalResult, scene_graph: SceneGraph | None = None) -> GroundingDecision:
         if not isinstance(context, RetrievalResult) or not context.candidates:
             raise GroundingFailed("no retrieved candidates to ground against")
-        query = encode(instruction, self.encoder_config)
-        node_texts = {
-            st.node_id: st.text for cand in context.candidates for st in cand.statements if st.node_id
-        }
+        node_texts = {st.node_id: st.text for cand in context.candidates for st in cand.statements}
         scored = []
         for cand in context.candidates:
-            score, latest = self._score(cand, context, node_texts, query)
+            score, latest = self._score(cand, context, node_texts)
             scored.append((-score, -latest, cand.object_id, cand, score))
         scored.sort(key=lambda row: row[:3])
         _, _, _, best, score = scored[0]
@@ -155,27 +151,25 @@ class OraclePlanner:
             "polar",
         )
 
-    def _score(self, cand: CandidateObject, context: RetrievalResult, node_texts: dict[str, str], query) -> tuple[float, int]:
+    def _score(self, cand: CandidateObject, context: RetrievalResult, node_texts: dict[str, str]) -> tuple[float, int]:
         own_nodes = set()
         own_value_tokens: set[str] = set()
         score = 0.0
         latest = -1
         for st in cand.statements:
-            if not st.active:
-                continue
             own_nodes.add(st.node_id)
             latest = max(latest, st.timestamp)
-            score += cosine(query, encode(st.text, self.encoder_config))
+            score += st.score
             parsed = parse_statement(st.text)
             if parsed and parsed[1]:
-                own_value_tokens.update(_tokens(parsed[1]))
+                own_value_tokens.update(tokenize(parsed[1]))
         # joint composition: inherit each foreign retrieved statement at most once
         for hit in context.hits:
             if hit.node_id in own_nodes:
                 continue
             text = node_texts.get(hit.node_id)
             parsed = parse_statement(text) if text else None
-            if parsed and set(_tokens(parsed[1])) & own_value_tokens:
+            if parsed and set(tokenize(parsed[1])) & own_value_tokens:
                 score += hit.score
         return score, latest
 
@@ -186,16 +180,13 @@ class OraclePlanner:
 class NaiveMatcher:
     """Raw-interaction grounding: lexical overlap against whole episode documents."""
 
-    memory_mode = "raw"
-
     def ground(self, instruction: str, context: list[EpisodeLog], scene_graph: SceneGraph | None = None) -> GroundingDecision:
         if not context:
             raise GroundingFailed("no raw episodes to match against")
-        query = set(_tokens(instruction))
+        query = set(tokenize(instruction))
         scored = []
         for ep in context:
-            doc = f"{ep.instruction} {trajectory_text(ep)}"
-            overlap = len(query & set(_tokens(doc)))
+            overlap = len(query & set(tokenize(episode_document(ep))))
             scored.append((-overlap, -ep.timestamp, ep.episode_id, ep, overlap))
         scored.sort(key=lambda row: row[:3])
         _, _, _, best, overlap = scored[0]
@@ -231,8 +222,7 @@ class RemotePlanner:
                     "object_id": c.object_id,
                     "category": c.category,
                     "statements": [
-                        {"text": s.text, "score": s.score, "timestamp": s.timestamp, "active": s.active}
-                        for s in c.statements
+                        {"text": s.text, "score": s.score, "timestamp": s.timestamp} for s in c.statements
                     ],
                     "episodic_memories": list(c.episodic_memories),
                     "instructions": list(c.instructions),
@@ -273,7 +263,7 @@ class RemotePlanner:
 def _category_only(instruction: str, categories: tuple[str, ...], encoder_config: EncoderConfig) -> GroundingDecision:
     if not categories:
         raise GroundingFailed("no known categories for category-only grounding")
-    tokens = _tokens(instruction)
+    tokens = tokenize(instruction)
     positions = {}
     for category in categories:
         lowered = category.lower()

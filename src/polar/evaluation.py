@@ -285,12 +285,13 @@ def _evaluate_one(
     world = world_for_spec(spec)
     eval_world = world.move_object(spec.gold_object_id, spec.eval_gold_position)
     retrieval_result = None
+    if graph is not None:
+        retrieval_result = retrieve(graph, spec.eval_instruction, config.k, encoder_config=encoder_config)
     if mode.startswith("polar"):
         if graph is None:
             raise ConfigurationError(f"mode {mode!r} needs a memorized graph for {spec.scenario_id!r} (run memorize first)")
-        retrieval_result = retrieve(graph, spec.eval_instruction, config.k, encoder_config=encoder_config)
         context = _ablated_result(retrieval_result, mode, graph, logs)
-        planner = OraclePlanner(encoder_config, memory_mode=_MEMORY_MODE[mode])
+        planner = OraclePlanner(memory_mode=_MEMORY_MODE[mode])
     elif mode == "raw-interaction":
         if not logs:
             raise ConfigurationError(f"mode raw-interaction needs acquisition episodes for {spec.scenario_id!r}")
@@ -299,7 +300,7 @@ def _evaluate_one(
     else:  # no-prior
         categories = tuple(sorted({o.category for o in eval_world.objects.values()}))
         context = NoPriorContext(categories)
-        planner = OraclePlanner(encoder_config)
+        planner = OraclePlanner()
 
     log, decision = run_episode(
         eval_world,
@@ -324,9 +325,8 @@ def _evaluate_one(
         for o in eval_world.objects.values()
     )
     recall_semantic = None
-    if graph is not None:
-        semantic = retrieval_result or retrieve(graph, spec.eval_instruction, config.k, encoder_config=encoder_config)
-        recall_semantic = float(recall_at_k(semantic, gold_object_id=spec.gold_object_id))
+    if retrieval_result is not None:
+        recall_semantic = float(recall_at_k(retrieval_result, gold_object_id=spec.gold_object_id))
     recall_bm25 = recall_dense = None
     if logs:
         gold_ids = [e.episode_id for e in logs if e.target_object_id == spec.gold_object_id]

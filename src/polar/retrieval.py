@@ -40,8 +40,7 @@ class CandidateStatement:
     text: str
     score: float
     timestamp: int
-    active: bool
-    node_id: str = ""
+    node_id: str
 
 
 @dataclass
@@ -89,13 +88,13 @@ def assemble_candidates(
     graph: MemoryGraph,
     hits: list[SemanticHit],
     *,
-    instruction_embedding: np.ndarray | None = None,
+    instruction_embedding: np.ndarray,
 ) -> list[CandidateObject]:
     """Expand hits into deduplicated candidate objects, in first-hit order.
 
     Expansion always follows active edges, so every candidate carries at
     least one active statement. Statement scores are cosines against the
-    instruction embedding when one is supplied, else 0.
+    instruction embedding.
     """
     candidates: list[CandidateObject] = []
     seen: set[str] = set()
@@ -107,8 +106,8 @@ def assemble_candidates(
             statements = []
             for sem_id, ts in graph.neighbors(object_id, kind="semantic", active_only=True):
                 node = graph.semantic[sem_id]
-                score = 0.0 if instruction_embedding is None else cosine(instruction_embedding, node.embedding)
-                statements.append(CandidateStatement(node.statement, score, ts, True, sem_id))
+                score = cosine(instruction_embedding, node.embedding)
+                statements.append(CandidateStatement(node.statement, score, ts, sem_id))
             renderings, instructions = [], []
             for epi_id, _ets in graph.neighbors(object_id, kind="episodic", active_only=True):
                 node = graph.episodic[epi_id]
@@ -142,7 +141,8 @@ def episode_document(episode: EpisodeLog) -> str:
     return f"{episode.instruction} {trajectory_text(episode)}"
 
 
-def _tokens(text: str) -> list[str]:
+def tokenize(text: str) -> list[str]:
+    """Lower-cased whitespace tokens: the lexical view of BM25 and raw grounding."""
     return text.lower().split()
 
 
@@ -184,7 +184,7 @@ def raw_retrieve(
         return []
     docs = [(e.episode_id, episode_document(e)) for e in episodes]
     if mode == "bm25":
-        scores = _bm25_scores([_tokens(text) for _, text in docs], _tokens(instruction))
+        scores = _bm25_scores([tokenize(text) for _, text in docs], tokenize(instruction))
     else:
         query = encode(instruction, encoder_config)
         scores = [cosine(query, encode(text, encoder_config)) for _, text in docs]

@@ -15,9 +15,11 @@ Every spec also carries 12 filler scripts about other objects so retrieval
 and raw-interaction sampling face noise. Cue values come from pools of
 globally unique words: candidate score inheritance keys on fact-value
 tokens, so value words must never collide across objects by accident.
-The generator re-checks each construction's encoder margins (dedup above
-or below threshold, gold statement inside the top-k, gold score strictly
-ahead) and refuses to emit a spec that would not behave as labeled.
+The generator checks each construction before emitting it. Statements a
+kind must merge into one node (or keep apart) are checked against the dedup
+threshold, and the spec's scripts are memorized, retrieved and grounded with
+the real distiller, retrieval and planner code: a spec whose memory does
+not ground gold is refused.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .agent import GroundingDecision, sweep_room
+from .agent import GroundingDecision, OraclePlanner, sweep_room
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
-from .distiller import render_statement
+from .distiller import EpisodeLog, TrajectoryStep, memorize, render_statement
 from .fileio import FORMAT_VERSION, MALFORMED, as_text, dump_json, load_json
-from .graph import THETA_DEDUP
-from .retrieval import DEFAULT_K
-from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
+from .graph import THETA_DEDUP, MemoryGraph
+from .retrieval import DEFAULT_K, retrieve
+from .world import ACTION_START, HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
 
 KINDS = (
     "compositional-single",
@@ -265,41 +267,34 @@ def _joint_rooms(world: World, scene: SceneGraph, base_room: str, margin_m: floa
 # -- construction guards -------------------------------------------------------
 
 
-def _sim(a: str, b: str, config: EncoderConfig) -> float:
-    return cosine(encode(a, config), encode(b, config))
-
-
 def _check_dedup(a: str, b: str, want_shared: bool, config: EncoderConfig, what: str) -> None:
-    sim = _sim(a, b, config)
+    sim = cosine(encode(a, config), encode(b, config))
     if want_shared and sim < THETA_DEDUP:
         raise GenerationError(f"{what}: statements must collapse into one node but cosine {sim:.4f} < {THETA_DEDUP}")
     if not want_shared and sim >= THETA_DEDUP:
         raise GenerationError(f"{what}: statements must stay distinct but cosine {sim:.4f} >= {THETA_DEDUP}")
 
 
-def _dedup_nodes(statements: list[str], config: EncoderConfig) -> list[str]:
-    # mirrors graph ingestion: a statement near an existing node reuses it
-    nodes: list[str] = []
-    for text in statements:
-        if all(_sim(text, existing, config) < THETA_DEDUP for existing in nodes):
-            nodes.append(text)
-    return nodes
-
-
-def _check_retrievable(
-    instruction: str, gold_texts: list[str], node_texts: list[str], config: EncoderConfig, what: str, k: int = DEFAULT_K
+def _check_grounds_gold(
+    world: World, scripts: list[AcquisitionScript], instruction: str, gold: str, config: EncoderConfig, what: str
 ) -> None:
-    ranked = sorted(node_texts, key=lambda t: (-_sim(instruction, t, config), t))
-    if not any(text in ranked[:k] for text in gold_texts):
-        raise GenerationError(f"{what}: no gold statement inside the top-{k} retrieval set")
-
-
-def _check_margin(instruction: str, gold_score: float, rivals: dict[str, float], what: str) -> None:
-    for rival, score in rivals.items():
-        if gold_score <= score:
-            raise GenerationError(
-                f"{what}: gold score {gold_score:.4f} does not beat {rival!r} at {score:.4f} for {instruction!r}"
-            )
+    """Memorize the scripts in acquisition's order, then retrieve and ground the
+    instruction with the real code; gold must be the object grounded."""
+    graph = MemoryGraph()
+    for script in sorted(scripts, key=lambda s: (s.timestamp, s.target_object_id)):
+        obj = world.objects[script.target_object_id]
+        start = TrajectoryStep(
+            script.agent_start, script.agent_heading, ACTION_START, world.room_of(script.agent_start) or ""
+        )
+        episode = EpisodeLog(
+            f"{what}:acq", script.timestamp, script.instruction, script.facts, None,
+            obj.object_id, obj.category, [start], False, script.agent_start,
+        )
+        memorize(episode, graph, encoder_config=config)
+    result = retrieve(graph, instruction, DEFAULT_K, encoder_config=config)
+    grounded = OraclePlanner().ground(instruction, result).chosen_object_id
+    if grounded != gold:
+        raise GenerationError(f"{what}: memory grounds {grounded!r}, not gold {gold!r}, for {instruction!r}")
 
 
 # -- generation ----------------------------------------------------------------
@@ -387,11 +382,6 @@ def _gen_one(
     for j, category in enumerate(filler_categories):
         add_script(f"{category}_01", filler_keys[j], filler_values[j], j + 1)
     t = filler_count + 1
-
-    filler_statements = [
-        render_statement(filler_keys[j], filler_values[j], category, f"{category}_01")
-        for j, category in enumerate(filler_categories)
-    ]
     base_positions = [o.position for o in world.objects.values()]
 
     if kind == "compositional-single":
@@ -399,10 +389,6 @@ def _gen_one(
         key, value = spare_keys[0], spare_values[0]
         add_script(gold, key, value, t)
         eval_instruction = _eval_instruction([value], main_category)
-        gold_texts = [render_statement(key, value, main_category, gold)]
-        statements = filler_statements + gold_texts
-        rival_scores = {text: _sim(eval_instruction, text, config) for text in filler_statements}
-        _check_margin(eval_instruction, _sim(eval_instruction, gold_texts[0], config), rival_scores, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
     elif kind == "compositional-joint":
@@ -445,15 +431,6 @@ def _gen_one(
         _check_dedup(s1, render_statement(k1, v1, main_category, decoy_a), True, config, scenario_id)
         _check_dedup(s2, render_statement(k2, v2, main_category, decoy_b), True, config, scenario_id)
         _check_dedup(s1, s2, False, config, scenario_id)
-        c1, c2 = _sim(eval_instruction, s1, config), _sim(eval_instruction, s2, config)
-        if min(c1, c2) <= 0:
-            raise GenerationError(f"{scenario_id}: joint cue halves must both score positively ({c1:.4f}, {c2:.4f})")
-        gold_texts = [s1, s2]
-        statements = filler_statements + gold_texts
-        rival_scores = {text: _sim(eval_instruction, text, config) for text in filler_statements}
-        rival_scores[f"decoy {decoy_a}"] = c1
-        rival_scores[f"decoy {decoy_b}"] = c2
-        _check_margin(eval_instruction, c1 + c2, rival_scores, scenario_id)
 
     elif kind == "distractor":
         shuffled = rng.sample(main_ids, 3)
@@ -463,17 +440,10 @@ def _gen_one(
         for off, other in enumerate(shuffled[1:]):
             add_script(other, spare_keys[1], spare_values[1 + off], t + 1 + off)
         eval_instruction = _eval_instruction([value], main_category)
-        gold_texts = [render_statement(key, value, main_category, gold)]
-        other_texts = {
-            other: render_statement(spare_keys[1], spare_values[1 + off], main_category, other)
-            for off, other in enumerate(shuffled[1:])
-        }
-        statements = filler_statements + gold_texts + sorted(other_texts.values())
-        rival_scores = {text: _sim(eval_instruction, text, config) for text in filler_statements}
-        for other, text in other_texts.items():
-            _check_dedup(gold_texts[0], text, False, config, scenario_id)
-            rival_scores[text] = _sim(eval_instruction, text, config)
-        _check_margin(eval_instruction, _sim(eval_instruction, gold_texts[0], config), rival_scores, scenario_id)
+        gold_text = render_statement(key, value, main_category, gold)
+        for off, other in enumerate(shuffled[1:]):
+            other_text = render_statement(spare_keys[1], spare_values[1 + off], main_category, other)
+            _check_dedup(gold_text, other_text, False, config, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
     elif kind == "temporal-context":
@@ -491,10 +461,6 @@ def _gen_one(
         old_text = render_statement(key, old_value, main_category, gold)
         new_text = render_statement(key, new_value, main_category, gold)
         _check_dedup(old_text, new_text, False, config, scenario_id)  # supersession must fire
-        gold_texts = [new_text]
-        statements = filler_statements + gold_texts  # old node exists but is inactive
-        rival_scores = {text: _sim(eval_instruction, text, config) for text in filler_statements}
-        _check_margin(eval_instruction, _sim(eval_instruction, new_text, config), rival_scores, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
     else:  # temporal-object
@@ -506,14 +472,9 @@ def _gen_one(
         eval_instruction = _eval_instruction([value], main_category)
         first_text = render_statement(key, value, main_category, first)
         _check_dedup(first_text, render_statement(key, value, main_category, second), True, config, scenario_id)
-        gold_texts = [first_text]  # shared node keeps the first ingested text
-        statements = filler_statements + gold_texts
-        rival_scores = {text: _sim(eval_instruction, text, config) for text in filler_statements}
-        _check_margin(eval_instruction, _sim(eval_instruction, first_text, config), rival_scores, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
-    node_texts = _dedup_nodes(statements, config)
-    _check_retrievable(eval_instruction, gold_texts, node_texts, config, scenario_id)
+    _check_grounds_gold(world, scripts, eval_instruction, gold, config, scenario_id)
 
     same_category = [
         o.position for o in world.objects.values() if o.category == main_category and o.object_id != gold

@@ -10,7 +10,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from polar.agent import _turn_count, _turn_toward
+from polar.agent import _prior_room_from_renderings, _turn_count, _turn_toward
+from polar.distiller import parse_statement
+from polar.encoder import DEFAULT_ENCODER, cosine, encode
 from polar.world import HEADINGS, MOVE_FORWARD, STRIDE_M, WALL, World, gen_world, heading_vector
 
 
@@ -116,6 +118,38 @@ def reference_steer(world, state, goal):
     if best[2] == state.heading:
         return MOVE_FORWARD
     return _turn_toward(state.heading, best[2])
+
+
+def reference_ground(instruction, context, memory_mode="episodic", encoder_config=DEFAULT_ENCODER):
+    """Statement-similarity grounding that encodes every candidate statement again
+    instead of reading the cosines retrieval stored: (chosen id, prior room, rationale).
+
+    A candidate scores the summed cosine of its own statements plus, once each, the
+    hit score of every foreign retrieved statement sharing one of its value tokens;
+    ties go to the newest statement edge, then the smallest object id."""
+    query = encode(instruction, encoder_config)
+    node_texts = {s.node_id: s.text for cand in context.candidates for s in cand.statements}
+    scored = []
+    for cand in context.candidates:
+        own_nodes, own_values, score, latest = set(), set(), 0.0, -1
+        for statement in cand.statements:
+            own_nodes.add(statement.node_id)
+            latest = max(latest, statement.timestamp)
+            score += cosine(query, encode(statement.text, encoder_config))
+            parsed = parse_statement(statement.text)
+            if parsed and parsed[1]:
+                own_values.update(parsed[1].lower().split())
+        for hit in context.hits:
+            if hit.node_id in own_nodes:
+                continue
+            parsed = parse_statement(node_texts[hit.node_id]) if hit.node_id in node_texts else None
+            if parsed and set(parsed[1].lower().split()) & own_values:
+                score += hit.score
+        scored.append((-score, -latest, cand.object_id, cand, score))
+    scored.sort(key=lambda row: row[:3])
+    _, _, _, best, score = scored[0]
+    rationale = f"statement-similarity score {score:.6f} over {len(context.candidates)} candidates"
+    return best.object_id, _prior_room_from_renderings(best.episodic_memories, memory_mode), rationale
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_descents, reference_steer
+from conftest import reference_descents, reference_ground, reference_steer
 from polar.agent import (
     GroundingDecision,
     NaiveMatcher,
@@ -22,8 +22,9 @@ from polar.agent import (
     plan_high,
     run_episode,
 )
-from polar.distiller import EpisodeLog, TrajectoryStep
+from polar.distiller import EpisodeLog, TrajectoryStep, memorize
 from polar.encoder import DEFAULT_ENCODER, encode
+from polar.evaluation import _MEMORY_MODE, _ablated_result
 from polar.errors import (
     ExplorationExhausted,
     GroundingFailed,
@@ -32,7 +33,8 @@ from polar.errors import (
 )
 from polar.graph import MemoryGraph
 from polar.retrieval import retrieve
-from polar.world import ACTION_START, HEADINGS, STOP, TURN_LEFT, TURN_RIGHT, AgentState, SceneGraph, gen_world
+from polar.scenarios import _KEY_POOL, _VALUE_POOL, _acq_instruction, _eval_instruction
+from polar.world import ACTION_START, HEADINGS, MOVE_FORWARD, STOP, TURN_LEFT, TURN_RIGHT, AgentState, SceneGraph, gen_world
 
 
 def _scene() -> SceneGraph:
@@ -230,6 +232,48 @@ def retrieve_result_empty():
     from polar.retrieval import RetrievalResult
 
     return RetrievalResult("find it", [], [])
+
+
+_GROUND_OBJECTS = ("mug_01", "mug_02", "mug_03", "vase_01")
+_GROUND_ROOMS = ("kitchen", "den", "pantry")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_oracle_planner_matches_reencoding_reference(data):
+    """Grounding over memorized graphs reads retrieval's cosines yet decides exactly
+    like a planner that encodes every statement again. Small pools make shared
+    statement nodes (one value on two objects), restatements that supersede, and
+    two-value cues that inherit scores across candidates common."""
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_GROUND_OBJECTS), st.sampled_from(_KEY_POOL[:2]), st.sampled_from(_VALUE_POOL[:4]),
+                st.booleans(), st.sampled_from(_GROUND_ROOMS),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    graph, logs = MemoryGraph(), []
+    for t, (object_id, key, value, success, room) in enumerate(rows, start=1):
+        category = object_id.split("_")[0]
+        steps = [
+            TrajectoryStep((0.5, 0.5), 0, ACTION_START, "hallway", []),
+            TrajectoryStep((1.5, 0.5), 0, MOVE_FORWARD, room, [object_id]),
+            TrajectoryStep((1.5, 0.5), 0, STOP, room, [object_id]),
+        ]
+        episode = EpisodeLog(f"ep:{t:02d}", t, _acq_instruction(category, object_id, key, value), [(key, value)],
+                             None, object_id, category, steps, success, (1.5, 0.5))
+        memorize(episode, graph)
+        logs.append(episode)
+    values = data.draw(st.lists(st.sampled_from(_VALUE_POOL[:4]), min_size=1, max_size=2, unique=True))
+    instruction = _eval_instruction(values, data.draw(st.sampled_from(("mug", "vase"))))
+    mode = data.draw(st.sampled_from(sorted(_MEMORY_MODE)))
+    context = _ablated_result(retrieve(graph, instruction, data.draw(st.integers(1, 5))), mode, graph, logs)
+    decision = OraclePlanner(memory_mode=_MEMORY_MODE[mode]).ground(instruction, context)
+    expected = reference_ground(instruction, context, _MEMORY_MODE[mode])
+    assert (decision.chosen_object_id, decision.prior_room, decision.rationale) == expected
 
 
 def test_prior_room_from_renderings_modes():

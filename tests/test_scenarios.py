@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polar.errors import ParseError, RejectedInput
+from polar.errors import GenerationError, ParseError, RejectedInput
 from polar.scenarios import (
     FILLER_COUNT,
     KINDS,
@@ -27,6 +27,12 @@ def test_gen_scenarios_validation():
         gen_scenarios(0, "impossible-kind", 1)
     with pytest.raises(RejectedInput):
         gen_scenarios(0, "distractor", 0)
+
+
+def test_gen_scenarios_refuses_spec_whose_memory_grounds_a_distractor():
+    # spec 3 of this suite: memorized, retrieved and grounded, the cue picks another headphones
+    with pytest.raises(GenerationError, match=r"grounds 'headphones_01', not gold 'headphones_02'"):
+        gen_scenarios(253, "distractor", 5)
 
 
 def test_gen_scenarios_deterministic():

@@ -1,10 +1,13 @@
-"""The traced benchmark run wraps polar functions by name; every name must still exist."""
+"""The traced benchmark run and the benchmark's stage timers wrap polar functions by
+name; every name must still exist."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+WORKLOADS = TRACING.parent / "workloads.py"
 
 
 def _load_tracing():
@@ -27,3 +30,27 @@ def test_trace_targets_resolve_to_polar_callables():
             assert isinstance(raw, classmethod) or callable(raw), f"{name}: {module_name}.{attr} is gone"
         else:
             assert callable(getattr(owner, attr, None)), f"{name}: {module_name}.{attr} is gone"
+
+
+def _stage_timer_bindings() -> list[tuple[str, str]]:
+    """(module, name) of every (module, "name", count) row in workloads._stage_timers."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    [func] = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_stage_timers"]
+    rows = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3 and isinstance(node.elts[1], ast.Constant):
+            rows.append((ast.unparse(node.elts[0]), node.elts[1].value))
+    return rows
+
+
+def test_benchmark_stage_timers_resolve_to_polar_callables():
+    rows = _stage_timer_bindings()
+    assert sorted(rows) == [
+        ("polar.cli", "acquire"),
+        ("polar.cli", "evaluate"),
+        ("polar.cli", "gen_scenarios"),
+        ("polar.cli", "memorize_suite"),
+        ("polar.evaluation", "retrieve"),
+    ]
+    for module_name, name in rows:
+        assert callable(getattr(importlib.import_module(module_name), name, None)), f"{module_name}.{name} is gone"
