@@ -371,6 +371,7 @@ def run_episode(
     reference_feature=None,
     decision: GroundingDecision | None = None,
     scene_graph: SceneGraph | None = None,
+    encoder_config: EncoderConfig = DEFAULT_ENCODER,
 ) -> tuple[EpisodeLog, GroundingDecision]:
     """Ground once, then explore/approach until STOP, exhaustion, or the step cap.
 
@@ -385,7 +386,7 @@ def run_episode(
         scene_graph = world.build_scene_graph()
     if decision is None:
         try:
-            decision = ground_target(planner, instruction, context, scene_graph)
+            decision = ground_target(planner, instruction, context, scene_graph, encoder_config)
         except (GroundingFailed, PlannerUnavailable) as exc:
             source = "none" if context is None or isinstance(context, NoPriorContext) else (
                 "raw" if isinstance(context, list) else "polar"

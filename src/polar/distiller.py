@@ -11,13 +11,15 @@ Remote mode posts {"instruction", "trajectory_text"} with `fileio.post_json`
 and reads only {"statements": [{"text", "fact_key"}, ...]} from the reply;
 the graph keeps the canonical deterministic episodic rendering either way.
 `parse_statement` inverts STATEMENT_TEMPLATE into (key, value) for both
-supersession (keys) and grounding (value tokens).
+supersession (keys) and grounding (value tokens). It is memoised, since
+every ingest re-reads the object's active statements.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,6 +110,7 @@ def render_statement(key: str, value: str, category: str, object_id: str) -> str
     return STATEMENT_TEMPLATE.format(key=key, value=value, category=category, object_id=object_id)
 
 
+@lru_cache(maxsize=16384)
 def parse_statement(text: str) -> tuple[str, str] | None:
     """(fact key, fact value) of a templated statement; None if not template-shaped."""
     if not text.startswith("user: ") or " refers to " not in text:

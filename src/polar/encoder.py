@@ -7,6 +7,11 @@ bit picks the sign. The result is L2-normalized, so identical strings
 always embed identically and unrelated strings are near-orthogonal.
 Empty text maps to the zero vector, which scores 0 against everything.
 
+Each distinct gram is hashed once per text and adds sign * count to its
+bucket. Every bucket holds an integer, so the sums and the squared norm are
+exact in any order and the bits match a per-gram loop in text order. Each
+text's vector is cached as one read-only float64 array (dim * 8 bytes).
+
 A remote mode posts {"texts": [...]} to an HTTP endpoint and expects
 {"embeddings": [[...], ...]} back, one finite vector per input text.
 """
@@ -14,6 +19,7 @@ A remote mode posts {"texts": [...]} to an HTTP endpoint and expects
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,32 +72,38 @@ def _gram_slot(dim: int, gram: str) -> tuple[int, float]:
 
 
 @lru_cache(maxsize=16384)
-def _hash_text(dim: int, ngram: int, text: str) -> tuple[float, ...]:
+def _hash_text(dim: int, ngram: int, text: str) -> np.ndarray:
+    """Read-only unit vector of text; `encode` hands out copies."""
     lowered = text.lower()
     if not lowered:
-        return (0.0,) * dim
+        vec = np.zeros(dim)
+        vec.flags.writeable = False
+        return vec
     if len(lowered) < ngram:
         grams = [lowered]  # whole short text as a single gram keeps non-empty => unit norm
     else:
         grams = [lowered[i : i + ngram] for i in range(len(lowered) - ngram + 1)]
-    vec = [0.0] * dim
-    for gram in grams:
+    buckets = [0.0] * dim
+    for gram, count in Counter(grams).items():
         bucket, sign = _gram_slot(dim, gram)
-        vec[bucket] += sign
-    norm = math.sqrt(sum(v * v for v in vec))
+        buckets[bucket] += sign * count
+    vec = np.array(buckets)
+    norm = math.sqrt(float(vec @ vec))
     if norm == 0.0:
         # Pathological exact sign cancellation across distinct grams; fall back to a
         # single whole-text bucket so non-empty text is always unit norm.
         vec[fnv1a_64(lowered.encode("utf-8"), seed=1) % dim] = 1.0
         norm = 1.0
-    return tuple(v / norm for v in vec)
+    vec /= norm
+    vec.flags.writeable = False
+    return vec
 
 
 def encode(text: str, config: EncoderConfig = DEFAULT_ENCODER) -> np.ndarray:
     """Embed one text. Builtin mode is pure and deterministic; remote mode may raise
     EncoderUnavailable."""
     if config.mode == "builtin":
-        return np.array(_hash_text(config.dim, config.ngram, text), dtype=np.float64)
+        return _hash_text(config.dim, config.ngram, text).copy()
     return encode_batch([text], config)[0]
 
 

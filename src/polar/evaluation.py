@@ -312,6 +312,7 @@ def _evaluate_one(
         start=AgentState(spec.eval_agent_start, spec.eval_agent_heading),
         episode_id=f"{spec.scenario_id}:eval",
         timestamp=max(s.timestamp for s in spec.scripts) + 1 if spec.scripts else 1,
+        encoder_config=encoder_config,
     )
     path_m = summarize_episodic(log).path_length_m
     shortest_m = eval_world.shortest_path_length(spec.eval_agent_start, spec.eval_gold_position)

@@ -12,19 +12,22 @@ Indexes. Besides the edge list, the graph keeps three edge indexes in step
 with every mutation: the edges out of each object, the edges into each node,
 and the one active edge of each (object, node) pair. `neighbors` and
 supersession therefore cost O(degree), not O(edges). Semantic embeddings
-live in one contiguous S x dim matrix with a vector of their norms, grown
-by doubling (each `SemanticNode.embedding` is a view of its row), and every
-statement keeps a count of its active linking edges. `from_json` rebuilds
-all of it.
+are also copied into one bucket-major dim x S matrix with a vector of their
+norms, grown by doubling, and every statement keeps a count of its active
+linking edges. A hashed embedding of a short text has few nonzero buckets,
+so a query reads only those rows of the matrix. `from_json` rebuilds all
+of it.
 
 Exactness. A matrix-vector product does not round like `encoder.cosine`, so
-the matrix only shortlists (`shortlist`): every statement whose approximate
-cosine lies within _SHORTLIST_MARGIN of the cutoff (the best score for
-dedup, the k-th best linked score for retrieval) is kept, and only the
-shortlist is scored with `cosine()`, in sorted node-id order. The margin is
-far above a matvec's rounding error, so the shortlist holds the exact winners
-and all their ties; scores, dedup choices and tie-breaks are bit-identical
-to a full scalar scan. Matrix row order never decides a tie.
+the matrix only cuts; the statements that survive a cut are scored with
+`cosine()` in sorted node-id order, and matrix row order never decides a
+tie. Dedup keeps every statement whose approximate cosine reaches
+`theta_dedup - _SHORTLIST_MARGIN`, so a new statement with no near
+neighbour costs one matvec and no `cosine()` call. Retrieval (`shortlist`)
+keeps every linked statement within _SHORTLIST_MARGIN of the k-th best
+approximate score. The margin is far above a matvec's rounding error, so
+each cut holds the exact winner and all its ties; scores, dedup choices and
+tie-breaks are bit-identical to a full scalar scan.
 
 Single-writer discipline: one ingestion sequence mutates a graph at a time;
 concurrent readers are safe between mutations.
@@ -47,7 +50,7 @@ EDGE_SEMANTIC = "object->semantic"
 EDGE_EPISODIC = "object->episodic"
 
 _UNIT_TOL = 1e-6
-_SHORTLIST_MARGIN = 1e-9  # matvec cosines of 256-dim unit vectors differ from cosine() by <= 2e-16
+_SHORTLIST_MARGIN = 1e-9  # matrix cosines of 256-dim unit vectors differ from cosine() by about 4e-16
 _MIN_ROWS = 16  # first capacity of the embedding matrix
 
 
@@ -96,10 +99,10 @@ def _check_unit(vec: np.ndarray, what: str) -> None:
         raise RejectedInput(f"{what} must be unit norm, got {norm:.6f}")
 
 
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    """Copy of a lengthened to `rows` rows; np.zeros leaves the new tail's pages untouched."""
-    out = np.zeros((rows, *a.shape[1:]), a.dtype)
-    out[: len(a)] = a
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """Copy of a lengthened to `size` along its last axis."""
+    out = np.zeros((*a.shape[:-1], size), a.dtype)
+    out[..., : a.shape[-1]] = a
     return out
 
 
@@ -125,11 +128,11 @@ class MemoryGraph:
         self._out: dict[str, list[Edge]] = {}  # object id -> its edges, in edge-list order
         self._in: dict[str, list[Edge]] = {}  # node id -> edges into it, in edge-list order
         self._active: dict[tuple[str, str], Edge] = {}  # (src, dst) -> the active edge
-        self._row_ids: list[str] = []  # matrix row -> semantic node id
-        self._rows: dict[str, int] = {}  # semantic node id -> matrix row
-        self._matrix = np.zeros((0, 0))  # rows [:len(_row_ids)] hold the embeddings
+        self._row_ids: list[str] = []  # statement index -> semantic node id
+        self._rows: dict[str, int] = {}  # semantic node id -> statement index
+        self._columns = np.zeros((0, 0))  # dim x capacity: column r holds statement r's embedding
         self._norms = np.zeros(0)
-        self._active_links = np.zeros(0, dtype=np.int64)  # active edges into each row's statement
+        self._active_links = np.zeros(0, dtype=np.int64)  # active edges into each statement
 
     # -- mutation ---------------------------------------------------------
 
@@ -183,13 +186,14 @@ class MemoryGraph:
             raise NotFound(f"unknown object {object_ref!r}")
         if not statement:
             raise RejectedInput("statement must be non-empty")
-        emb = np.asarray(embedding, dtype=np.float64)
+        emb = np.array(embedding, dtype=np.float64)  # the node owns its copy
         if emb.ndim != 1:
             raise RejectedInput(f"statement embedding must be a vector, got shape {emb.shape}")
         _check_unit(emb, "statement embedding")
         self._touch(timestamp)
+        near = np.flatnonzero(self._approx_cosines(emb) >= self.theta_dedup - _SHORTLIST_MARGIN)
         best_id, best_score = None, -2.0
-        for sid in self.shortlist(emb, 1):
+        for sid in sorted(self._row_ids[r] for r in near):
             score = cosine(emb, self.semantic[sid].embedding)
             if score > best_score:
                 best_id, best_score = sid, score
@@ -290,29 +294,35 @@ class MemoryGraph:
         rows.sort(key=lambda r: (-r[1], r[0]))
         return rows
 
-    def shortlist(self, query: np.ndarray, k: int, *, active_only: bool = False) -> list[str]:
-        """Sorted ids of every statement that may rank among the k best by cosine to query.
+    def shortlist(self, query: np.ndarray, k: int) -> list[str]:
+        """Sorted ids of every linked statement that may rank among the k best by cosine to query.
 
-        By default every statement is considered (dedup); active_only=True keeps
-        only statements with an active linking edge (retrieval). The ids come from one
+        Only statements with an active linking edge count. The ids come from one
         matrix-vector product and include every statement within
         _SHORTLIST_MARGIN of the k-th best approximate score, so the exact top k
         by cosine() and all of its ties are in it.
         """
-        n = len(self._row_ids)
-        rows = np.flatnonzero(self._active_links[:n]) if active_only else np.arange(n)
+        rows = np.flatnonzero(self._active_links[: len(self._row_ids)])
         if len(rows) == 0:
             return []
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != self._matrix.shape[1:]:
-            raise RejectedInput(f"dimension mismatch: {query.shape} vs {self._matrix.shape[1:]}")
+        approx = self._approx_cosines(query)[rows]
         if len(rows) > k:
-            denom = self._norms[:n] * float(np.linalg.norm(query))
-            dots = self._matrix[:n] @ query
-            approx = np.divide(dots, denom, out=np.zeros(n), where=denom > 0)[rows]
             cutoff = np.partition(approx, len(rows) - k)[len(rows) - k]
             rows = rows[approx >= cutoff - _SHORTLIST_MARGIN]
         return sorted(self._row_ids[r] for r in rows)
+
+    def _approx_cosines(self, query: np.ndarray) -> np.ndarray:
+        """Matvec cosine of query against every stored statement; zero norms score 0."""
+        n = len(self._row_ids)
+        if n == 0:
+            return np.zeros(0)
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != self._columns.shape[:1]:
+            raise RejectedInput(f"dimension mismatch: {query.shape} vs {self._columns.shape[:1]}")
+        buckets = np.flatnonzero(query)
+        dots = query[buckets] @ self._columns[buckets, :n]
+        denom = self._norms[:n] * float(np.linalg.norm(query))
+        return np.divide(dots, denom, out=np.zeros(n), where=denom > 0)
 
     def _active_edge(self, src: str, dst: str) -> Edge | None:
         return self._active.get((src, dst))
@@ -336,18 +346,15 @@ class MemoryGraph:
             self._active_links[self._rows[edge.dst]] -= 1
 
     def _add_row(self, node: SemanticNode) -> None:
-        """Store node's embedding as the next matrix row and make node.embedding a view of it."""
+        """Copy node's embedding into the next column of the matrix."""
         n = len(self._row_ids)
         if n == 0:
-            self._matrix = np.zeros((0, node.embedding.shape[0]))
-        if n == len(self._matrix):
-            self._matrix, self._norms, self._active_links = (
-                _grown(a, max(_MIN_ROWS, 2 * n)) for a in (self._matrix, self._norms, self._active_links)
+            self._columns = np.zeros((node.embedding.shape[0], 0))
+        if n == self._columns.shape[1]:
+            self._columns, self._norms, self._active_links = (
+                _grown(a, max(_MIN_ROWS, 2 * n)) for a in (self._columns, self._norms, self._active_links)
             )
-            for row, node_id in enumerate(self._row_ids):  # let the old matrix go
-                self.semantic[node_id].embedding = self._matrix[row]
-        self._matrix[n] = node.embedding
-        node.embedding = self._matrix[n]
+        self._columns[:, n] = node.embedding
         self._norms[n] = np.linalg.norm(node.embedding)
         self._rows[node.node_id] = n
         self._row_ids.append(node.node_id)

@@ -75,7 +75,7 @@ def retrieve_semantic(
 def _rank_semantic(graph: MemoryGraph, query: np.ndarray, k: int) -> list[SemanticHit]:
     """retrieve_semantic for an already encoded query."""
     hits = []
-    for node_id in graph.shortlist(query, k, active_only=True):
+    for node_id in graph.shortlist(query, k):
         linking = graph.neighbors(node_id, kind="object")
         newest = linking[0][1]
         score = cosine(query, graph.semantic[node_id].embedding)

@@ -23,7 +23,7 @@ from polar.agent import (
     run_episode,
 )
 from polar.distiller import EpisodeLog, TrajectoryStep, memorize
-from polar.encoder import DEFAULT_ENCODER, encode
+from polar.encoder import DEFAULT_ENCODER, EncoderConfig, encode
 from polar.evaluation import _MEMORY_MODE, _ablated_result
 from polar.errors import (
     ExplorationExhausted,
@@ -448,3 +448,18 @@ def test_run_episode_grounding_failure_degrades_gracefully():
     assert decision.chosen_object_id == ""
     assert "grounding unavailable" in decision.rationale
     assert len(log.trajectory) >= 1
+
+
+def test_run_episode_no_prior_grounding_uses_the_callers_encoder():
+    world = gen_world(0, 5, [("mug", 1)])
+    start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
+    categories = tuple(f"c{i}x" for i in range(40))
+    instruction = "find my thing c7 zz"  # names no category: the similarity fallback decides
+    small = EncoderConfig(dim=64)
+    want = _category_only(instruction, categories, small).chosen_category
+    assert want == "c15x" and want != _category_only(instruction, categories, DEFAULT_ENCODER).chosen_category
+    _, decision = run_episode(
+        world, instruction, NoPriorContext(categories), OraclePlanner(), RunConfig(max_steps=5),
+        gold_object_id="mug_01", start=start, encoder_config=small,
+    )
+    assert decision.chosen_category == want

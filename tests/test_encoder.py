@@ -53,6 +53,24 @@ def test_hash_text_matches_per_gram_reference(text, dim_ngram):
     assert got.tobytes() == np.array(_reference_hash_text(dim, ngram, text)).tobytes()
 
 
+def test_hash_text_caches_read_only_float64_array():
+    vec = _hash_text(64, 3, "find my red mug")
+    assert isinstance(vec, np.ndarray) and vec.dtype == np.float64
+    assert vec.nbytes == 64 * 8
+    assert not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
+
+
+def test_encode_returns_writable_copy():
+    cfg = EncoderConfig(dim=64)
+    v = encode("find my red mug", cfg)
+    want = v.copy()
+    assert v.flags.writeable
+    v[:] = 0.0
+    assert np.array_equal(encode("find my red mug", cfg), want)
+
+
 def test_encode_unit_norm_and_shape():
     v = encode("find my red mug")
     assert v.shape == (256,)

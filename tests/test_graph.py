@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,6 +103,19 @@ def test_add_semantic_below_threshold_creates_new_node():
     b = g.add_semantic("mug_01", "location = desk", unit_vec(DIM, math.acos(THETA_DEDUP) + 1e-3), 2)
     assert a != b
     assert len(g.semantic) == 2
+
+
+def test_add_semantic_scores_only_statements_near_the_threshold():
+    g = _graph()
+    g.upsert_object("mug", object_id="mug_01")
+    g.add_semantic("mug_01", "color = red", unit_vec(DIM), 1)
+    with mock.patch("polar.graph.cosine", wraps=cosine) as scored:
+        far = g.add_semantic("mug_01", "location = desk", unit_vec(DIM, math.acos(THETA_DEDUP) + 1e-3), 2)
+        assert scored.call_count == 0  # nothing within theta_dedup: no exact rescoring at all
+        # within theta_dedup of both stored statements: both are scored, the closer one wins
+        got = g.add_semantic("mug_01", "color = red (restated)", unit_vec(DIM, math.acos(THETA_DEDUP) - 1e-6), 3)
+        assert scored.call_count == 2
+    assert far == "sem_0002" and got == "sem_0002"
 
 
 def test_add_semantic_dedup_tie_goes_to_first_sorted_id():
@@ -358,9 +372,9 @@ def _scan_hits(graph, query, k):
 
 
 _LATTICE = st.lists(st.sampled_from([-1.0, 0.0, 0.0, 1.0, 2.0]), min_size=DIM, max_size=DIM).filter(any)
-_ANGLES = (0.0, 0.35, math.acos(THETA_DEDUP) - 1e-6, math.acos(THETA_DEDUP) + 1e-6, 1.0)
+_ANGLES = (0.0, 0.35, math.acos(THETA_DEDUP) - 1e-6, math.acos(THETA_DEDUP), math.acos(THETA_DEDUP) + 1e-6, 1.0)
 # "axis": cos(a) e_i + sin(a) e_j, whose cosine against e_i is exactly cos(a), so
-# statements and queries tie exactly or sit 1e-6 either side of THETA_DEDUP;
+# statements and queries tie exactly, sit on THETA_DEDUP or 1e-6 either side of it;
 # "copy": an earlier vector again; "lattice": a vector of small integers, normalized.
 _EMBEDDING = st.one_of(
     st.tuples(st.just("axis"), st.integers(0, 1), st.integers(2, DIM - 1), st.sampled_from(_ANGLES)),
@@ -424,7 +438,8 @@ def _replay(ops, graphs, pool, t):
 @given(
     before=_OPS,
     after=_OPS,
-    theta_dedup=st.sampled_from([THETA_DEDUP, 1.5]),  # 1.5 never merges, so duplicates tie
+    # 1.5 never merges, so duplicates tie; 1.0 merges only clamped or exact duplicates
+    theta_dedup=st.sampled_from([THETA_DEDUP, 1.5, 1.0]),
     first_id=st.sampled_from([1, 9990, 9998]),  # ids past sem_9999 sort before older ones
 )
 def test_indexes_match_full_scan(before, after, theta_dedup, first_id):

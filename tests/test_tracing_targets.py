@@ -54,3 +54,18 @@ def test_benchmark_stage_timers_resolve_to_polar_callables():
     ]
     for module_name, name in rows:
         assert callable(getattr(importlib.import_module(module_name), name, None)), f"{module_name}.{name} is gone"
+
+
+def test_hash_miss_counter_reads_the_encoder_cache():
+    """`encoder.hash.misses` comes from `_hash_text.cache_info()`; an encoder change that
+    drops the lru_cache must fail here, not silently in a `--trace 1` run."""
+    from polar import encoder
+
+    info = encoder._hash_text.cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)
+    tracer = _load_tracing().Tracer()
+    tracer.start()
+    encoder.encode("a text no other test encodes: hash-miss counter")
+    encoder.encode("a text no other test encodes: hash-miss counter")
+    tracer.stop()
+    assert tracer.hash_misses == 1
