@@ -24,7 +24,7 @@ from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, parse
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import ExplorationExhausted, GroundingFailed, PlannerUnavailable, RejectedInput
 from .fileio import post_json
-from .retrieval import CandidateObject, RetrievalResult, episode_document, tokenize
+from .retrieval import DEFAULT_K, CandidateObject, RetrievalResult, episode_document, tokenize
 from .world import (
     ACTION_START,
     MOVE_FORWARD,
@@ -62,7 +62,7 @@ class NoPriorContext:
 class RunConfig:
     max_steps: int = 700
     success_radius_m: float = 2.0
-    k: int = 5
+    k: int = DEFAULT_K
     seed: int = 0
 
     def __post_init__(self):

@@ -12,7 +12,11 @@ re-runnable on its own:
     polar report         --metrics metrics.json [more.json ...] --out table.txt
     polar run-all        --seed 0 --out-dir runs/seed0 [--kinds ...] [--modes ...] [--n 5]
 
-Seed precedence: --seed flag, then the --config file, then POLAR_SEED, then 0.
+`main` resolves one frozen PipelineConfig before any command runs. Every field
+takes its flag, then the --config file, then its default; the seed alone also
+reads POLAR_SEED before its default of 0. run-all passes each stage exactly
+what the staged command passes, so both honour the same fields. run-all's
+config.json records seed, kinds, modes, n and n_rooms.
 Exit codes: 0 success, 1 domain error (one-line reason on stderr), 2 usage error.
 """
 
@@ -21,6 +25,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
+from dataclasses import dataclass, fields
 
 from .agent import RunConfig
 from .distiller import load_episodes, save_episodes
@@ -41,24 +47,56 @@ from .evaluation import (
 )
 from .fileio import atomic_write_text, dump_json, read_json
 from .graph import THETA_DEDUP, THETA_OBJ
-from .scenarios import KINDS, gen_scenarios, load_specs, save_specs
+from .retrieval import DEFAULT_K
+from .scenarios import DEFAULT_N_ROOMS, KINDS, gen_scenarios, load_specs, save_specs
 from .world import gen_world
 
 DEFAULT_MODES = ("no-prior", "raw-interaction", "polar")
 
-CONFIG_FIELDS = {
-    "seed": int,
-    "n_rooms": int,
-    "n": int,
-    "k": int,
-    "theta_dedup": float,
-    "theta_obj": float,
-    "kinds": list,
-    "modes": list,
-    "encoder_mode": str,
-    "encoder_endpoint": str,
-    "encoder_dim": int,
-    "out_dir": str,
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Every setting a command reads. The field names are the config file's keys
+    and the flags' dests."""
+
+    seed: int = 0
+    n_rooms: int = DEFAULT_N_ROOMS
+    n: int = 5  # specs per kind
+    k: int = DEFAULT_K
+    theta_dedup: float = THETA_DEDUP
+    theta_obj: float = THETA_OBJ
+    kinds: tuple[str, ...] = KINDS
+    modes: tuple[str, ...] = DEFAULT_MODES
+    encoder_mode: str = DEFAULT_ENCODER.mode
+    encoder_endpoint: str | None = DEFAULT_ENCODER.endpoint
+    encoder_dim: int = DEFAULT_ENCODER.dim
+    out_dir: str | None = None
+
+    def __post_init__(self):
+        for name, known in (("kinds", KINDS), ("modes", MODES)):
+            values = getattr(self, name)
+            if not values or any(v not in known for v in values):
+                raise RejectedInput(f"{name} must name one or more of {', '.join(known)}; got {list(values)!r}")
+        self.encoder  # an invalid encoder setting fails here, before any file is written
+
+    @property
+    def encoder(self) -> EncoderConfig:
+        return EncoderConfig(mode=self.encoder_mode, dim=self.encoder_dim, endpoint=self.encoder_endpoint)
+
+    @property
+    def memory(self) -> dict:
+        """The memory settings that both the generator's guard and memorize_suite take."""
+        return {"theta_dedup": self.theta_dedup, "theta_obj": self.theta_obj, "encoder_config": self.encoder}
+
+    @property
+    def run_config(self) -> RunConfig:
+        return RunConfig(k=self.k, seed=self.seed)
+
+
+# the JSON type a config file gives each field: a list for a tuple, str for `str | None`
+_FILE_TYPES = {
+    name: list if typing.get_origin(hint) is tuple else (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(PipelineConfig).items()
 }
 
 
@@ -69,45 +107,33 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("config file must hold a flat object")
     for key, value in doc.items():
-        if key not in CONFIG_FIELDS:
+        if key not in _FILE_TYPES:
             raise RejectedInput(f"unknown config field {key!r}")
-        if not isinstance(value, CONFIG_FIELDS[key]) or isinstance(value, bool):
-            raise RejectedInput(f"config field {key!r} must be {CONFIG_FIELDS[key].__name__}")
+        want = _FILE_TYPES[key]
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise RejectedInput(f"config field {key!r} must be {want.__name__}")
     return doc
 
 
-def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return config["seed"]
+def resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    """The run's configuration: each field's flag, then the --config file, then
+    POLAR_SEED for the seed, then the default. Takes the fields' flags out of
+    args, so a command sees only its own files and switches."""
+    from_file = _load_config(args.config)
+    flags = vars(args)
+    values = {}
+    for field in fields(PipelineConfig):
+        value = flags.pop(field.name, None)
+        value = from_file.get(field.name) if value is None else value
+        if value is not None:
+            values[field.name] = tuple(value) if isinstance(value, list) else value
     env = os.environ.get("POLAR_SEED")
-    if env is not None:
+    if "seed" not in values and env is not None:
         try:
-            return int(env)
+            values["seed"] = int(env)
         except ValueError as exc:
             raise RejectedInput(f"POLAR_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _encoder_from(args, config: dict) -> EncoderConfig:
-    mode = getattr(args, "encoder_mode", None) or config.get("encoder_mode")
-    endpoint = getattr(args, "encoder_endpoint", None) or config.get("encoder_endpoint")
-    dim = getattr(args, "encoder_dim", None) or config.get("encoder_dim")
-    if mode is None and endpoint is None and dim is None:
-        return DEFAULT_ENCODER
-    return EncoderConfig(
-        mode=mode or DEFAULT_ENCODER.mode,
-        dim=dim or DEFAULT_ENCODER.dim,
-        endpoint=endpoint,
-    )
-
-
-def _pick(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+    return PipelineConfig(**values)
 
 
 # -- subcommand bodies -------------------------------------------------------------
@@ -128,36 +154,24 @@ def _parse_objects(pairs: list[str] | None) -> list[tuple[str, int]] | None:
     return spec
 
 
-def _cmd_world_gen(args, config):
-    seed = _resolve_seed(args, config)
-    world = gen_world(seed, _pick(args, config, "n_rooms", 6), _parse_objects(args.objects))
+def _cmd_world_gen(config, args):
+    world = gen_world(config.seed, config.n_rooms, _parse_objects(args.objects))
     world.save(args.out)
     if args.render:
         sys.stdout.write(world.render_ascii() + "\n")
     return 0
 
 
-def _cmd_scenario_gen(args, config):
-    seed = _resolve_seed(args, config)
-    kinds = args.kind or config.get("kinds") or list(KINDS)
-    encoder = _encoder_from(args, config)
+def _cmd_scenario_gen(config, args):
     specs = []
-    for kind in kinds:
-        specs.extend(
-            gen_scenarios(
-                seed,
-                kind,
-                _pick(args, config, "n", 5),
-                n_rooms=_pick(args, config, "n_rooms", 6),
-                encoder_config=encoder,
-            )
-        )
+    for kind in config.kinds:
+        specs.extend(gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, k=config.k, **config.memory))
     save_specs(specs, args.out)
     sys.stdout.write(f"wrote {len(specs)} specs to {args.out}\n")
     return 0
 
 
-def _cmd_acquire(args, config):
+def _cmd_acquire(config, args):
     specs = load_specs(args.specs)
     episodes = []
     for spec in sorted(specs, key=lambda s: s.scenario_id):
@@ -167,39 +181,27 @@ def _cmd_acquire(args, config):
     return 0
 
 
-def _cmd_memorize(args, config):
-    episodes = load_episodes(args.episodes)
-    graphs = memorize_suite(
-        episodes,
-        theta_dedup=_pick(args, config, "theta_dedup", THETA_DEDUP),
-        theta_obj=_pick(args, config, "theta_obj", THETA_OBJ),
-        encoder_config=_encoder_from(args, config),
-    )
+def _cmd_memorize(config, args):
+    graphs = memorize_suite(load_episodes(args.episodes), **config.memory)
     save_graphs(graphs, args.out)
     sys.stdout.write(f"wrote {len(graphs)} graphs to {args.out}\n")
     return 0
 
 
-def _cmd_eval(args, config):
+def _cmd_eval(config, args):
     specs = load_specs(args.specs)
     graphs = load_graphs(args.graphs) if args.graphs else None
     episodes = group_by_scenario(load_episodes(args.episodes)) if args.episodes else None
-    run_config = RunConfig(k=_pick(args, config, "k", 5), seed=_resolve_seed(args, config))
     report = evaluate(
-        specs,
-        args.mode,
-        run_config,
-        graphs=graphs,
-        episodes=episodes,
-        encoder_config=_encoder_from(args, config),
-        only_retrieval_hits=args.only_retrieval_hits,
+        specs, args.mode, config.run_config, graphs=graphs, episodes=episodes,
+        encoder_config=config.encoder, only_retrieval_hits=args.only_retrieval_hits,
     )
     table = write_report([report], args.out, args.table)
     sys.stdout.write(table)
     return 0
 
 
-def _cmd_report(args, config):
+def _cmd_report(config, args):
     reports = []
     for path in args.metrics:
         reports.extend(load_reports(path))
@@ -209,29 +211,18 @@ def _cmd_report(args, config):
     return 0
 
 
-def _cmd_run_all(args, config):
-    seed = _resolve_seed(args, config)
-    kinds = args.kinds or config.get("kinds") or list(KINDS)
-    modes = args.modes or config.get("modes") or list(DEFAULT_MODES)
-    for mode in modes:
-        if mode not in MODES:
-            raise RejectedInput(f"unknown evaluation mode {mode!r}; expected one of {', '.join(MODES)}")
-    n = _pick(args, config, "n", 5)
-    n_rooms = _pick(args, config, "n_rooms", 6)
-    encoder = _encoder_from(args, config)
-    out_dir = args.out_dir or config.get("out_dir")
+def _cmd_run_all(config, args):
+    out_dir = config.out_dir
     if not out_dir:
         raise RejectedInput("run-all needs --out-dir (or out_dir in the config file)")
     os.makedirs(out_dir, exist_ok=True)
-    dump_json(
-        os.path.join(out_dir, "config.json"),
-        {"seed": seed, "kinds": list(kinds), "modes": list(modes), "n": n, "n_rooms": n_rooms},
-    )
+    recorded = ("seed", "kinds", "modes", "n", "n_rooms")  # json writes the tuples as lists
+    dump_json(os.path.join(out_dir, "config.json"), {name: getattr(config, name) for name in recorded})
     all_reports = []
-    for kind in kinds:
+    for kind in config.kinds:
         kind_dir = os.path.join(out_dir, kind)
         os.makedirs(kind_dir, exist_ok=True)
-        specs = gen_scenarios(seed, kind, n, n_rooms=n_rooms, encoder_config=encoder)
+        specs = gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, k=config.k, **config.memory)
         save_specs(specs, os.path.join(kind_dir, "specs.json"))
         world = world_for_spec(specs[0])
         world.save(os.path.join(kind_dir, "world.json"))
@@ -239,19 +230,12 @@ def _cmd_run_all(args, config):
         for spec in specs:
             episodes.extend(acquire(spec))
         save_episodes(episodes, os.path.join(kind_dir, "episodes.jsonl"))
-        graphs = memorize_suite(episodes, encoder_config=encoder)
+        graphs = memorize_suite(episodes, **config.memory)
         save_graphs(graphs, os.path.join(kind_dir, "graphs.json"))
         by_scenario = group_by_scenario(episodes)
         reports = [
-            evaluate(
-                specs,
-                mode,
-                RunConfig(k=_pick(args, config, "k", 5), seed=seed),
-                graphs=graphs,
-                episodes=by_scenario,
-                encoder_config=encoder,
-            )
-            for mode in modes
+            evaluate(specs, mode, config.run_config, graphs=graphs, episodes=by_scenario, encoder_config=config.encoder)
+            for mode in config.modes
         ]
         write_report(reports, os.path.join(kind_dir, "metrics.json"), os.path.join(kind_dir, "metrics.txt"))
         all_reports.extend(reports)
@@ -290,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_gen = scenario.add_parser("gen", help="generate scenario specs")
     add_seed(scenario_gen)
-    scenario_gen.add_argument("--kind", action="append", choices=KINDS, default=None, help="repeatable; default: all kinds")
+    scenario_gen.add_argument(
+        "--kind", dest="kinds", action="append", choices=KINDS, default=None, help="repeatable; default: all kinds"
+    )
     scenario_gen.add_argument("--n", type=int, default=None, help="specs per kind")
     scenario_gen.add_argument("--n-rooms", type=int, default=None)
     add_encoder(scenario_gen)
@@ -346,8 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        return args.func(resolve_config(args), args)
     except (PolarError, OSError) as exc:
         sys.stderr.write(f"polar: error: {exc}\n")
         return 1

@@ -15,11 +15,11 @@ Every spec also carries 12 filler scripts about other objects so retrieval
 and raw-interaction sampling face noise. Cue values come from pools of
 globally unique words: candidate score inheritance keys on fact-value
 tokens, so value words must never collide across objects by accident.
-The generator checks each construction before emitting it. Statements a
-kind must merge into one node (or keep apart) are checked against the dedup
-threshold, and the spec's scripts are memorized, retrieved and grounded with
-the real distiller, retrieval and planner code: a spec whose memory does
-not ground gold is refused.
+The generator checks each construction under the encoder, thresholds and k
+the suite will run with. Statements a kind must merge into one node (or keep
+apart) are checked against the dedup threshold, and the spec's scripts are
+memorized, retrieved and grounded with the real distiller, retrieval and
+planner code: a spec whose memory does not ground gold is refused.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import EpisodeLog, TrajectoryStep, memorize, render_statement
 from .fileio import FORMAT_VERSION, MALFORMED, as_text, dump_json, load_json
-from .graph import THETA_DEDUP, MemoryGraph
+from .graph import THETA_DEDUP, THETA_OBJ, MemoryGraph
 from .retrieval import DEFAULT_K, retrieve
 from .world import ACTION_START, HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
 
@@ -267,34 +267,40 @@ def _joint_rooms(world: World, scene: SceneGraph, base_room: str, margin_m: floa
 # -- construction guards -------------------------------------------------------
 
 
-def _check_dedup(a: str, b: str, want_shared: bool, config: EncoderConfig, what: str) -> None:
-    sim = cosine(encode(a, config), encode(b, config))
-    if want_shared and sim < THETA_DEDUP:
-        raise GenerationError(f"{what}: statements must collapse into one node but cosine {sim:.4f} < {THETA_DEDUP}")
-    if not want_shared and sim >= THETA_DEDUP:
-        raise GenerationError(f"{what}: statements must stay distinct but cosine {sim:.4f} >= {THETA_DEDUP}")
+@dataclass(frozen=True)
+class _Guard:
+    """The memory settings the suite will run with; each construction is checked under them."""
 
+    encoder: EncoderConfig
+    theta_dedup: float
+    theta_obj: float
+    k: int
 
-def _check_grounds_gold(
-    world: World, scripts: list[AcquisitionScript], instruction: str, gold: str, config: EncoderConfig, what: str
-) -> None:
-    """Memorize the scripts in acquisition's order, then retrieve and ground the
-    instruction with the real code; gold must be the object grounded."""
-    graph = MemoryGraph()
-    for script in sorted(scripts, key=lambda s: (s.timestamp, s.target_object_id)):
-        obj = world.objects[script.target_object_id]
-        start = TrajectoryStep(
-            script.agent_start, script.agent_heading, ACTION_START, world.room_of(script.agent_start) or ""
-        )
-        episode = EpisodeLog(
-            f"{what}:acq", script.timestamp, script.instruction, script.facts, None,
-            obj.object_id, obj.category, [start], False, script.agent_start,
-        )
-        memorize(episode, graph, encoder_config=config)
-    result = retrieve(graph, instruction, DEFAULT_K, encoder_config=config)
-    grounded = OraclePlanner().ground(instruction, result).chosen_object_id
-    if grounded != gold:
-        raise GenerationError(f"{what}: memory grounds {grounded!r}, not gold {gold!r}, for {instruction!r}")
+    def dedup(self, a: str, b: str, want_shared: bool, what: str) -> None:
+        sim = cosine(encode(a, self.encoder), encode(b, self.encoder))
+        if want_shared and sim < self.theta_dedup:
+            raise GenerationError(f"{what}: statements must collapse into one node but cosine {sim:.4f} < {self.theta_dedup}")
+        if not want_shared and sim >= self.theta_dedup:
+            raise GenerationError(f"{what}: statements must stay distinct but cosine {sim:.4f} >= {self.theta_dedup}")
+
+    def grounds_gold(self, world: World, scripts: list[AcquisitionScript], instruction: str, gold: str, what: str) -> None:
+        """Memorize the scripts in acquisition's order, then retrieve and ground the
+        instruction with the real code; gold must be the object grounded."""
+        graph = MemoryGraph(theta_dedup=self.theta_dedup, theta_obj=self.theta_obj)
+        for script in sorted(scripts, key=lambda s: (s.timestamp, s.target_object_id)):
+            obj = world.objects[script.target_object_id]
+            start = TrajectoryStep(
+                script.agent_start, script.agent_heading, ACTION_START, world.room_of(script.agent_start) or ""
+            )
+            episode = EpisodeLog(
+                f"{what}:acq", script.timestamp, script.instruction, script.facts, None,
+                obj.object_id, obj.category, [start], False, script.agent_start,
+            )
+            memorize(episode, graph, encoder_config=self.encoder)
+        result = retrieve(graph, instruction, self.k, encoder_config=self.encoder)
+        grounded = OraclePlanner().ground(instruction, result).chosen_object_id
+        if grounded != gold:
+            raise GenerationError(f"{what}: memory grounds {grounded!r}, not gold {gold!r}, for {instruction!r}")
 
 
 # -- generation ----------------------------------------------------------------
@@ -308,6 +314,9 @@ def gen_scenarios(
     n_rooms: int = DEFAULT_N_ROOMS,
     filler_count: int = FILLER_COUNT,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
+    theta_dedup: float = THETA_DEDUP,
+    theta_obj: float = THETA_OBJ,
+    k: int = DEFAULT_K,
 ) -> list[ScenarioSpec]:
     """Deterministic suite of n specs of one kind, all sharing a world chassis."""
     if kind not in KINDS:
@@ -329,12 +338,13 @@ def gen_scenarios(
     world_objects = [(main_category, instances)] + [(c, 1) for c in categories[:filler_count]]
     world = cached_world(seed, n_rooms, world_objects)
     scene = world.build_scene_graph()
+    guard = _Guard(encoder_config, theta_dedup, theta_obj, k)
     specs = []
     for i in range(n):
         rng = random.Random(f"{seed}:{kind}:{i}")
         spec = _gen_one(
             rng, f"{kind}-s{seed}-{i:03d}", kind, seed, n_rooms, world_objects, world, scene,
-            main_category, categories[:filler_count], filler_count, encoder_config,
+            main_category, categories[:filler_count], filler_count, guard,
         )
         specs.append(spec)
     return specs
@@ -352,7 +362,7 @@ def _gen_one(
     main_category: str,
     filler_categories: list[str],
     filler_count: int,
-    config: EncoderConfig,
+    guard: _Guard,
 ) -> ScenarioSpec:
     main_ids = sorted(o.object_id for o in world.objects.values() if o.category == main_category)
     keys = rng.sample(_KEY_POOL, filler_count + 2)
@@ -428,9 +438,9 @@ def _gen_one(
         eval_instruction = _eval_instruction([v1, v2], main_category)
         s1 = render_statement(k1, v1, main_category, gold)
         s2 = render_statement(k2, v2, main_category, gold)
-        _check_dedup(s1, render_statement(k1, v1, main_category, decoy_a), True, config, scenario_id)
-        _check_dedup(s2, render_statement(k2, v2, main_category, decoy_b), True, config, scenario_id)
-        _check_dedup(s1, s2, False, config, scenario_id)
+        guard.dedup(s1, render_statement(k1, v1, main_category, decoy_a), True, scenario_id)
+        guard.dedup(s2, render_statement(k2, v2, main_category, decoy_b), True, scenario_id)
+        guard.dedup(s1, s2, False, scenario_id)
 
     elif kind == "distractor":
         shuffled = rng.sample(main_ids, 3)
@@ -443,7 +453,7 @@ def _gen_one(
         gold_text = render_statement(key, value, main_category, gold)
         for off, other in enumerate(shuffled[1:]):
             other_text = render_statement(spare_keys[1], spare_values[1 + off], main_category, other)
-            _check_dedup(gold_text, other_text, False, config, scenario_id)
+            guard.dedup(gold_text, other_text, False, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
     elif kind == "temporal-context":
@@ -460,7 +470,7 @@ def _gen_one(
         eval_instruction = _eval_instruction([new_value], main_category)
         old_text = render_statement(key, old_value, main_category, gold)
         new_text = render_statement(key, new_value, main_category, gold)
-        _check_dedup(old_text, new_text, False, config, scenario_id)  # supersession must fire
+        guard.dedup(old_text, new_text, False, scenario_id)  # supersession must fire
         eval_room = world.room_of(world.objects[gold].position)
 
     else:  # temporal-object
@@ -471,10 +481,10 @@ def _gen_one(
         add_script(second, key, value, t + 1)
         eval_instruction = _eval_instruction([value], main_category)
         first_text = render_statement(key, value, main_category, first)
-        _check_dedup(first_text, render_statement(key, value, main_category, second), True, config, scenario_id)
+        guard.dedup(first_text, render_statement(key, value, main_category, second), True, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
-    _check_grounds_gold(world, scripts, eval_instruction, gold, config, scenario_id)
+    guard.grounds_gold(world, scripts, eval_instruction, gold, scenario_id)
 
     same_category = [
         o.position for o in world.objects.values() if o.category == main_category and o.object_id != gold

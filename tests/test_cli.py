@@ -95,6 +95,75 @@ def test_config_file_validation(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("polar: error:")
 
 
+def test_encoder_dim_zero_is_rejected(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    argv = ["scenario", "gen", "--kind", "distractor", "--n", "1", "--out", str(out)]
+    assert main([*argv, "--encoder-dim", "0"]) == 1
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"encoder_dim": 0}))
+    assert main(["--config", str(cfg), *argv]) == 1
+    assert capsys.readouterr().err.count("embedding dim must be >= 16") == 2
+    assert not out.exists()
+
+
+def test_config_flag_beats_file_beats_default(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n": 2, "kinds": ["distractor"]}))
+    out = str(tmp_path / "s.json")
+    assert main(["--config", str(cfg), "scenario", "gen", "--n", "1", "--out", out]) == 0
+    assert [s.scenario_id for s in load_specs(out)] == ["distractor-s0-000"]
+    assert main(["--config", str(cfg), "scenario", "gen", "--out", out]) == 0
+    assert [s.kind for s in load_specs(out)] == ["distractor", "distractor"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"modes": []}, {"kinds": []}, {"kinds": ["bogus"]}, {"kinds": [1]}, {"modes": ["polar", "telepathy"]}],
+)
+def test_run_all_checks_kinds_and_modes_before_writing(tmp_path, capsys, doc):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "runs"
+    assert main(["--config", str(cfg), "run-all", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("polar: error:") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_run_all_matches_staged_commands_under_one_config(tmp_path, monkeypatch, capsys):
+    """run-all and the staged commands read the same config, so they write the same files;
+    the thresholds are non-default ones that the generator still accepts."""
+    monkeypatch.delenv("POLAR_SEED", raising=False)
+    thresholds = {"theta_dedup": 0.5, "theta_obj": 0.5}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**thresholds, "kinds": ["temporal-object"], "n": 2}))
+    pre = ["--config", str(cfg)]
+    run_dir = tmp_path / "run" / "temporal-object"
+    assert main([*pre, "run-all", "--out-dir", str(tmp_path / "run")]) == 0
+
+    staged = {name: str(tmp_path / name) for name in ("specs.json", "episodes.jsonl", "graphs.json")}
+    assert main([*pre, "scenario", "gen", "--out", staged["specs.json"]]) == 0
+    assert main([*pre, "acquire", "--specs", staged["specs.json"], "--out", staged["episodes.jsonl"]]) == 0
+    assert main([*pre, "memorize", "--episodes", staged["episodes.jsonl"], "--out", staged["graphs.json"]]) == 0
+    for name, path in staged.items():
+        assert filecmp.cmp(path, run_dir / name, shallow=False), name
+
+    reports = []
+    for mode in ("no-prior", "raw-interaction", "polar"):
+        out = str(tmp_path / f"metrics-{mode}.json")
+        argv = ["eval", "--specs", staged["specs.json"], "--mode", mode, "--graphs", staged["graphs.json"]]
+        assert main([*pre, *argv, "--episodes", staged["episodes.jsonl"], "--out", out]) == 0
+        reports.extend(load_reports(out))
+    assert load_reports(str(run_dir / "metrics.json")) == reports
+    capsys.readouterr()
+
+    with open(run_dir / "graphs.json", encoding="utf-8") as fh:
+        graphs = json.load(fh)["graphs"]
+    assert len(graphs) == 2
+    assert all(graph["thresholds"] == thresholds for graph in graphs.values())
+
+
 def test_pipeline_end_to_end(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("POLAR_SEED", raising=False)
     specs = _specs_path(tmp_path, "--seed", "0")
