@@ -1,6 +1,7 @@
 """Hierarchical navigation policy over retrieved memory.
 
-Grounding resolves which object instance the instruction means: the
+Grounding runs once, before the episode: `ground_target` resolves which
+object instance the instruction means from the mode's context. The
 deterministic planner scores each retrieved candidate by summed
 instruction-statement cosine, lets candidates inherit the score of a
 retrieved statement from another candidate when they share a fact-value
@@ -8,11 +9,11 @@ token (joint composition), and breaks exact ties toward the newest
 statement edge, then the smallest object id. The room prior comes from the
 candidate's most recent successful episodic rendering.
 
-Execution then alternates a room-level plan (prior room first, else a
-nearest-unvisited sweep over the scene graph) with low-level steering:
-descend the goal's grid distance field one 1 m stride at a time, quantized
-to 30-degree headings, scanning each searched room with three right turns
-so the three 90-degree views cover a full circle.
+`run_episode` then executes that decision, alternating a room-level plan
+(prior room first, else a nearest-unvisited sweep over the scene graph) with
+low-level steering: descend the goal's grid distance field one 1 m stride at
+a time, quantized to 30-degree headings, scanning each searched room with
+three right turns so the three 90-degree views cover a full circle.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass, replace
 
 from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, parse_statement
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
-from .errors import ExplorationExhausted, GroundingFailed, PlannerUnavailable, RejectedInput
-from .fileio import post_json
+from .errors import ExplorationExhausted, GroundingFailed, RejectedInput
 from .retrieval import DEFAULT_K, CandidateObject, RetrievalResult, episode_document, tokenize
 from .world import (
     ACTION_START,
@@ -122,7 +122,7 @@ def _prior_room_from_renderings(renderings: list[str], memory_mode: str) -> str 
 
 
 class OraclePlanner:
-    """Transparent deterministic grounding + sweep planning (no model calls).
+    """Transparent deterministic grounding over retrieved candidates (no model calls).
 
     Statement scores are retrieval's cosines against `context.instruction`;
     grounding encodes nothing itself.
@@ -133,7 +133,7 @@ class OraclePlanner:
             raise RejectedInput(f"unknown memory_mode {memory_mode!r}")
         self.memory_mode = memory_mode
 
-    def ground(self, instruction: str, context: RetrievalResult, scene_graph: SceneGraph | None = None) -> GroundingDecision:
+    def ground(self, instruction: str, context: RetrievalResult) -> GroundingDecision:
         if not isinstance(context, RetrievalResult) or not context.candidates:
             raise GroundingFailed("no retrieved candidates to ground against")
         node_texts = {st.node_id: st.text for cand in context.candidates for st in cand.statements}
@@ -173,14 +173,11 @@ class OraclePlanner:
                 score += hit.score
         return score, latest
 
-    def choose_room(self, scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
-        return sweep_room(scene_graph, decision, visited, current_room)
-
 
 class NaiveMatcher:
     """Raw-interaction grounding: lexical overlap against whole episode documents."""
 
-    def ground(self, instruction: str, context: list[EpisodeLog], scene_graph: SceneGraph | None = None) -> GroundingDecision:
+    def ground(self, instruction: str, context: list[EpisodeLog]) -> GroundingDecision:
         if not context:
             raise GroundingFailed("no raw episodes to match against")
         query = set(tokenize(instruction))
@@ -198,66 +195,6 @@ class NaiveMatcher:
             f"token overlap {overlap} with episode {best.episode_id}",
             "raw",
         )
-
-    def choose_room(self, scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
-        return sweep_room(scene_graph, decision, visited, current_room)
-
-
-class RemotePlanner:
-    """Wire-contract adapter for an external grounding/planning model."""
-
-    def __init__(self, endpoint: str, timeout_s: float = 10.0):
-        if not endpoint:
-            raise RejectedInput("remote planner needs an endpoint")
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout_s = timeout_s
-
-    def ground(self, instruction: str, context: RetrievalResult, scene_graph: SceneGraph | None = None) -> GroundingDecision:
-        if not isinstance(context, RetrievalResult) or not context.candidates:
-            raise GroundingFailed("no retrieved candidates to ground against")
-        payload = {
-            "instruction": instruction,
-            "candidates": [
-                {
-                    "object_id": c.object_id,
-                    "category": c.category,
-                    "statements": [
-                        {"text": s.text, "score": s.score, "timestamp": s.timestamp} for s in c.statements
-                    ],
-                    "episodic_memories": list(c.episodic_memories),
-                    "instructions": list(c.instructions),
-                }
-                for c in context.candidates
-            ],
-            "scene_graph": scene_graph.to_json() if scene_graph is not None else None,
-        }
-        doc = post_json(f"{self.endpoint}/ground", payload, self.timeout_s, PlannerUnavailable)
-        object_id = doc.get("object_id")
-        if not isinstance(object_id, str) or not object_id:
-            raise PlannerUnavailable("planner response lacks object_id")
-        by_id = {c.object_id: c for c in context.candidates}
-        if object_id not in by_id:
-            raise PlannerUnavailable(f"planner grounded unknown object {object_id!r}")
-        prior = doc.get("prior_room")
-        if prior is not None and not isinstance(prior, str):
-            raise PlannerUnavailable("planner prior_room must be a string or null")
-        return GroundingDecision(
-            object_id, by_id[object_id].category, prior, str(doc.get("rationale", "")), "polar"
-        )
-
-    def choose_room(self, scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
-        payload = {
-            "scene_graph": scene_graph.to_json(),
-            "object_id": decision.chosen_object_id,
-            "prior_room": decision.prior_room,
-            "visited_rooms": sorted(visited),
-            "current_room": current_room,
-        }
-        doc = post_json(f"{self.endpoint}/choose_room", payload, self.timeout_s, PlannerUnavailable)
-        room = doc.get("room")
-        if room not in scene_graph.waypoints:
-            raise PlannerUnavailable(f"planner chose unknown room {room!r}")
-        return room
 
 
 def _category_only(instruction: str, categories: tuple[str, ...], encoder_config: EncoderConfig) -> GroundingDecision:
@@ -284,7 +221,6 @@ def ground_target(
     planner,
     instruction: str,
     context: RetrievalResult | list[EpisodeLog] | NoPriorContext | None,
-    scene_graph: SceneGraph | None = None,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
 ) -> GroundingDecision:
     """Dispatch grounding by context shape; empty memory contexts are errors."""
@@ -294,11 +230,11 @@ def ground_target(
     if isinstance(context, RetrievalResult):
         if not context.candidates:
             raise GroundingFailed("retrieval produced no candidates")
-        return planner.ground(instruction, context, scene_graph)
+        return planner.ground(instruction, context)
     if isinstance(context, list):
         if not context:
             raise GroundingFailed("raw-interaction context is empty")
-        return planner.ground(instruction, context, scene_graph)
+        return planner.ground(instruction, context)
     raise RejectedInput(f"unsupported grounding context {type(context).__name__}")
 
 
@@ -307,10 +243,9 @@ def plan_high(
     decision: GroundingDecision,
     visited: set[str],
     current_room: str,
-    planner,
 ) -> list[str]:
-    """Rooms to traverse toward the planner's chosen room, ending with it."""
-    room = planner.choose_room(scene_graph, decision, visited, current_room)
+    """Rooms to traverse toward the sweep's next room, ending with it."""
+    room = sweep_room(scene_graph, decision, visited, current_room)
     path = scene_graph.bfs_path(current_room, room)
     if path is None:
         raise ExplorationExhausted(f"room {room!r} is unreachable from {current_room!r}")
@@ -359,8 +294,7 @@ def _visible_ids(observation: Observation) -> list[str]:
 def run_episode(
     world: World,
     instruction: str,
-    context,
-    planner,
+    decision: GroundingDecision,
     config: RunConfig,
     *,
     gold_object_id: str,
@@ -369,29 +303,18 @@ def run_episode(
     timestamp: int = 0,
     facts: list[tuple[str, str]] | None = None,
     reference_feature=None,
-    decision: GroundingDecision | None = None,
-    scene_graph: SceneGraph | None = None,
-    encoder_config: EncoderConfig = DEFAULT_ENCODER,
-) -> tuple[EpisodeLog, GroundingDecision]:
-    """Ground once, then explore/approach until STOP, exhaustion, or the step cap.
+) -> EpisodeLog:
+    """Explore/approach the grounded target until STOP, exhaustion, or the step cap.
 
-    Pass an explicit decision to bypass grounding (acquisition-stage episodes).
-    Success is judged purely by the final position against the gold object.
+    The caller grounds first (`ground_target`, or an explicit decision for
+    acquisition episodes). Success is judged purely by the final position
+    against the gold object.
     """
     if gold_object_id not in world.objects:
         raise RejectedInput(f"unknown gold object {gold_object_id!r}")
     if not world.is_free(start.position):
         raise RejectedInput(f"start position {start.position} is not free space")
-    if scene_graph is None:
-        scene_graph = world.build_scene_graph()
-    if decision is None:
-        try:
-            decision = ground_target(planner, instruction, context, scene_graph, encoder_config)
-        except (GroundingFailed, PlannerUnavailable) as exc:
-            source = "none" if context is None or isinstance(context, NoPriorContext) else (
-                "raw" if isinstance(context, list) else "polar"
-            )
-            decision = GroundingDecision("", "", None, f"grounding unavailable: {exc}", source)
+    scene_graph = world.build_scene_graph()
 
     state = AgentState(start.position, start.heading, 0)
     observation = world.observe(state)
@@ -434,7 +357,7 @@ def run_episode(
         else:
             if not plan:
                 try:
-                    plan = plan_high(scene_graph, working, visited, world.room_of(state.position) or "", planner)
+                    plan = plan_high(scene_graph, working, visited, world.room_of(state.position) or "")
                 except ExplorationExhausted:
                     break
                 if not plan:
@@ -470,7 +393,7 @@ def run_episode(
 
     gold = world.objects[gold_object_id]
     distance = math.hypot(state.position[0] - gold.position[0], state.position[1] - gold.position[1])
-    log = EpisodeLog(
+    return EpisodeLog(
         episode_id=episode_id,
         timestamp=timestamp,
         instruction=instruction,
@@ -482,4 +405,3 @@ def run_episode(
         success=distance <= config.success_radius_m + _EPS,
         final_position=state.position,
     )
-    return log, decision

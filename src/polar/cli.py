@@ -106,13 +106,17 @@ def _load_config(path: str | None) -> dict:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("config file must hold a flat object")
+    config = {}
     for key, value in doc.items():
         if key not in _FILE_TYPES:
             raise RejectedInput(f"unknown config field {key!r}")
         want = _FILE_TYPES[key]
+        if want is float and type(value) is int:  # JSON writes 1.0 as 1; a bool stays rejected
+            value = float(value)
         if not isinstance(value, want) or isinstance(value, bool):
             raise RejectedInput(f"config field {key!r} must be {want.__name__}")
-    return doc
+        config[key] = value
+    return config
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -215,14 +219,18 @@ def _cmd_run_all(config, args):
     out_dir = config.out_dir
     if not out_dir:
         raise RejectedInput("run-all needs --out-dir (or out_dir in the config file)")
+    # every kind's specs before any file: a kind the generator refuses leaves no partial tree
+    suites = [
+        (kind, gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, k=config.k, **config.memory))
+        for kind in config.kinds
+    ]
     os.makedirs(out_dir, exist_ok=True)
     recorded = ("seed", "kinds", "modes", "n", "n_rooms")  # json writes the tuples as lists
     dump_json(os.path.join(out_dir, "config.json"), {name: getattr(config, name) for name in recorded})
     all_reports = []
-    for kind in config.kinds:
+    for kind, specs in suites:
         kind_dir = os.path.join(out_dir, kind)
         os.makedirs(kind_dir, exist_ok=True)
-        specs = gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, k=config.k, **config.memory)
         save_specs(specs, os.path.join(kind_dir, "specs.json"))
         world = world_for_spec(specs[0])
         world.save(os.path.join(kind_dir, "world.json"))

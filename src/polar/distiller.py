@@ -1,15 +1,13 @@
 """Turns finished episodes into memory: semantic statements plus an episodic record.
 
-The builtin distiller is deterministic. Each user fact (key, value) from the
-episode becomes one single-fact statement rendered from a fixed template, and
-the trajectory is compressed into a small structured record (outcome, room
-order, unpromising rooms, where the target was found, meters walked). A second
+The distiller is deterministic and calls no model. Each user fact (key,
+value) from the episode becomes one single-fact statement rendered from a
+fixed template, and the trajectory is compressed into a small structured
+record (outcome, room order, unpromising rooms, where the target was found,
+meters walked). A second
 fact arriving later under the same key supersedes the earlier statement's edge
 for that object rather than editing history.
 
-Remote mode posts {"instruction", "trajectory_text"} with `fileio.post_json`
-and reads only {"statements": [{"text", "fact_key"}, ...]} from the reply;
-the graph keeps the canonical deterministic episodic rendering either way.
 `parse_statement` inverts STATEMENT_TEMPLATE into (key, value) for both
 supersession (keys) and grounding (value tokens). It is memoised, since
 every ingest re-reads the object's active statements.
@@ -24,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .encoder import EncoderConfig, DEFAULT_ENCODER, encode
-from .errors import DistillerUnavailable, ParseError, RejectedInput
-from .fileio import MALFORMED, as_text, atomic_write_text, post_json, read_json_lines
+from .errors import ParseError, RejectedInput
+from .fileio import MALFORMED, as_text, atomic_write_text, read_json_lines
 from .graph import MemoryGraph
 from .world import MOVE_FORWARD
 
@@ -81,22 +79,6 @@ class EpisodicSummary:
     rendered_text: str
 
 
-@dataclass(frozen=True)
-class DistillerConfig:
-    mode: str = "builtin"  # "builtin" | "remote"
-    endpoint: str | None = None
-    timeout_s: float = 5.0
-
-    def __post_init__(self):
-        if self.mode not in ("builtin", "remote"):
-            raise RejectedInput(f"unknown distiller mode {self.mode!r}")
-        if self.mode == "remote" and not self.endpoint:
-            raise RejectedInput("remote distiller mode requires an endpoint")
-
-
-DEFAULT_DISTILLER = DistillerConfig()
-
-
 @dataclass
 class MutationReport:
     objects_created: int = 0
@@ -124,31 +106,16 @@ def trajectory_text(episode: EpisodeLog) -> str:
     return " ".join(f"{s.room} {s.action}" for s in episode.trajectory)
 
 
-def distill_semantic(episode: EpisodeLog, config: DistillerConfig = DEFAULT_DISTILLER) -> list[SemanticStatement]:
+def distill_semantic(episode: EpisodeLog) -> list[SemanticStatement]:
     """One single-fact statement per user fact; order follows the episode's fact list."""
-    if config.mode == "builtin":
-        return [
-            SemanticStatement(
-                object_id=episode.target_object_id,
-                text=render_statement(key, value, episode.target_category, episode.target_object_id),
-                fact_key=key,
-            )
-            for key, value in episode.facts
-        ]
-    return _remote_distill(episode, config)
-
-
-def _remote_distill(episode: EpisodeLog, config: DistillerConfig) -> list[SemanticStatement]:
-    payload = {"instruction": episode.instruction, "trajectory_text": trajectory_text(episode)}
-    rows = post_json(config.endpoint, payload, config.timeout_s, DistillerUnavailable).get("statements")
-    if not isinstance(rows, list):
-        raise DistillerUnavailable("distiller reply has no 'statements' list")
-    statements = []
-    for row in rows:
-        if not isinstance(row, dict) or not row.get("text") or not row.get("fact_key"):
-            raise DistillerUnavailable(f"distiller statement must carry text and fact_key: {row!r}")
-        statements.append(SemanticStatement(episode.target_object_id, str(row["text"]), str(row["fact_key"])))
-    return statements
+    return [
+        SemanticStatement(
+            object_id=episode.target_object_id,
+            text=render_statement(key, value, episode.target_category, episode.target_object_id),
+            fact_key=key,
+        )
+        for key, value in episode.facts
+    ]
 
 
 def summarize_episodic(episode: EpisodeLog) -> EpisodicSummary:
@@ -195,7 +162,6 @@ def memorize(
     graph: MemoryGraph,
     *,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
-    distiller_config: DistillerConfig = DEFAULT_DISTILLER,
 ) -> MutationReport:
     """Distill one episode into the graph: upsert the object, link statements
     (superseding stale same-key facts), and append the episodic record.
@@ -216,7 +182,7 @@ def memorize(
         reference_feature=episode.reference_feature,
         timestamp=t,
     )
-    for stmt in distill_semantic(episode, distiller_config):
+    for stmt in distill_semantic(episode):
         stale = []
         for sem_id, _ts in graph.neighbors(object_ref, kind="semantic", active_only=True):
             node = graph.semantic[sem_id]

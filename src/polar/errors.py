@@ -29,14 +29,6 @@ class EncoderUnavailable(PolarError):
     """The remote embedding endpoint failed, timed out, or answered garbage."""
 
 
-class DistillerUnavailable(PolarError):
-    """The remote distiller endpoint failed, timed out, or answered garbage."""
-
-
-class PlannerUnavailable(PolarError):
-    """The remote planner endpoint failed, timed out, or answered garbage."""
-
-
 class GroundingFailed(PolarError):
     """No target could be grounded from the provided context."""
 

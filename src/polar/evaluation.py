@@ -28,10 +28,18 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .agent import GroundingDecision, NaiveMatcher, NoPriorContext, OraclePlanner, RunConfig, run_episode
+from .agent import (
+    GroundingDecision,
+    NaiveMatcher,
+    NoPriorContext,
+    OraclePlanner,
+    RunConfig,
+    ground_target,
+    run_episode,
+)
 from .distiller import EpisodeLog, memorize, summarize_episodic, trajectory_text
 from .encoder import EncoderConfig, DEFAULT_ENCODER
-from .errors import ConfigurationError, ParseError, RejectedInput
+from .errors import ConfigurationError, GroundingFailed, ParseError, RejectedInput
 from .fileio import FORMAT_VERSION, MALFORMED, atomic_write_text, dump_json, load_json
 from .graph import MemoryGraph, THETA_DEDUP, THETA_OBJ
 from .retrieval import RetrievalResult, raw_retrieve, recall_at_k, retrieve
@@ -69,11 +77,10 @@ def acquire(spec: ScenarioSpec, config: RunConfig | None = None) -> list[Episode
         decision = GroundingDecision(
             script.target_object_id, obj.category, None, "acquisition: target given explicitly", "polar"
         )
-        log, _ = run_episode(
+        log = run_episode(
             staged,
             script.instruction,
-            None,
-            OraclePlanner(),
+            decision,
             config,
             gold_object_id=script.target_object_id,
             start=AgentState(script.agent_start, script.agent_heading),
@@ -81,7 +88,6 @@ def acquire(spec: ScenarioSpec, config: RunConfig | None = None) -> list[Episode
             timestamp=script.timestamp,
             facts=script.facts,
             reference_feature=obj.feature,
-            decision=decision,
         )
         logs.append(log)
     return logs
@@ -291,28 +297,31 @@ def _evaluate_one(
         if graph is None:
             raise ConfigurationError(f"mode {mode!r} needs a memorized graph for {spec.scenario_id!r} (run memorize first)")
         context = _ablated_result(retrieval_result, mode, graph, logs)
-        planner = OraclePlanner(memory_mode=_MEMORY_MODE[mode])
+        planner, source = OraclePlanner(memory_mode=_MEMORY_MODE[mode]), "polar"
     elif mode == "raw-interaction":
         if not logs:
             raise ConfigurationError(f"mode raw-interaction needs acquisition episodes for {spec.scenario_id!r}")
         context = _raw_sample(spec, logs, config.seed)
-        planner = NaiveMatcher()
+        planner, source = NaiveMatcher(), "raw"
     else:  # no-prior
         categories = tuple(sorted({o.category for o in eval_world.objects.values()}))
         context = NoPriorContext(categories)
-        planner = OraclePlanner()
+        planner, source = None, "none"
+    try:
+        decision = ground_target(planner, spec.eval_instruction, context, encoder_config)
+    except GroundingFailed as exc:
+        # the episode still runs, as an ungrounded sweep
+        decision = GroundingDecision("", "", None, f"grounding unavailable: {exc}", source)
 
-    log, decision = run_episode(
+    log = run_episode(
         eval_world,
         spec.eval_instruction,
-        context,
-        planner,
+        decision,
         config,
         gold_object_id=spec.gold_object_id,
         start=AgentState(spec.eval_agent_start, spec.eval_agent_heading),
         episode_id=f"{spec.scenario_id}:eval",
         timestamp=max(s.timestamp for s in spec.scripts) + 1 if spec.scripts else 1,
-        encoder_config=encoder_config,
     )
     path_m = summarize_episodic(log).path_length_m
     shortest_m = eval_world.shortest_path_length(spec.eval_agent_start, spec.eval_gold_position)
@@ -379,9 +388,7 @@ def render_table(reports: list[MetricsReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(reports: list[MetricsReport] | MetricsReport, json_path: str, table_path: str | None = None) -> str:
-    if isinstance(reports, MetricsReport):
-        reports = [reports]
+def write_report(reports: list[MetricsReport], json_path: str, table_path: str | None = None) -> str:
     dump_json(json_path, {"format_version": FORMAT_VERSION, "reports": [r.to_json() for r in reports]})
     table = render_table(reports)
     if table_path:

@@ -6,8 +6,8 @@ format_version and the type of the one top-level container), so any input
 that is not UTF-8 JSON of the expected shape raises ParseError; record
 parsers map the exceptions in `MALFORMED` to ParseError as well, and read
 their text and id fields through `as_text`.
-`post_json` is the one JSON-over-POST client, on `urllib.request`, of the
-remote encoder, distiller and planner.
+`post_json` is the JSON-over-POST client of the remote encoder, on
+`urllib.request`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The graph path scores every semantic node that still has an active linking
 edge against the instruction embedding, keeps the top k, and expands each hit
 through its active edges into candidate objects carrying all of their
-active statements, episodic renderings, and past instructions. The raw
+active statements and episodic renderings. The raw
 baselines (Okapi BM25 and dense cosine) rank whole episode documents —
 raw instruction plus the flat trajectory token stream — with no
 distillation, for head-to-head recall comparisons.
@@ -49,7 +49,6 @@ class CandidateObject:
     category: str
     statements: list[CandidateStatement]
     episodic_memories: list[str] = field(default_factory=list)  # renderings, newest first
-    instructions: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -108,14 +107,11 @@ def assemble_candidates(
                 node = graph.semantic[sem_id]
                 score = cosine(instruction_embedding, node.embedding)
                 statements.append(CandidateStatement(node.statement, score, ts, sem_id))
-            renderings, instructions = [], []
-            for epi_id, _ets in graph.neighbors(object_id, kind="episodic", active_only=True):
-                node = graph.episodic[epi_id]
-                renderings.append(node.rendered_text)
-                instructions.append(node.instruction)
-            candidates.append(
-                CandidateObject(object_id, graph.objects[object_id].category, statements, renderings, instructions)
-            )
+            renderings = [
+                graph.episodic[epi_id].rendered_text
+                for epi_id, _ets in graph.neighbors(object_id, kind="episodic", active_only=True)
+            ]
+            candidates.append(CandidateObject(object_id, graph.objects[object_id].category, statements, renderings))
     return candidates
 
 

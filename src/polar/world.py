@@ -174,13 +174,6 @@ class SceneGraph:
         path = self.bfs_path(src, dst)
         return len(path) if path is not None else len(self.rooms) + 1
 
-    def to_json(self) -> dict:
-        return {
-            "rooms": self.rooms,
-            "edges": [list(e) for e in self.edges],
-            "waypoints": {r: list(p) for r, p in self.waypoints.items()},
-        }
-
 
 class _NavCache:
     """Shared per-grid navigation state: sparse 8-connected graph + distance fields."""

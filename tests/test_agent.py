@@ -10,7 +10,6 @@ from polar.agent import (
     NaiveMatcher,
     NoPriorContext,
     OraclePlanner,
-    RemotePlanner,
     RunConfig,
     _category_only,
     _prior_room_from_renderings,
@@ -24,16 +23,12 @@ from polar.agent import (
 )
 from polar.distiller import EpisodeLog, TrajectoryStep, memorize
 from polar.encoder import DEFAULT_ENCODER, EncoderConfig, encode
-from polar.evaluation import _MEMORY_MODE, _ablated_result
-from polar.errors import (
-    ExplorationExhausted,
-    GroundingFailed,
-    PlannerUnavailable,
-    RejectedInput,
-)
+from polar import evaluation
+from polar.evaluation import _MEMORY_MODE, _ablated_result, evaluate
+from polar.errors import ExplorationExhausted, GroundingFailed, RejectedInput
 from polar.graph import MemoryGraph
 from polar.retrieval import retrieve
-from polar.scenarios import _KEY_POOL, _VALUE_POOL, _acq_instruction, _eval_instruction
+from polar.scenarios import _KEY_POOL, _VALUE_POOL, ScenarioSpec, _acq_instruction, _eval_instruction
 from polar.world import ACTION_START, HEADINGS, MOVE_FORWARD, STOP, TURN_LEFT, TURN_RIGHT, AgentState, SceneGraph, gen_world
 
 
@@ -135,19 +130,11 @@ def test_sweep_exhaustion_raises():
         sweep_room(scene, _decision(), set(scene.rooms), "hallway")
 
 
-class _FixedPlanner:
-    def __init__(self, room):
-        self.room = room
-
-    def choose_room(self, scene_graph, decision, visited, current_room):
-        return self.room
-
-
 def test_plan_high_returns_route_ending_at_choice():
     scene = _scene()
-    assert plan_high(scene, _decision(), set(), "hallway", _FixedPlanner("pantry")) == ["kitchen", "pantry"]
+    assert plan_high(scene, _decision(prior="pantry"), set(), "hallway") == ["kitchen", "pantry"]
     # searching the current room still routes to its waypoint
-    assert plan_high(scene, _decision(), set(), "hallway", _FixedPlanner("hallway")) == ["hallway"]
+    assert plan_high(scene, _decision(), set(), "hallway") == ["hallway"]
 
 
 # -- grounding -----------------------------------------------------------------
@@ -329,55 +316,6 @@ def test_ground_target_dispatch():
         ground_target(OraclePlanner(), "find it", {"not": "supported"})
 
 
-# -- remote planner wire contract ------------------------------------------------
-
-
-def _result_one_candidate():
-    g = _graph_with({"mug_01": ["user: color = crimson refers to mug mug_01"]})
-    return retrieve(g, "find my crimson mug", k=5)
-
-
-def test_remote_planner_ground_happy_path(stub):
-    stub.reply("/api/ground", {"object_id": "mug_01", "prior_room": "kitchen", "rationale": "seen there"})
-    planner = RemotePlanner(stub.url("/api/"))
-    decision = planner.ground("find my crimson mug", _result_one_candidate())
-    [(path, payload)] = stub.requests
-    assert path == "/api/ground"
-    assert payload["instruction"] == "find my crimson mug"
-    assert decision.chosen_object_id == "mug_01"
-    assert decision.prior_room == "kitchen"
-
-
-@pytest.mark.parametrize(
-    "resp",
-    [
-        (500, {}),
-        (200, b"not json"),
-        (200, {"object_id": "ghost"}),  # not among candidates
-        (200, {"object_id": ""}),
-        (200, {"object_id": "mug_01", "prior_room": 7}),
-    ],
-)
-def test_remote_planner_ground_bad_responses(stub, resp):
-    status, body = resp
-    stub.reply("/ground", body, status)
-    with pytest.raises(PlannerUnavailable):
-        RemotePlanner(stub.url("")).ground("find it", _result_one_candidate())
-
-
-def test_remote_planner_choose_room(stub):
-    stub.reply("/choose_room", {"room": "kitchen"})
-    assert RemotePlanner(stub.url("")).choose_room(_scene(), _decision(), set(), "hallway") == "kitchen"
-    stub.reply("/choose_room", {"room": "attic"})
-    with pytest.raises(PlannerUnavailable):
-        RemotePlanner(stub.url("")).choose_room(_scene(), _decision(), set(), "hallway")
-
-
-def test_remote_planner_needs_endpoint():
-    with pytest.raises(RejectedInput):
-        RemotePlanner("")
-
-
 # -- episode loop ----------------------------------------------------------------
 
 
@@ -387,11 +325,7 @@ def test_run_episode_with_explicit_decision_reaches_target():
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
     decision = GroundingDecision(gold, "mug", None, "given", "polar")
     config = RunConfig()
-    log, out = run_episode(
-        world, "go to the mug", None, OraclePlanner(), config,
-        gold_object_id=gold, start=start, decision=decision,
-    )
-    assert out is decision
+    log = run_episode(world, "go to the mug", decision, config, gold_object_id=gold, start=start)
     assert log.success
     assert len(log.trajectory) - 1 <= config.max_steps
     gx, gy = world.objects[gold].position
@@ -406,7 +340,7 @@ def test_run_episode_is_deterministic():
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 90)
     decision = GroundingDecision("mug_01", "mug", None, "given", "polar")
     runs = [
-        run_episode(world, "go", None, OraclePlanner(), RunConfig(), gold_object_id="mug_01", start=start, decision=decision)[0]
+        run_episode(world, "go", decision, RunConfig(), gold_object_id="mug_01", start=start)
         for _ in range(2)
     ]
     assert [(s.position, s.heading, s.action) for s in runs[0].trajectory] == [
@@ -421,8 +355,7 @@ def test_run_episode_respects_step_cap():
     # that is not in the world forces a full exploration sweep
     decision = GroundingDecision("", "unicorn", None, "given", "none")
     config = RunConfig(max_steps=40)
-    log, _ = run_episode(world, "find the unicorn", None, OraclePlanner(), config,
-                         gold_object_id="mug_01", start=start, decision=decision)
+    log = run_episode(world, "find the unicorn", decision, config, gold_object_id="mug_01", start=start)
     assert len(log.trajectory) - 1 <= 40
 
 
@@ -430,36 +363,53 @@ def test_run_episode_validates_inputs():
     world = gen_world(0, 5, [("mug", 1)])
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
     with pytest.raises(RejectedInput):
-        run_episode(world, "go", None, OraclePlanner(), RunConfig(), gold_object_id="ghost", start=start)
+        run_episode(world, "go", _decision(), RunConfig(), gold_object_id="ghost", start=start)
     with pytest.raises(RejectedInput):
-        run_episode(world, "go", None, OraclePlanner(), RunConfig(),
-                    gold_object_id="mug_01", start=AgentState((0.0, 0.0), 0))
+        run_episode(world, "go", _decision(), RunConfig(), gold_object_id="mug_01",
+                    start=AgentState((0.0, 0.0), 0))
 
 
-def test_run_episode_grounding_failure_degrades_gracefully():
-    world = gen_world(0, 5, [("mug", 1)])
-    start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
-    # no-prior context with no categories: grounding fails, the episode still
-    # runs (and cannot succeed deliberately, only by luck of the sweep)
-    log, decision = run_episode(
-        world, "find it", NoPriorContext(()), OraclePlanner(), RunConfig(max_steps=30),
-        gold_object_id="mug_01", start=start,
-    )
-    assert decision.chosen_object_id == ""
-    assert "grounding unavailable" in decision.rationale
-    assert len(log.trajectory) >= 1
+def _probe_spec(objects: list[tuple[str, int]], instruction: str) -> ScenarioSpec:
+    """A script-free spec in gen_world(0, 5, objects): gold is the first object id,
+    the agent starts in the hallway."""
+    world = gen_world(0, 5, objects)
+    gold = sorted(world.objects)[0]
+    start = world.build_scene_graph().waypoints["hallway"]
+    return ScenarioSpec("probe-000", "distractor", 0, 5, objects, [], instruction, gold, 0,
+                        world.objects[gold].position, start, 0)
 
 
-def test_run_episode_no_prior_grounding_uses_the_callers_encoder():
-    world = gen_world(0, 5, [("mug", 1)])
-    start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
+def _evaluate_recording_decisions(monkeypatch, spec, mode, **kwargs):
+    """evaluate() on one spec, plus the decision each episode was run with."""
+    decisions = []
+
+    def recording_run_episode(world, instruction, decision, config, **rest):
+        decisions.append(decision)
+        return run_episode(world, instruction, decision, config, **rest)
+
+    monkeypatch.setattr(evaluation, "run_episode", recording_run_episode)
+    report = evaluate([spec], mode, RunConfig(max_steps=30), **kwargs)
+    return report.rows, decisions
+
+
+def test_run_episode_grounding_failure_degrades_gracefully(monkeypatch):
+    # an empty memory graph retrieves no candidates: grounding fails, the episode
+    # still runs (and cannot succeed deliberately, only by luck of the sweep)
+    spec = _probe_spec([("mug", 1)], "find it")
+    graphs = {spec.scenario_id: MemoryGraph()}
+    [row], [decision] = _evaluate_recording_decisions(monkeypatch, spec, "polar", graphs=graphs)
+    assert (decision.chosen_object_id, decision.chosen_category, decision.source) == ("", "", "polar")
+    assert decision.rationale.startswith("grounding unavailable: ")
+    assert row["grounded_object_id"] == "" and row["grounding_correct"] == 0
+    assert row["steps"] >= 1
+
+
+def test_run_episode_no_prior_grounding_uses_the_callers_encoder(monkeypatch):
     categories = tuple(f"c{i}x" for i in range(40))
     instruction = "find my thing c7 zz"  # names no category: the similarity fallback decides
     small = EncoderConfig(dim=64)
     want = _category_only(instruction, categories, small).chosen_category
     assert want == "c15x" and want != _category_only(instruction, categories, DEFAULT_ENCODER).chosen_category
-    _, decision = run_episode(
-        world, instruction, NoPriorContext(categories), OraclePlanner(), RunConfig(max_steps=5),
-        gold_object_id="mug_01", start=start, encoder_config=small,
-    )
+    spec = _probe_spec([(c, 1) for c in categories], instruction)
+    _, [decision] = _evaluate_recording_decisions(monkeypatch, spec, "no-prior", encoder_config=small)
     assert decision.chosen_category == want

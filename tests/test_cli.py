@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from polar.cli import main
+from polar.cli import _load_config, main
 from polar.evaluation import load_reports
 from polar.scenarios import load_specs
 from polar.world import World
@@ -85,6 +85,7 @@ def test_bad_env_seed_is_domain_error(tmp_path, monkeypatch, capsys):
         {"seed": "zero"},
         {"seed": True},  # bools masquerade as ints
         ["not", "an", "object"],
+        {"theta_dedup": True},  # an int is taken for a float, a bool is not
     ],
 )
 def test_config_file_validation(tmp_path, capsys, doc):
@@ -93,6 +94,17 @@ def test_config_file_validation(tmp_path, capsys, doc):
     code = main(["--config", str(cfg), "world", "gen", "--out", str(tmp_path / "w.json")])
     assert code == 1
     assert capsys.readouterr().err.startswith("polar: error:")
+
+
+def test_config_file_takes_an_integer_for_a_float_field(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"theta_dedup": 1}))
+    assert _load_config(str(cfg)) == {"theta_dedup": 1.0}
+    assert type(_load_config(str(cfg))["theta_dedup"]) is float
+    out = tmp_path / "s.json"
+    argv = ["--config", str(cfg), "scenario", "gen", "--kind", "distractor", "--n", "1", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_encoder_dim_zero_is_rejected(tmp_path, capsys):
@@ -119,7 +131,15 @@ def test_config_flag_beats_file_beats_default(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"modes": []}, {"kinds": []}, {"kinds": ["bogus"]}, {"kinds": [1]}, {"modes": ["polar", "telepathy"]}],
+    [
+        {"modes": []},
+        {"kinds": []},
+        {"kinds": ["bogus"]},
+        {"kinds": [1]},
+        {"modes": ["polar", "telepathy"]},
+        # the generator accepts the first kind under these thresholds and refuses the second
+        {"theta_dedup": 0.5, "theta_obj": 0.5, "kinds": ["compositional-single", "compositional-joint"], "n": 1},
+    ],
 )
 def test_run_all_checks_kinds_and_modes_before_writing(tmp_path, capsys, doc):
     cfg = tmp_path / "config.json"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polar.distiller import (
-    DistillerConfig,
     EpisodeLog,
     TrajectoryStep,
     distill_semantic,
@@ -19,7 +18,7 @@ from polar.distiller import (
     summarize_episodic,
     trajectory_text,
 )
-from polar.errors import DistillerUnavailable, ParseError, RejectedInput
+from polar.errors import ParseError, RejectedInput
 from polar.graph import MemoryGraph
 from polar.world import ACTION_START, MOVE_FORWARD, STOP, TURN_RIGHT
 
@@ -194,39 +193,3 @@ def test_episode_from_json_rejects_missing_fields():
     del doc["trajectory"]
     with pytest.raises(ParseError):
         episode_from_json(doc)
-
-
-def test_distiller_config_validation():
-    with pytest.raises(RejectedInput):
-        DistillerConfig(mode="oracle")
-    with pytest.raises(RejectedInput):
-        DistillerConfig(mode="remote")
-
-
-def test_remote_distiller_happy_path(stub):
-    payload = {
-        "statements": [{"text": "user: color = red refers to mug mug_01", "fact_key": "color"}],
-        "summary_text": "found in kitchen",
-    }
-    cfg = DistillerConfig(mode="remote", endpoint=stub.reply("/run", payload))
-    stmts = distill_semantic(_episode(), cfg)
-    assert [(s.text, s.fact_key) for s in stmts] == [
-        ("user: color = red refers to mug mug_01", "color")
-    ]
-    assert stub.requests[0][1]["instruction"] == "take note of this mug"
-
-
-@pytest.mark.parametrize(
-    "resp",
-    [
-        (503, {}),
-        (200, b"not json"),
-        (200, {"statements": [{"text": "x"}], "summary_text": "s"}),  # fact_key missing
-        (200, {"summary_text": "s"}),
-    ],
-)
-def test_remote_distiller_bad_responses(stub, resp):
-    status, body = resp
-    cfg = DistillerConfig(mode="remote", endpoint=stub.reply("/run", body, status))
-    with pytest.raises(DistillerUnavailable):
-        distill_semantic(_episode(), cfg)

@@ -315,7 +315,7 @@ def test_write_and_load_reports_round_trip(single_suite, tmp_path):
     specs, episodes, graphs = single_suite
     report = evaluate(specs, "polar", graphs=graphs, episodes=episodes)
     json_path, table_path = tmp_path / "metrics.json", tmp_path / "metrics.txt"
-    table = write_report(report, str(json_path), str(table_path))
+    table = write_report([report], str(json_path), str(table_path))
     assert table_path.read_text() == table == render_table([report])
     loaded = load_reports(str(json_path))
     assert len(loaded) == 1

@@ -5,13 +5,13 @@ import time
 
 import pytest
 
-from polar.errors import EncoderUnavailable, ParseError, PlannerUnavailable
+from polar.errors import EncoderUnavailable, ParseError
 from polar.fileio import load_json, post_json, read_json, read_json_lines
 
 
 def test_post_json_returns_reply_object(stub):
     url = stub.reply("/echo", {"ok": [1, 2]})
-    assert post_json(url, {"q": "x"}, 5.0, PlannerUnavailable) == {"ok": [1, 2]}
+    assert post_json(url, {"q": "x"}, 5.0, EncoderUnavailable) == {"ok": [1, 2]}
     assert stub.requests == [("/echo", {"q": "x"})]
 
 
@@ -27,8 +27,8 @@ def test_post_json_returns_reply_object(stub):
 )
 def test_post_json_raises_callers_error(stub, status, body):
     url = stub.reply("/bad", body, status)
-    with pytest.raises(PlannerUnavailable):
-        post_json(url, {}, 5.0, PlannerUnavailable)
+    with pytest.raises(EncoderUnavailable):
+        post_json(url, {}, 5.0, EncoderUnavailable)
 
 
 def test_post_json_connection_refused(refused_url):

@@ -183,7 +183,6 @@ def test_candidates_carry_episodic_renderings_newest_first():
         )
     result = retrieve(g, "crimson mug", k=5)
     assert result.candidates[0].episodic_memories == ["second", "first"]
-    assert result.candidates[0].instructions == ["i", "i"]
 
 
 def test_recall_at_k_contracts():
