@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, parse_statement
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import ExplorationExhausted, GroundingFailed, RejectedInput
-from .retrieval import DEFAULT_K, CandidateObject, RetrievalResult, episode_document, tokenize
+from .retrieval import CandidateObject, RetrievalResult, episode_document, tokenize
 from .world import (
     ACTION_START,
     MOVE_FORWARD,
@@ -37,6 +37,9 @@ from .world import (
     SceneGraph,
     World,
 )
+
+MAX_STEPS = 700  # an episode's step cap
+SUCCESS_RADIUS_M = 2.0  # an episode succeeds when it ends this close to gold
 
 _EPS = 1e-9
 _SUMMARY_FOUND_PREFIX = "found it in "
@@ -56,20 +59,6 @@ class NoPriorContext:
     """Memory-free context: only the world's category vocabulary is known."""
 
     categories: tuple[str, ...] = ()
-
-
-@dataclass
-class RunConfig:
-    max_steps: int = 700
-    success_radius_m: float = 2.0
-    k: int = DEFAULT_K
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_steps < 1:
-            raise RejectedInput(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.success_radius_m <= 0:
-            raise RejectedInput(f"success_radius_m must be positive, got {self.success_radius_m}")
 
 
 def _turn_count(current: int, target: int) -> int:
@@ -220,13 +209,12 @@ def _category_only(instruction: str, categories: tuple[str, ...], encoder_config
 def ground_target(
     planner,
     instruction: str,
-    context: RetrievalResult | list[EpisodeLog] | NoPriorContext | None,
+    context: RetrievalResult | list[EpisodeLog] | NoPriorContext,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
 ) -> GroundingDecision:
     """Dispatch grounding by context shape; empty memory contexts are errors."""
-    if context is None or isinstance(context, NoPriorContext):
-        categories = context.categories if isinstance(context, NoPriorContext) else ()
-        return _category_only(instruction, tuple(categories), encoder_config)
+    if isinstance(context, NoPriorContext):
+        return _category_only(instruction, tuple(context.categories), encoder_config)
     if isinstance(context, RetrievalResult):
         if not context.candidates:
             raise GroundingFailed("retrieval produced no candidates")
@@ -274,14 +262,13 @@ def plan_low(
     observation: Observation,
     waypoint: tuple[float, float],
     decision: GroundingDecision,
-    config: RunConfig,
     target_position: tuple[float, float] | None = None,
 ) -> str | None:
     """Single low-level action: stop on the target, else descend toward it or the
     waypoint; None when no stride gets closer to the goal."""
     if decision.chosen_object_id:
         seen = observation.find(decision.chosen_object_id)
-        if seen is not None and seen <= config.success_radius_m + _EPS:
+        if seen is not None and seen <= SUCCESS_RADIUS_M + _EPS:
             return STOP
     goal = waypoint if target_position is None else target_position
     return _steer_action(world, state, goal)
@@ -295,7 +282,6 @@ def run_episode(
     world: World,
     instruction: str,
     decision: GroundingDecision,
-    config: RunConfig,
     *,
     gold_object_id: str,
     start: AgentState,
@@ -329,7 +315,7 @@ def run_episode(
     stall = 0
     done = False
 
-    while not done and state.steps_taken < config.max_steps:
+    while not done and state.steps_taken < MAX_STEPS:
         if not working.chosen_object_id and working.chosen_category:
             # category-only grounding locks onto the first instance sighted
             for view in observation.views:
@@ -347,7 +333,7 @@ def run_episode(
                 target_position = world.objects[working.chosen_object_id].position
 
         if target_position is not None:
-            action = plan_low(world, state, observation, state.position, working, config, target_position)
+            action = plan_low(world, state, observation, state.position, working, target_position)
         elif scan_left > 0:
             action = TURN_RIGHT
             scan_left -= 1
@@ -369,7 +355,7 @@ def run_episode(
             waypoint = scene_graph.waypoints[plan[-1] if len(plan) == 1 else plan[0]]
             final_leg = len(plan) == 1
             arrived = final_leg and world.shortest_path_length(state.position, waypoint) <= STRIDE_M + _EPS
-            action = None if arrived else plan_low(world, state, observation, waypoint, working, config)
+            action = None if arrived else plan_low(world, state, observation, waypoint, working)
             if action is None and final_leg:
                 # the last leg ends in a scan once the waypoint is near or no stride
                 # gets closer; the target is unsighted here, so plan_low cannot STOP
@@ -402,6 +388,6 @@ def run_episode(
         target_object_id=gold_object_id,
         target_category=gold.category,
         trajectory=trajectory,
-        success=distance <= config.success_radius_m + _EPS,
+        success=distance <= SUCCESS_RADIUS_M + _EPS,
         final_position=state.position,
     )

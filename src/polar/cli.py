@@ -13,10 +13,12 @@ re-runnable on its own:
     polar run-all        --seed 0 --out-dir runs/seed0 [--kinds ...] [--modes ...] [--n 5]
 
 `main` resolves one frozen PipelineConfig before any command runs. Every field
-takes its flag, then the --config file, then its default; the seed alone also
-reads POLAR_SEED before its default of 0. run-all passes each stage exactly
-what the staged command passes, so both honour the same fields. run-all's
-config.json records seed, kinds, modes, n and n_rooms.
+a command reads takes its flag, then the --config file, then its default; the
+seed alone also reads POLAR_SEED before its default of 0. PipelineConfig.settings
+bundles k, the thresholds and the encoder into the one MemorySettings that
+generation, memorize_suite and evaluate take, and run-all passes each stage
+exactly what the staged command passes, so both honour the same fields.
+run-all's config.json records seed, kinds, modes, n and n_rooms.
 Exit codes: 0 success, 1 domain error (one-line reason on stderr), 2 usage error.
 """
 
@@ -28,7 +30,6 @@ import sys
 import typing
 from dataclasses import dataclass, fields
 
-from .agent import RunConfig
 from .distiller import load_episodes, save_episodes
 from .encoder import DEFAULT_ENCODER, EncoderConfig
 from .errors import ParseError, PolarError, RejectedInput
@@ -46,8 +47,7 @@ from .evaluation import (
     write_report,
 )
 from .fileio import atomic_write_text, dump_json, read_json
-from .graph import THETA_DEDUP, THETA_OBJ
-from .retrieval import DEFAULT_K
+from .retrieval import DEFAULT_SETTINGS, MemorySettings
 from .scenarios import DEFAULT_N_ROOMS, KINDS, gen_scenarios, load_specs, save_specs
 from .world import gen_world
 
@@ -62,9 +62,9 @@ class PipelineConfig:
     seed: int = 0
     n_rooms: int = DEFAULT_N_ROOMS
     n: int = 5  # specs per kind
-    k: int = DEFAULT_K
-    theta_dedup: float = THETA_DEDUP
-    theta_obj: float = THETA_OBJ
+    k: int = DEFAULT_SETTINGS.k
+    theta_dedup: float = DEFAULT_SETTINGS.theta_dedup
+    theta_obj: float = DEFAULT_SETTINGS.theta_obj
     kinds: tuple[str, ...] = KINDS
     modes: tuple[str, ...] = DEFAULT_MODES
     encoder_mode: str = DEFAULT_ENCODER.mode
@@ -77,20 +77,13 @@ class PipelineConfig:
             values = getattr(self, name)
             if not values or any(v not in known for v in values):
                 raise RejectedInput(f"{name} must name one or more of {', '.join(known)}; got {list(values)!r}")
-        self.encoder  # an invalid encoder setting fails here, before any file is written
+        self.settings  # an invalid encoder setting fails here, before any file is written
 
     @property
-    def encoder(self) -> EncoderConfig:
-        return EncoderConfig(mode=self.encoder_mode, dim=self.encoder_dim, endpoint=self.encoder_endpoint)
-
-    @property
-    def memory(self) -> dict:
-        """The memory settings that both the generator's guard and memorize_suite take."""
-        return {"theta_dedup": self.theta_dedup, "theta_obj": self.theta_obj, "encoder_config": self.encoder}
-
-    @property
-    def run_config(self) -> RunConfig:
-        return RunConfig(k=self.k, seed=self.seed)
+    def settings(self) -> MemorySettings:
+        """The memory settings every stage takes: the generator's guard, memorize_suite, evaluate."""
+        encoder = EncoderConfig(mode=self.encoder_mode, dim=self.encoder_dim, endpoint=self.encoder_endpoint)
+        return MemorySettings(encoder, self.theta_dedup, self.theta_obj, self.k)
 
 
 # the JSON type a config file gives each field: a list for a tuple, str for `str | None`
@@ -169,7 +162,7 @@ def _cmd_world_gen(config, args):
 def _cmd_scenario_gen(config, args):
     specs = []
     for kind in config.kinds:
-        specs.extend(gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, k=config.k, **config.memory))
+        specs.extend(gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, settings=config.settings))
     save_specs(specs, args.out)
     sys.stdout.write(f"wrote {len(specs)} specs to {args.out}\n")
     return 0
@@ -186,7 +179,7 @@ def _cmd_acquire(config, args):
 
 
 def _cmd_memorize(config, args):
-    graphs = memorize_suite(load_episodes(args.episodes), **config.memory)
+    graphs = memorize_suite(load_episodes(args.episodes), config.settings)
     save_graphs(graphs, args.out)
     sys.stdout.write(f"wrote {len(graphs)} graphs to {args.out}\n")
     return 0
@@ -197,8 +190,8 @@ def _cmd_eval(config, args):
     graphs = load_graphs(args.graphs) if args.graphs else None
     episodes = group_by_scenario(load_episodes(args.episodes)) if args.episodes else None
     report = evaluate(
-        specs, args.mode, config.run_config, graphs=graphs, episodes=episodes,
-        encoder_config=config.encoder, only_retrieval_hits=args.only_retrieval_hits,
+        specs, args.mode, config.settings, seed=config.seed, graphs=graphs, episodes=episodes,
+        only_retrieval_hits=args.only_retrieval_hits,
     )
     table = write_report([report], args.out, args.table)
     sys.stdout.write(table)
@@ -220,8 +213,9 @@ def _cmd_run_all(config, args):
     if not out_dir:
         raise RejectedInput("run-all needs --out-dir (or out_dir in the config file)")
     # every kind's specs before any file: a kind the generator refuses leaves no partial tree
+    settings = config.settings
     suites = [
-        (kind, gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, k=config.k, **config.memory))
+        (kind, gen_scenarios(config.seed, kind, config.n, n_rooms=config.n_rooms, settings=settings))
         for kind in config.kinds
     ]
     os.makedirs(out_dir, exist_ok=True)
@@ -238,11 +232,11 @@ def _cmd_run_all(config, args):
         for spec in specs:
             episodes.extend(acquire(spec))
         save_episodes(episodes, os.path.join(kind_dir, "episodes.jsonl"))
-        graphs = memorize_suite(episodes, **config.memory)
+        graphs = memorize_suite(episodes, settings)
         save_graphs(graphs, os.path.join(kind_dir, "graphs.json"))
         by_scenario = group_by_scenario(episodes)
         reports = [
-            evaluate(specs, mode, config.run_config, graphs=graphs, episodes=by_scenario, encoder_config=config.encoder)
+            evaluate(specs, mode, settings, seed=config.seed, graphs=graphs, episodes=by_scenario)
             for mode in config.modes
         ]
         write_report(reports, os.path.join(kind_dir, "metrics.json"), os.path.join(kind_dir, "metrics.txt"))
@@ -268,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--encoder-endpoint", default=None)
         p.add_argument("--encoder-dim", type=int, default=None)
 
+    def add_thresholds(p):
+        p.add_argument("--theta-dedup", type=float, default=None)
+        p.add_argument("--theta-obj", type=float, default=None)
+
     world = sub.add_parser("world", help="world utilities").add_subparsers(dest="world_command", required=True)
     world_gen = world.add_parser("gen", help="generate a deterministic house world")
     add_seed(world_gen)
@@ -287,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_gen.add_argument("--n", type=int, default=None, help="specs per kind")
     scenario_gen.add_argument("--n-rooms", type=int, default=None)
+    scenario_gen.add_argument("--k", type=int, default=None)
+    add_thresholds(scenario_gen)
     add_encoder(scenario_gen)
     scenario_gen.add_argument("--out", required=True)
     scenario_gen.set_defaults(func=_cmd_scenario_gen)
@@ -298,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mem = sub.add_parser("memorize", help="distill episode logs into per-scenario graphs")
     mem.add_argument("--episodes", required=True)
-    mem.add_argument("--theta-dedup", type=float, default=None)
-    mem.add_argument("--theta-obj", type=float, default=None)
+    add_thresholds(mem)
     add_encoder(mem)
     mem.add_argument("--out", required=True)
     mem.set_defaults(func=_cmd_memorize)
@@ -329,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", type=int, default=None)
     run.add_argument("--n-rooms", type=int, default=None)
     run.add_argument("--k", type=int, default=None)
+    add_thresholds(run)
     add_encoder(run)
     run.add_argument("--out-dir", default=None)
     run.set_defaults(func=_cmd_run_all)

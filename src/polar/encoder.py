@@ -110,7 +110,7 @@ def encode(text: str, config: EncoderConfig = DEFAULT_ENCODER) -> np.ndarray:
 def encode_batch(texts: list[str], config: EncoderConfig = DEFAULT_ENCODER) -> list[np.ndarray]:
     if config.mode == "builtin":
         return [encode(t, config) for t in texts]
-    doc = post_json(config.endpoint, {"texts": list(texts)}, config.timeout_s, EncoderUnavailable)
+    doc = post_json(config.endpoint, {"texts": list(texts)}, config.timeout_s)
     rows = doc.get("embeddings")
     if not isinstance(rows, list) or len(rows) != len(texts):
         raise EncoderUnavailable(

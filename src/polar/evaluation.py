@@ -15,7 +15,9 @@ and runs one episode per spec under the requested context mode:
   retrieval with the candidates' episodic context swapped for the ablated
   trajectory representation.
 
-Metrics: SR (ending within the success radius of gold), SPL
+memorize_suite and evaluate take one MemorySettings: the graphs are built
+with its encoder and thresholds, and evaluation encodes and retrieves with
+its encoder and k. Metrics: SR (ending within SUCCESS_RADIUS_M of gold), SPL
 (1/N · Σ S·l/max(p,l), where p counts forward meters), CM (ending at a
 same-category non-gold instance instead), and recall@k for the semantic,
 BM25, and dense retrievers. For multi-episode gold sets the raw recalls
@@ -33,16 +35,15 @@ from .agent import (
     NaiveMatcher,
     NoPriorContext,
     OraclePlanner,
-    RunConfig,
+    SUCCESS_RADIUS_M,
     ground_target,
     run_episode,
 )
 from .distiller import EpisodeLog, memorize, summarize_episodic, trajectory_text
-from .encoder import EncoderConfig, DEFAULT_ENCODER
 from .errors import ConfigurationError, GroundingFailed, ParseError, RejectedInput
 from .fileio import FORMAT_VERSION, MALFORMED, atomic_write_text, dump_json, load_json
-from .graph import MemoryGraph, THETA_DEDUP, THETA_OBJ
-from .retrieval import RetrievalResult, raw_retrieve, recall_at_k, retrieve
+from .graph import MemoryGraph
+from .retrieval import DEFAULT_SETTINGS, MemorySettings, RetrievalResult, raw_retrieve, recall_at_k, retrieve
 from .scenarios import ScenarioSpec
 from .world import AgentState, World, cached_world
 
@@ -64,9 +65,8 @@ def world_for_spec(spec: ScenarioSpec) -> World:
 # -- acquisition + memorization ---------------------------------------------------
 
 
-def acquire(spec: ScenarioSpec, config: RunConfig | None = None) -> list[EpisodeLog]:
+def acquire(spec: ScenarioSpec) -> list[EpisodeLog]:
     """Execute every acquisition script with explicit grounding; logs feed memorization."""
-    config = config or RunConfig()
     world = world_for_spec(spec)
     logs = []
     for idx, script in enumerate(sorted(spec.scripts, key=lambda s: (s.timestamp, s.target_object_id))):
@@ -81,7 +81,6 @@ def acquire(spec: ScenarioSpec, config: RunConfig | None = None) -> list[Episode
             staged,
             script.instruction,
             decision,
-            config,
             gold_object_id=script.target_object_id,
             start=AgentState(script.agent_start, script.agent_heading),
             episode_id=f"{spec.scenario_id}:acq:{idx:02d}",
@@ -101,19 +100,13 @@ def group_by_scenario(episodes: list[EpisodeLog]) -> dict[str, list[EpisodeLog]]
     return groups
 
 
-def memorize_suite(
-    episodes: list[EpisodeLog],
-    *,
-    theta_dedup: float = THETA_DEDUP,
-    theta_obj: float = THETA_OBJ,
-    encoder_config: EncoderConfig = DEFAULT_ENCODER,
-) -> dict[str, MemoryGraph]:
+def memorize_suite(episodes: list[EpisodeLog], settings: MemorySettings = DEFAULT_SETTINGS) -> dict[str, MemoryGraph]:
     """One isolated graph per scenario, episodes ingested in timestamp order."""
     graphs = {}
     for scenario_id, group in sorted(group_by_scenario(episodes).items()):
-        graph = MemoryGraph(theta_dedup=theta_dedup, theta_obj=theta_obj)
+        graph = MemoryGraph(theta_dedup=settings.theta_dedup, theta_obj=settings.theta_obj)
         for episode in sorted(group, key=lambda e: (e.timestamp, e.episode_id)):
-            memorize(episode, graph, encoder_config=encoder_config)
+            memorize(episode, graph, encoder_config=settings.encoder)
         graphs[scenario_id] = graph
     return graphs
 
@@ -233,26 +226,26 @@ def _mean_or_none(values: list[float | None]) -> float | None:
 def evaluate(
     specs: list[ScenarioSpec],
     mode: str,
-    config: RunConfig | None = None,
+    settings: MemorySettings = DEFAULT_SETTINGS,
     *,
+    seed: int = 0,
     graphs: dict[str, MemoryGraph] | None = None,
     episodes: dict[str, list[EpisodeLog]] | None = None,
-    encoder_config: EncoderConfig = DEFAULT_ENCODER,
     only_retrieval_hits: bool = False,
 ) -> MetricsReport:
+    """One episode per spec under `mode`; `seed` keys raw-interaction's episode sample."""
     if mode not in MODES:
         raise RejectedInput(f"unknown evaluation mode {mode!r}; expected one of {', '.join(MODES)}")
-    config = config or RunConfig()
     rows = []
     for spec in sorted(specs, key=lambda s: s.scenario_id):
         rows.append(
             _evaluate_one(
                 spec,
                 mode,
-                config,
+                settings,
+                seed=seed,
                 graph=(graphs or {}).get(spec.scenario_id),
                 logs=(episodes or {}).get(spec.scenario_id),
-                encoder_config=encoder_config,
             )
         )
     if only_retrieval_hits:
@@ -282,17 +275,17 @@ def _all_retrievers_hit(row: dict) -> bool:
 def _evaluate_one(
     spec: ScenarioSpec,
     mode: str,
-    config: RunConfig,
+    settings: MemorySettings,
     *,
+    seed: int,
     graph: MemoryGraph | None,
     logs: list[EpisodeLog] | None,
-    encoder_config: EncoderConfig,
 ) -> dict:
     world = world_for_spec(spec)
     eval_world = world.move_object(spec.gold_object_id, spec.eval_gold_position)
     retrieval_result = None
     if graph is not None:
-        retrieval_result = retrieve(graph, spec.eval_instruction, config.k, encoder_config=encoder_config)
+        retrieval_result = retrieve(graph, spec.eval_instruction, settings.k, encoder_config=settings.encoder)
     if mode.startswith("polar"):
         if graph is None:
             raise ConfigurationError(f"mode {mode!r} needs a memorized graph for {spec.scenario_id!r} (run memorize first)")
@@ -301,14 +294,14 @@ def _evaluate_one(
     elif mode == "raw-interaction":
         if not logs:
             raise ConfigurationError(f"mode raw-interaction needs acquisition episodes for {spec.scenario_id!r}")
-        context = _raw_sample(spec, logs, config.seed)
+        context = _raw_sample(spec, logs, seed)
         planner, source = NaiveMatcher(), "raw"
     else:  # no-prior
         categories = tuple(sorted({o.category for o in eval_world.objects.values()}))
         context = NoPriorContext(categories)
         planner, source = None, "none"
     try:
-        decision = ground_target(planner, spec.eval_instruction, context, encoder_config)
+        decision = ground_target(planner, spec.eval_instruction, context, settings.encoder)
     except GroundingFailed as exc:
         # the episode still runs, as an ungrounded sweep
         decision = GroundingDecision("", "", None, f"grounding unavailable: {exc}", source)
@@ -317,7 +310,6 @@ def _evaluate_one(
         eval_world,
         spec.eval_instruction,
         decision,
-        config,
         gold_object_id=spec.gold_object_id,
         start=AgentState(spec.eval_agent_start, spec.eval_agent_heading),
         episode_id=f"{spec.scenario_id}:eval",
@@ -331,7 +323,7 @@ def _evaluate_one(
         o.category == eval_world.objects[spec.gold_object_id].category
         and o.object_id != spec.gold_object_id
         and math.hypot(log.final_position[0] - o.position[0], log.final_position[1] - o.position[1])
-        <= config.success_radius_m + 1e-9
+        <= SUCCESS_RADIUS_M + 1e-9
         for o in eval_world.objects.values()
     )
     recall_semantic = None
@@ -342,7 +334,7 @@ def _evaluate_one(
         gold_ids = [e.episode_id for e in logs if e.target_object_id == spec.gold_object_id]
         if gold_ids:
             for name in ("bm25", "dense"):
-                ranked = raw_retrieve(logs, spec.eval_instruction, config.k, name, encoder_config=encoder_config)
+                ranked = raw_retrieve(logs, spec.eval_instruction, settings.k, name, encoder_config=settings.encoder)
                 hit = sum(recall_at_k(ranked, gold_episode_id=g) for g in gold_ids) / len(gold_ids)
                 if name == "bm25":
                     recall_bm25 = hit

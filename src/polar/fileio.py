@@ -7,7 +7,7 @@ that is not UTF-8 JSON of the expected shape raises ParseError; record
 parsers map the exceptions in `MALFORMED` to ParseError as well, and read
 their text and id fields through `as_text`.
 `post_json` is the JSON-over-POST client of the remote encoder, on
-`urllib.request`.
+`urllib.request`; every fault it meets raises EncoderUnavailable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 
-from .errors import ParseError
+from .errors import EncoderUnavailable, ParseError
 
 FORMAT_VERSION = 1
 
@@ -100,8 +100,9 @@ def load_json(path: str, key: str, container: type) -> dict | list:
     return doc[key]
 
 
-def post_json(url: str, payload: dict, timeout_s: float, error: type[Exception]) -> dict:
-    """POST payload as JSON to url and return the reply object; any fault raises `error`."""
+def post_json(url: str, payload: dict, timeout_s: float) -> dict:
+    """POST payload as JSON to url and return the reply object; any fault raises
+    EncoderUnavailable."""
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"), headers={"Content-Type": "application/json"}
     )
@@ -109,13 +110,13 @@ def post_json(url: str, payload: dict, timeout_s: float, error: type[Exception])
         with urllib.request.urlopen(request, timeout=timeout_s) as response:
             body = response.read()
     except urllib.error.HTTPError as exc:  # every non-2xx status
-        raise error(f"{url} returned HTTP {exc.code}") from exc
+        raise EncoderUnavailable(f"{url} returned HTTP {exc.code}") from exc
     except (OSError, http.client.HTTPException) as exc:  # HTTPException: a reply that is not HTTP
-        raise error(f"{url} unreachable: {exc}") from exc
+        raise EncoderUnavailable(f"{url} unreachable: {exc}") from exc
     try:
         doc = json.loads(body.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise error(f"{url} returned a body that is not JSON: {exc}") from exc
+        raise EncoderUnavailable(f"{url} returned a body that is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise error(f"{url} returned {type(doc).__name__}, not a JSON object")
+        raise EncoderUnavailable(f"{url} returned {type(doc).__name__}, not a JSON object")
     return doc

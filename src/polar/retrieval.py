@@ -20,11 +20,26 @@ import numpy as np
 from .distiller import EpisodeLog, trajectory_text
 from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
 from .errors import RejectedInput
-from .graph import MemoryGraph
+from .graph import THETA_DEDUP, THETA_OBJ, MemoryGraph
 
 DEFAULT_K = 5
 BM25_K1 = 1.2
 BM25_B = 0.75
+
+
+@dataclass(frozen=True)
+class MemorySettings:
+    """The choices memory is built and searched under: the encoder that embeds
+    statements and queries, the graph's dedup and object thresholds, and top-k.
+    Generation's guard, memorize_suite and evaluate each take one of these."""
+
+    encoder: EncoderConfig = DEFAULT_ENCODER
+    theta_dedup: float = THETA_DEDUP
+    theta_obj: float = THETA_OBJ
+    k: int = DEFAULT_K
+
+
+DEFAULT_SETTINGS = MemorySettings()
 
 
 @dataclass

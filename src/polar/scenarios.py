@@ -15,11 +15,11 @@ Every spec also carries 12 filler scripts about other objects so retrieval
 and raw-interaction sampling face noise. Cue values come from pools of
 globally unique words: candidate score inheritance keys on fact-value
 tokens, so value words must never collide across objects by accident.
-The generator checks each construction under the encoder, thresholds and k
-the suite will run with. Statements a kind must merge into one node (or keep
-apart) are checked against the dedup threshold, and the spec's scripts are
-memorized, retrieved and grounded with the real distiller, retrieval and
-planner code: a spec whose memory does not ground gold is refused.
+The generator checks each construction under the MemorySettings the suite
+will run with. Statements a kind must merge into one node (or keep apart) are
+checked against the dedup threshold, and the spec's scripts are memorized,
+retrieved and grounded with the real distiller, retrieval and planner code: a
+spec whose memory does not ground gold is refused.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import random
 from dataclasses import dataclass
 
 from .agent import GroundingDecision, OraclePlanner, sweep_room
-from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
+from .encoder import cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import EpisodeLog, TrajectoryStep, memorize, render_statement
 from .fileio import FORMAT_VERSION, MALFORMED, as_text, dump_json, load_json
-from .graph import THETA_DEDUP, THETA_OBJ, MemoryGraph
-from .retrieval import DEFAULT_K, retrieve
+from .graph import MemoryGraph
+from .retrieval import DEFAULT_SETTINGS, MemorySettings, retrieve
 from .world import ACTION_START, HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
 
 KINDS = (
@@ -264,43 +264,38 @@ def _joint_rooms(world: World, scene: SceneGraph, base_room: str, margin_m: floa
     return pairs
 
 
-# -- construction guards -------------------------------------------------------
+# -- construction guards: each is checked under the suite's memory settings ------
 
 
-@dataclass(frozen=True)
-class _Guard:
-    """The memory settings the suite will run with; each construction is checked under them."""
+def _guard_dedup(settings: MemorySettings, a: str, b: str, want_shared: bool, what: str) -> None:
+    sim = cosine(encode(a, settings.encoder), encode(b, settings.encoder))
+    theta = settings.theta_dedup
+    if want_shared and sim < theta:
+        raise GenerationError(f"{what}: statements must collapse into one node but cosine {sim:.4f} < {theta}")
+    if not want_shared and sim >= theta:
+        raise GenerationError(f"{what}: statements must stay distinct but cosine {sim:.4f} >= {theta}")
 
-    encoder: EncoderConfig
-    theta_dedup: float
-    theta_obj: float
-    k: int
 
-    def dedup(self, a: str, b: str, want_shared: bool, what: str) -> None:
-        sim = cosine(encode(a, self.encoder), encode(b, self.encoder))
-        if want_shared and sim < self.theta_dedup:
-            raise GenerationError(f"{what}: statements must collapse into one node but cosine {sim:.4f} < {self.theta_dedup}")
-        if not want_shared and sim >= self.theta_dedup:
-            raise GenerationError(f"{what}: statements must stay distinct but cosine {sim:.4f} >= {self.theta_dedup}")
-
-    def grounds_gold(self, world: World, scripts: list[AcquisitionScript], instruction: str, gold: str, what: str) -> None:
-        """Memorize the scripts in acquisition's order, then retrieve and ground the
-        instruction with the real code; gold must be the object grounded."""
-        graph = MemoryGraph(theta_dedup=self.theta_dedup, theta_obj=self.theta_obj)
-        for script in sorted(scripts, key=lambda s: (s.timestamp, s.target_object_id)):
-            obj = world.objects[script.target_object_id]
-            start = TrajectoryStep(
-                script.agent_start, script.agent_heading, ACTION_START, world.room_of(script.agent_start) or ""
-            )
-            episode = EpisodeLog(
-                f"{what}:acq", script.timestamp, script.instruction, script.facts, None,
-                obj.object_id, obj.category, [start], False, script.agent_start,
-            )
-            memorize(episode, graph, encoder_config=self.encoder)
-        result = retrieve(graph, instruction, self.k, encoder_config=self.encoder)
-        grounded = OraclePlanner().ground(instruction, result).chosen_object_id
-        if grounded != gold:
-            raise GenerationError(f"{what}: memory grounds {grounded!r}, not gold {gold!r}, for {instruction!r}")
+def _guard_grounds_gold(
+    settings: MemorySettings, world: World, scripts: list[AcquisitionScript], instruction: str, gold: str, what: str
+) -> None:
+    """Memorize the scripts in acquisition's order, then retrieve and ground the
+    instruction with the real code; gold must be the object grounded."""
+    graph = MemoryGraph(theta_dedup=settings.theta_dedup, theta_obj=settings.theta_obj)
+    for script in sorted(scripts, key=lambda s: (s.timestamp, s.target_object_id)):
+        obj = world.objects[script.target_object_id]
+        start = TrajectoryStep(
+            script.agent_start, script.agent_heading, ACTION_START, world.room_of(script.agent_start) or ""
+        )
+        episode = EpisodeLog(
+            f"{what}:acq", script.timestamp, script.instruction, script.facts, None,
+            obj.object_id, obj.category, [start], False, script.agent_start,
+        )
+        memorize(episode, graph, encoder_config=settings.encoder)
+    result = retrieve(graph, instruction, settings.k, encoder_config=settings.encoder)
+    grounded = OraclePlanner().ground(instruction, result).chosen_object_id
+    if grounded != gold:
+        raise GenerationError(f"{what}: memory grounds {grounded!r}, not gold {gold!r}, for {instruction!r}")
 
 
 # -- generation ----------------------------------------------------------------
@@ -312,19 +307,13 @@ def gen_scenarios(
     n: int,
     *,
     n_rooms: int = DEFAULT_N_ROOMS,
-    filler_count: int = FILLER_COUNT,
-    encoder_config: EncoderConfig = DEFAULT_ENCODER,
-    theta_dedup: float = THETA_DEDUP,
-    theta_obj: float = THETA_OBJ,
-    k: int = DEFAULT_K,
+    settings: MemorySettings = DEFAULT_SETTINGS,
 ) -> list[ScenarioSpec]:
     """Deterministic suite of n specs of one kind, all sharing a world chassis."""
     if kind not in KINDS:
         raise RejectedInput(f"unknown scenario kind {kind!r}; expected one of {', '.join(KINDS)}")
     if n < 1:
         raise RejectedInput(f"n must be >= 1, got {n}")
-    if not 0 <= filler_count <= len(_KEY_POOL) - 2:
-        raise RejectedInput(f"filler_count must be in [0, {len(_KEY_POOL) - 2}]")
     suite_rng = random.Random(f"{seed}:{kind}:suite")
     categories = list(_CATEGORY_POOL)
     main_category = categories.pop(suite_rng.randrange(len(categories)))
@@ -335,16 +324,16 @@ def gen_scenarios(
         "compositional-joint": 3,
         "distractor": 3,
     }[kind]
-    world_objects = [(main_category, instances)] + [(c, 1) for c in categories[:filler_count]]
+    filler_categories = categories[:FILLER_COUNT]
+    world_objects = [(main_category, instances)] + [(c, 1) for c in filler_categories]
     world = cached_world(seed, n_rooms, world_objects)
     scene = world.build_scene_graph()
-    guard = _Guard(encoder_config, theta_dedup, theta_obj, k)
     specs = []
     for i in range(n):
         rng = random.Random(f"{seed}:{kind}:{i}")
         spec = _gen_one(
             rng, f"{kind}-s{seed}-{i:03d}", kind, seed, n_rooms, world_objects, world, scene,
-            main_category, categories[:filler_count], filler_count, guard,
+            main_category, filler_categories, settings,
         )
         specs.append(spec)
     return specs
@@ -361,14 +350,13 @@ def _gen_one(
     scene,
     main_category: str,
     filler_categories: list[str],
-    filler_count: int,
-    guard: _Guard,
+    settings: MemorySettings,
 ) -> ScenarioSpec:
     main_ids = sorted(o.object_id for o in world.objects.values() if o.category == main_category)
-    keys = rng.sample(_KEY_POOL, filler_count + 2)
-    filler_keys, spare_keys = keys[:filler_count], keys[filler_count:]
-    words = rng.sample(_VALUE_POOL, filler_count + 5)
-    filler_values, spare_values = words[:filler_count], words[filler_count:]
+    keys = rng.sample(_KEY_POOL, FILLER_COUNT + 2)
+    filler_keys, spare_keys = keys[:FILLER_COUNT], keys[FILLER_COUNT:]
+    words = rng.sample(_VALUE_POOL, FILLER_COUNT + 5)
+    filler_values, spare_values = words[:FILLER_COUNT], words[FILLER_COUNT:]
 
     scripts: list[AcquisitionScript] = []
     used_starts: list[tuple[float, float]] = []
@@ -391,7 +379,7 @@ def _gen_one(
 
     for j, category in enumerate(filler_categories):
         add_script(f"{category}_01", filler_keys[j], filler_values[j], j + 1)
-    t = filler_count + 1
+    t = FILLER_COUNT + 1
     base_positions = [o.position for o in world.objects.values()]
 
     if kind == "compositional-single":
@@ -438,9 +426,9 @@ def _gen_one(
         eval_instruction = _eval_instruction([v1, v2], main_category)
         s1 = render_statement(k1, v1, main_category, gold)
         s2 = render_statement(k2, v2, main_category, gold)
-        guard.dedup(s1, render_statement(k1, v1, main_category, decoy_a), True, scenario_id)
-        guard.dedup(s2, render_statement(k2, v2, main_category, decoy_b), True, scenario_id)
-        guard.dedup(s1, s2, False, scenario_id)
+        _guard_dedup(settings, s1, render_statement(k1, v1, main_category, decoy_a), True, scenario_id)
+        _guard_dedup(settings, s2, render_statement(k2, v2, main_category, decoy_b), True, scenario_id)
+        _guard_dedup(settings, s1, s2, False, scenario_id)
 
     elif kind == "distractor":
         shuffled = rng.sample(main_ids, 3)
@@ -453,7 +441,7 @@ def _gen_one(
         gold_text = render_statement(key, value, main_category, gold)
         for off, other in enumerate(shuffled[1:]):
             other_text = render_statement(spare_keys[1], spare_values[1 + off], main_category, other)
-            guard.dedup(gold_text, other_text, False, scenario_id)
+            _guard_dedup(settings, gold_text, other_text, False, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
     elif kind == "temporal-context":
@@ -470,7 +458,7 @@ def _gen_one(
         eval_instruction = _eval_instruction([new_value], main_category)
         old_text = render_statement(key, old_value, main_category, gold)
         new_text = render_statement(key, new_value, main_category, gold)
-        guard.dedup(old_text, new_text, False, scenario_id)  # supersession must fire
+        _guard_dedup(settings, old_text, new_text, False, scenario_id)  # supersession must fire
         eval_room = world.room_of(world.objects[gold].position)
 
     else:  # temporal-object
@@ -481,10 +469,10 @@ def _gen_one(
         add_script(second, key, value, t + 1)
         eval_instruction = _eval_instruction([value], main_category)
         first_text = render_statement(key, value, main_category, first)
-        guard.dedup(first_text, render_statement(key, value, main_category, second), True, scenario_id)
+        _guard_dedup(settings, first_text, render_statement(key, value, main_category, second), True, scenario_id)
         eval_room = world.room_of(world.objects[gold].position)
 
-    guard.grounds_gold(world, scripts, eval_instruction, gold, scenario_id)
+    _guard_grounds_gold(settings, world, scripts, eval_instruction, gold, scenario_id)
 
     same_category = [
         o.position for o in world.objects.values() if o.category == main_category and o.object_id != gold
@@ -519,7 +507,7 @@ def _gen_one(
         scripts=scripts,
         eval_instruction=eval_instruction,
         gold_object_id=gold,
-        filler_count=filler_count,
+        filler_count=FILLER_COUNT,
         eval_gold_position=eval_gold_position,
         eval_agent_start=eval_start,
         eval_agent_heading=eval_heading,

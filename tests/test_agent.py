@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_descents, reference_ground, reference_steer
+from polar import agent
 from polar.agent import (
     GroundingDecision,
     NaiveMatcher,
     NoPriorContext,
     OraclePlanner,
-    RunConfig,
+    MAX_STEPS,
+    SUCCESS_RADIUS_M,
     _category_only,
     _prior_room_from_renderings,
     _steer_action,
@@ -27,7 +29,7 @@ from polar import evaluation
 from polar.evaluation import _MEMORY_MODE, _ablated_result, evaluate
 from polar.errors import ExplorationExhausted, GroundingFailed, RejectedInput
 from polar.graph import MemoryGraph
-from polar.retrieval import retrieve
+from polar.retrieval import MemorySettings, retrieve
 from polar.scenarios import _KEY_POOL, _VALUE_POOL, ScenarioSpec, _acq_instruction, _eval_instruction
 from polar.world import ACTION_START, HEADINGS, MOVE_FORWARD, STOP, TURN_LEFT, TURN_RIGHT, AgentState, SceneGraph, gen_world
 
@@ -49,13 +51,6 @@ def test_turn_math():
     assert _turn_count(0, 330) == 1
     assert _turn_toward(0, 60) == TURN_RIGHT
     assert _turn_toward(0, 300) == TURN_LEFT
-
-
-def test_run_config_validation():
-    with pytest.raises(RejectedInput):
-        RunConfig(max_steps=0)
-    with pytest.raises(RejectedInput):
-        RunConfig(success_radius_m=0.0)
 
 
 # -- steering ------------------------------------------------------------------
@@ -309,7 +304,7 @@ def test_category_only_parses_last_mentioned_category():
 def test_ground_target_dispatch():
     assert ground_target(None, "find my mug", NoPriorContext(("mug",))).chosen_category == "mug"
     with pytest.raises(GroundingFailed):
-        ground_target(None, "find my mug", None)  # no category vocabulary at all
+        ground_target(None, "find my mug", NoPriorContext(()))  # no category vocabulary at all
     with pytest.raises(GroundingFailed):
         ground_target(OraclePlanner(), "find it", [])
     with pytest.raises(RejectedInput):
@@ -324,13 +319,12 @@ def test_run_episode_with_explicit_decision_reaches_target():
     gold = "mug_01"
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
     decision = GroundingDecision(gold, "mug", None, "given", "polar")
-    config = RunConfig()
-    log = run_episode(world, "go to the mug", decision, config, gold_object_id=gold, start=start)
+    log = run_episode(world, "go to the mug", decision, gold_object_id=gold, start=start)
     assert log.success
-    assert len(log.trajectory) - 1 <= config.max_steps
+    assert len(log.trajectory) - 1 <= MAX_STEPS
     gx, gy = world.objects[gold].position
     fx, fy = log.final_position
-    assert math.hypot(fx - gx, fy - gy) <= config.success_radius_m + 1e-9
+    assert math.hypot(fx - gx, fy - gy) <= SUCCESS_RADIUS_M + 1e-9
     assert all(s.heading % 30 == 0 for s in log.trajectory)
     assert log.trajectory[0].action == ACTION_START
 
@@ -340,7 +334,7 @@ def test_run_episode_is_deterministic():
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 90)
     decision = GroundingDecision("mug_01", "mug", None, "given", "polar")
     runs = [
-        run_episode(world, "go", decision, RunConfig(), gold_object_id="mug_01", start=start)
+        run_episode(world, "go", decision, gold_object_id="mug_01", start=start)
         for _ in range(2)
     ]
     assert [(s.position, s.heading, s.action) for s in runs[0].trajectory] == [
@@ -348,14 +342,14 @@ def test_run_episode_is_deterministic():
     ]
 
 
-def test_run_episode_respects_step_cap():
+def test_run_episode_respects_step_cap(monkeypatch):
     world = gen_world(2, 6, [("mug", 1)])
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
     # grounding that can never be satisfied: category-only lock on a category
     # that is not in the world forces a full exploration sweep
     decision = GroundingDecision("", "unicorn", None, "given", "none")
-    config = RunConfig(max_steps=40)
-    log = run_episode(world, "find the unicorn", decision, config, gold_object_id="mug_01", start=start)
+    monkeypatch.setattr(agent, "MAX_STEPS", 40)
+    log = run_episode(world, "find the unicorn", decision, gold_object_id="mug_01", start=start)
     assert len(log.trajectory) - 1 <= 40
 
 
@@ -363,9 +357,9 @@ def test_run_episode_validates_inputs():
     world = gen_world(0, 5, [("mug", 1)])
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
     with pytest.raises(RejectedInput):
-        run_episode(world, "go", _decision(), RunConfig(), gold_object_id="ghost", start=start)
+        run_episode(world, "go", _decision(), gold_object_id="ghost", start=start)
     with pytest.raises(RejectedInput):
-        run_episode(world, "go", _decision(), RunConfig(), gold_object_id="mug_01",
+        run_episode(world, "go", _decision(), gold_object_id="mug_01",
                     start=AgentState((0.0, 0.0), 0))
 
 
@@ -383,12 +377,13 @@ def _evaluate_recording_decisions(monkeypatch, spec, mode, **kwargs):
     """evaluate() on one spec, plus the decision each episode was run with."""
     decisions = []
 
-    def recording_run_episode(world, instruction, decision, config, **rest):
+    def recording_run_episode(world, instruction, decision, **rest):
         decisions.append(decision)
-        return run_episode(world, instruction, decision, config, **rest)
+        return run_episode(world, instruction, decision, **rest)
 
     monkeypatch.setattr(evaluation, "run_episode", recording_run_episode)
-    report = evaluate([spec], mode, RunConfig(max_steps=30), **kwargs)
+    monkeypatch.setattr(agent, "MAX_STEPS", 30)
+    report = evaluate([spec], mode, **kwargs)
     return report.rows, decisions
 
 
@@ -411,5 +406,5 @@ def test_run_episode_no_prior_grounding_uses_the_callers_encoder(monkeypatch):
     want = _category_only(instruction, categories, small).chosen_category
     assert want == "c15x" and want != _category_only(instruction, categories, DEFAULT_ENCODER).chosen_category
     spec = _probe_spec([(c, 1) for c in categories], instruction)
-    _, [decision] = _evaluate_recording_decisions(monkeypatch, spec, "no-prior", encoder_config=small)
+    _, [decision] = _evaluate_recording_decisions(monkeypatch, spec, "no-prior", settings=MemorySettings(encoder=small))
     assert decision.chosen_category == want

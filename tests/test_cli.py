@@ -153,11 +153,11 @@ def test_run_all_checks_kinds_and_modes_before_writing(tmp_path, capsys, doc):
 
 def test_run_all_matches_staged_commands_under_one_config(tmp_path, monkeypatch, capsys):
     """run-all and the staged commands read the same config, so they write the same files;
-    the thresholds are non-default ones that the generator still accepts."""
+    the thresholds and k are non-default ones that the generator still accepts."""
     monkeypatch.delenv("POLAR_SEED", raising=False)
     thresholds = {"theta_dedup": 0.5, "theta_obj": 0.5}
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**thresholds, "kinds": ["temporal-object"], "n": 2}))
+    cfg.write_text(json.dumps({**thresholds, "k": 3, "kinds": ["temporal-object"], "n": 2}))
     pre = ["--config", str(cfg)]
     run_dir = tmp_path / "run" / "temporal-object"
     assert main([*pre, "run-all", "--out-dir", str(tmp_path / "run")]) == 0
@@ -176,12 +176,43 @@ def test_run_all_matches_staged_commands_under_one_config(tmp_path, monkeypatch,
         assert main([*pre, *argv, "--episodes", staged["episodes.jsonl"], "--out", out]) == 0
         reports.extend(load_reports(out))
     assert load_reports(str(run_dir / "metrics.json")) == reports
+    # k reaches evaluation: the default k=5 gives other reports on these specs
+    out = str(tmp_path / "metrics-k5.json")
+    assert main([*pre, *argv, "--episodes", staged["episodes.jsonl"], "--k", "5", "--out", out]) == 0
+    assert load_reports(out) != reports[-1:]
     capsys.readouterr()
 
     with open(run_dir / "graphs.json", encoding="utf-8") as fh:
         graphs = json.load(fh)["graphs"]
     assert len(graphs) == 2
     assert all(graph["thresholds"] == thresholds for graph in graphs.values())
+
+
+def test_memory_settings_a_command_reads_take_their_flags(tmp_path, monkeypatch, capsys):
+    """scenario gen and run-all read k and both thresholds, so both take their flags,
+    and a flag has the same effect as its config-file key."""
+    monkeypatch.delenv("POLAR_SEED", raising=False)
+    values = {"k": 3, "theta_dedup": 0.5, "theta_obj": 0.5}
+    flags = [arg for name, value in values.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    run_all = ["run-all", "--kinds", "temporal-object", "--n", "1", "--modes", "polar", "--out-dir"]
+    assert main([*run_all, str(tmp_path / "flags"), *flags]) == 0
+    assert main(["--config", str(cfg), *run_all, str(tmp_path / "file")]) == 0
+    for name in ("config.json", "metrics.json", "temporal-object/graphs.json", "temporal-object/specs.json"):
+        assert filecmp.cmp(tmp_path / "flags" / name, tmp_path / "file" / name, shallow=False), name
+    with open(tmp_path / "flags" / "temporal-object" / "graphs.json", encoding="utf-8") as fh:
+        [graph] = json.load(fh)["graphs"].values()
+    assert graph["thresholds"] == {"theta_dedup": 0.5, "theta_obj": 0.5}
+
+    # the generator's guard checks under the flags: it refuses what the defaults accept
+    gen = ["scenario", "gen", "--kind", "compositional-joint", "--n", "1", "--out", str(tmp_path / "s.json")]
+    assert main(gen) == 0
+    capsys.readouterr()
+    assert main([*gen, "--theta-dedup", "0.5", "--theta-obj", "0.5"]) == 1
+    assert "must stay distinct" in capsys.readouterr().err
+    assert main([*gen, "--k", "0"]) == 1
+    assert "k must be >= 1" in capsys.readouterr().err
 
 
 def test_pipeline_end_to_end(tmp_path, monkeypatch, capsys):

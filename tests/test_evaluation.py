@@ -26,7 +26,7 @@ from polar.evaluation import (
     world_for_spec,
     write_report,
 )
-from polar.agent import RunConfig, _prior_room_from_renderings
+from polar.agent import MAX_STEPS, SUCCESS_RADIUS_M, _prior_room_from_renderings
 from polar.retrieval import retrieve
 from polar.scenarios import gen_scenarios
 
@@ -242,7 +242,7 @@ def test_evaluate_no_prior_reports_without_recall(single_suite):
         assert row["recall_semantic"] is None and row["recall_bm25"] is None
         assert row["grounded_object_id"] == ""  # category-only grounding
         assert 0 <= row["spl"] <= 1
-        assert row["steps"] <= RunConfig().max_steps
+        assert row["steps"] <= MAX_STEPS
 
 
 def test_evaluate_polar_finds_relocated_gold(single_suite):
@@ -256,7 +256,7 @@ def test_evaluate_polar_finds_relocated_gold(single_suite):
         assert row["shortest_m"] is not None
         # success within the 2 m radius may undercut the full start->gold path,
         # but never by more than that radius; SPL stays in (0, 1]
-        assert row["path_m"] >= row["shortest_m"] - RunConfig().success_radius_m - 1e-9
+        assert row["path_m"] >= row["shortest_m"] - SUCCESS_RADIUS_M - 1e-9
         assert 0 < row["spl"] <= 1
 
 

@@ -11,7 +11,7 @@ from polar.fileio import load_json, post_json, read_json, read_json_lines
 
 def test_post_json_returns_reply_object(stub):
     url = stub.reply("/echo", {"ok": [1, 2]})
-    assert post_json(url, {"q": "x"}, 5.0, EncoderUnavailable) == {"ok": [1, 2]}
+    assert post_json(url, {"q": "x"}, 5.0) == {"ok": [1, 2]}
     assert stub.requests == [("/echo", {"q": "x"})]
 
 
@@ -28,18 +28,18 @@ def test_post_json_returns_reply_object(stub):
 def test_post_json_raises_callers_error(stub, status, body):
     url = stub.reply("/bad", body, status)
     with pytest.raises(EncoderUnavailable):
-        post_json(url, {}, 5.0, EncoderUnavailable)
+        post_json(url, {}, 5.0)
 
 
 def test_post_json_connection_refused(refused_url):
     with pytest.raises(EncoderUnavailable, match="unreachable"):
-        post_json(refused_url, {}, 5.0, EncoderUnavailable)
+        post_json(refused_url, {}, 5.0)
 
 
 def test_post_json_times_out_on_a_silent_listener(silent_url):
     started = time.monotonic()
     with pytest.raises(EncoderUnavailable):
-        post_json(silent_url, {"texts": ["a"]}, 0.2, EncoderUnavailable)
+        post_json(silent_url, {"texts": ["a"]}, 0.2)
     assert time.monotonic() - started < 5.0
 
 
