@@ -241,6 +241,23 @@ def episode_to_json(episode: EpisodeLog) -> dict:
     }
 
 
+def _trajectory_from_json(steps: list) -> list[TrajectoryStep]:
+    """The trajectory of an episode record, in one loop with no call per visible id:
+    a step's id list must be a JSON list, and str.join raises TypeError on a non-string."""
+    trajectory = []
+    append = trajectory.append
+    for s in steps:
+        position = s["position"]
+        action = s["action"]
+        room = s["room"]
+        ids = s["visible_object_ids"]
+        if not isinstance(action, str) or not isinstance(room, str) or type(ids) is not list:
+            raise TypeError("a step's action and room must be strings and its visible_object_ids a list")
+        "".join(ids)
+        append(TrajectoryStep((float(position[0]), float(position[1])), int(s["heading"]), action, room, ids[:]))
+    return trajectory
+
+
 def episode_from_json(doc: dict) -> EpisodeLog:
     try:
         feat = doc["reference_feature"]
@@ -252,16 +269,7 @@ def episode_from_json(doc: dict) -> EpisodeLog:
             reference_feature=None if feat is None else np.asarray(feat, dtype=np.float64),
             target_object_id=as_text(doc["target_object_id"]),
             target_category=as_text(doc["target_category"]),
-            trajectory=[
-                TrajectoryStep(
-                    position=(float(s["position"][0]), float(s["position"][1])),
-                    heading=int(s["heading"]),
-                    action=as_text(s["action"]),
-                    room=as_text(s["room"]),
-                    visible_object_ids=[as_text(oid) for oid in s["visible_object_ids"]],
-                )
-                for s in doc["trajectory"]
-            ],
+            trajectory=_trajectory_from_json(doc["trajectory"]),
             success=bool(doc["success"]),
             final_position=(float(doc["final_position"][0]), float(doc["final_position"][1])),
         )

@@ -1,11 +1,13 @@
 """File and wire I/O shared by every stage.
 
-Writes are atomic and byte-deterministic. Every persisted file is read
-through `read_json`, `read_json_lines` or `load_json` (which also checks the
-format_version and the type of the one top-level container), so any input
-that is not UTF-8 JSON of the expected shape raises ParseError; record
-parsers map the exceptions in `MALFORMED` to ParseError as well, and read
-their text and id fields through `as_text`.
+Writes are atomic and byte-deterministic. `dump_json` writes the bytes of
+json.dumps(doc, sort_keys=True, indent=2) through its own writer, since
+indent makes json fall back to its slow pure-Python encoder. Every persisted
+file is read through `read_json`, `read_json_lines` or `load_json` (which
+also checks the format_version and the type of the one top-level container),
+so any input that is not UTF-8 JSON of the expected shape raises ParseError;
+record parsers map the exceptions in `MALFORMED` to ParseError as well, and
+check that their text and id fields are strings (mostly through `as_text`).
 `post_json` is the JSON-over-POST client of the remote encoder, on
 `urllib.request`; every fault it meets raises EncoderUnavailable.
 """
@@ -51,8 +53,100 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def dump_json(path: str, doc: object, indent: int | None = 2) -> None:
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: object) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _render(value: object, indent: str, out: list) -> None:
+    """Append the text json.dumps(value, sort_keys=True, indent=2) gives value to
+    out, with its nested lines starting at indent. The checks run in the order
+    json's encoder runs them, so every value renders as it does there."""
+    if isinstance(value, str):
+        out.append(_ESCAPE(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        if isinstance(value[0], float):  # an embedding or a position: one join, unless a NaN or inf is in it
+            try:
+                text = sep.join(map(float.__repr__, value))
+            except TypeError:  # a value further on is not a float
+                text = None
+            if text is not None and "n" not in text:  # repr spells NaN and inf otherwise
+                out.append(text)
+                out.append("\n" + indent + "]")
+                return
+        for i, item in enumerate(value):
+            if i:
+                out.append(sep)
+            _render(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if i:
+                out.append(sep)
+            out.append(_ESCAPE(_key_text(key)) + ": ")
+            _render(item, inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def render_json(doc: object) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2), byte for byte; TypeError, with
+    json's message, on a value json cannot write."""
+    out: list[str] = []
+    _render(doc, "", out)
+    return "".join(out)
+
+
+def dump_json(path: str, doc: object) -> None:
+    atomic_write_text(path, render_json(doc) + "\n")
 
 
 @contextmanager

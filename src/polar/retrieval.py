@@ -38,6 +38,10 @@ class MemorySettings:
     theta_obj: float = THETA_OBJ
     k: int = DEFAULT_K
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise RejectedInput(f"k must be >= 1, got {self.k}")
+
 
 DEFAULT_SETTINGS = MemorySettings()
 

@@ -466,14 +466,18 @@ class World:
             dist_field = nav.field(cell)
             cx, cy = self.cell_of(pos)
             here = dist_field[cy, cx]
+            w, h = nav.bounds
             found = []
             for heading in HEADINGS:
                 ux, uy = _HEADING_VECTORS[heading]
                 end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)  # as step moves
-                if self.segment_free(pos, end):
+                # the field lookup is cheaper than the segment test, so it goes first
+                # whenever end has a cell; an out-of-bounds end keeps the segment test first
+                inside = 0.0 <= end[0] < w and 0.0 <= end[1] < h
+                if inside or self.segment_free(pos, end):
                     ex, ey = self.cell_of(end)
                     value = float(dist_field[ey, ex])
-                    if value < here - _EPS:
+                    if value < here - _EPS and (not inside or self.segment_free(pos, end)):
                         found.append((value, heading))
             nav.last_descents = (key, tuple(found))
         return nav.last_descents[1]

@@ -1,10 +1,12 @@
 import filecmp
+import gc
 import json
 import os
 import re
 
 import pytest
 
+import polar.cli
 from polar.cli import _load_config, main
 from polar.evaluation import load_reports
 from polar.scenarios import load_specs
@@ -50,6 +52,42 @@ def test_missing_input_file_is_domain_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("polar: error:") and err.count("\n") == 1
+
+
+def test_eval_refuses_k_below_one_before_writing(tmp_path, capsys):
+    """No retrieval runs in no-prior mode without --graphs, so only the settings check sees k."""
+    specs = _specs_path(tmp_path)
+    out = tmp_path / "m.json"
+    assert main(["eval", "--specs", specs, "--mode", "no-prior", "--k", "0", "--out", str(out)]) == 1
+    assert "k must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch, collecting):
+    """The command runs with the collector paused; main hands back the caller's state."""
+    during = []
+    original = polar.cli.gen_world
+
+    def gen_world(*args):
+        during.append(gc.isenabled())
+        return original(*args)
+
+    monkeypatch.setattr(polar.cli, "gen_world", gen_world)
+    world = ["world", "gen", "--n-rooms", "3", "--out", str(tmp_path / "w.json")]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(world) == 0
+        assert during == [False]
+        assert gc.isenabled() is collecting
+        assert main([*world, "--objects", "mug"]) == 1
+        assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["world", "gen"])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_seed_precedence(tmp_path, monkeypatch, capsys):

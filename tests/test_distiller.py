@@ -19,7 +19,10 @@ from polar.distiller import (
     trajectory_text,
 )
 from polar.errors import ParseError, RejectedInput
+from polar.evaluation import acquire
+from polar.fileio import MALFORMED, as_text
 from polar.graph import MemoryGraph
+from polar.scenarios import gen_scenarios
 from polar.world import ACTION_START, MOVE_FORWARD, STOP, TURN_RIGHT
 
 
@@ -192,4 +195,122 @@ def test_episode_from_json_rejects_missing_fields():
     doc = episode_to_json(_episode())
     del doc["trajectory"]
     with pytest.raises(ParseError):
+        episode_from_json(doc)
+
+
+def _reference_episode_from_json(doc: dict) -> EpisodeLog:
+    """The record parser as it read before the lean trajectory loop: as_text per
+    field and per visible id. The oracle for the lean one."""
+    try:
+        feat = doc["reference_feature"]
+        episode = EpisodeLog(
+            episode_id=as_text(doc["episode_id"]),
+            timestamp=int(doc["timestamp"]),
+            instruction=as_text(doc["instruction"]),
+            facts=[(as_text(k), as_text(v)) for k, v in doc["facts"]],
+            reference_feature=None if feat is None else np.asarray(feat, dtype=np.float64),
+            target_object_id=as_text(doc["target_object_id"]),
+            target_category=as_text(doc["target_category"]),
+            trajectory=[
+                TrajectoryStep(
+                    position=(float(s["position"][0]), float(s["position"][1])),
+                    heading=int(s["heading"]),
+                    action=as_text(s["action"]),
+                    room=as_text(s["room"]),
+                    visible_object_ids=[as_text(oid) for oid in s["visible_object_ids"]],
+                )
+                for s in doc["trajectory"]
+            ],
+            success=bool(doc["success"]),
+            final_position=(float(doc["final_position"][0]), float(doc["final_position"][1])),
+        )
+    except MALFORMED as exc:
+        raise ParseError(f"malformed episode record: {exc}") from exc
+    episode.validate()
+    return episode
+
+
+def _staged_record() -> dict:
+    """An acquisition record as `polar acquire` writes it, cut to three steps and
+    a three-float feature so that every field can be mutated in turn."""
+    doc = json.loads(json.dumps(episode_to_json(acquire(gen_scenarios(0, "compositional-single", 1)[0])[0])))
+    doc["trajectory"] = doc["trajectory"][:3]
+    doc["reference_feature"] = doc["reference_feature"][:3]
+    assert any(step["visible_object_ids"] for step in doc["trajectory"])
+    return doc
+
+
+def _paths(value, path=()):
+    """Every key and index path into a JSON value, containers before their contents."""
+    if path:
+        yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+_HUGE = "__1e400__"  # written to the file as the bare literal 1e400, which reads as inf
+_DROP = object()
+_SWAPS = (None, True, False, 0, -7, 30.9, _HUGE, "", "x", "12", "60.0", [], ["a", "b"], [1, 2], {}, {"a": 1}, _DROP)
+
+
+def _mutated(doc: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    container = doc
+    for key in parents:
+        container = container[key]
+    if value is _DROP:
+        del container[last]
+    else:
+        container[last] = value
+    return doc
+
+
+def _record_text(episode: EpisodeLog) -> str:
+    return json.dumps(episode_to_json(episode), sort_keys=True)  # compares a NaN feature as text
+
+
+def _parse_or_error(parse, doc: dict):
+    try:
+        return _record_text(parse(doc))
+    except (ParseError, RejectedInput):
+        return None
+
+
+def test_lean_parser_raises_where_the_reference_raises(tmp_path):
+    """Each field of a staged record swapped for another JSON value (or dropped): the
+    lean parser raises ParseError on line 2 exactly where the reference parser raises,
+    and otherwise loads the episode the reference parser builds. The one intended
+    difference, a visible_object_ids string or object, has its own test below."""
+    staged = _staged_record()
+    path_file = tmp_path / "episodes.jsonl"
+    first_line = json.dumps(staged, sort_keys=True)
+    checked = raised = 0
+    for path in _paths(staged):
+        for value in _SWAPS:
+            if path[-1] == "visible_object_ids" and isinstance(value, (str, dict)):
+                continue
+            doc = _mutated(staged, path, value)
+            line = json.dumps(doc, sort_keys=True).replace(f'"{_HUGE}"', "1e400")
+            path_file.write_text(first_line + "\n" + line + "\n", encoding="utf-8")
+            expected = _parse_or_error(_reference_episode_from_json, json.loads(line))
+            if expected is None:
+                with pytest.raises(ParseError) as info:
+                    load_episodes(str(path_file))
+                assert info.value.line == 2, (path, value)
+                raised += 1
+            else:
+                assert _record_text(load_episodes(str(path_file))[1]) == expected, (path, value)
+            checked += 1
+    assert raised > 0 and checked - raised > 0
+
+
+@pytest.mark.parametrize("ids", ["keys_01", {"keys_01": 1}, ""])
+def test_lean_parser_wants_a_list_of_visible_ids(ids):
+    """Intended difference from the reference parser, which reads a string as its
+    characters and an object as its keys."""
+    doc = _mutated(_staged_record(), ("trajectory", 0, "visible_object_ids"), ids)
+    _reference_episode_from_json(doc)
+    with pytest.raises(ParseError, match="visible_object_ids"):
         episode_from_json(doc)

@@ -1,12 +1,16 @@
+import json
 import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polar.errors import EncoderUnavailable, ParseError
-from polar.fileio import load_json, post_json, read_json, read_json_lines
+from polar.fileio import dump_json, load_json, post_json, read_json, read_json_lines, render_json
 
 
 def test_post_json_returns_reply_object(stub):
@@ -88,3 +92,45 @@ def test_load_json_checks_version_key_and_container(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ParseError, match=message):
         load_json(str(path), "specs", list)
+
+
+_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-7, 1e16])
+_text = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(["\x00\x1f\t\n\"\\", "Zürich ☃ 𝄞"])
+_scalars = (
+    st.none() | st.booleans() | st.integers() | _floats | _floats.map(np.float64) | _text
+)
+_documents = st.recursive(
+    _scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(_floats, min_size=1, max_size=6)  # a run of floats, the embedding shape
+        | st.dictionaries(_text, children, max_size=5)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_documents)
+def test_render_json_equals_sorted_indent_2_dumps(doc):
+    assert render_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [np.int64(3), {3, 4}, [1.0, np.int64(3)], {"a": [{"b": {1}}]}, {"k": np.float32(1.5)}, {(1, 2): 1}],
+)
+def test_render_json_raises_json_type_error(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        render_json(doc)
+    assert str(got.value) == str(expected.value)
+
+
+def test_dump_json_writes_the_rendering_and_a_newline(tmp_path):
+    doc = {"b": [0.1, 2.5e-08, float("nan")], "a": {"x": (1, None, True)}, "c": "é"}
+    path = tmp_path / "doc.json"
+    dump_json(str(path), doc)
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
