@@ -5,152 +5,9 @@ The package builds a persistent memory graph from prior user-agent episodes
 retrieves and grounds target objects for new instructions, and evaluates a
 hierarchical navigation agent against memory-free baselines in a deterministic
 synthetic house world.
+
+The modules are the API (`polar.world`, `polar.scenarios`, `polar.agent`,
+`polar.distiller`, `polar.graph`, `polar.retrieval`, `polar.evaluation`,
+`polar.cli`); the package itself re-exports nothing, so `import polar` loads
+no submodule.
 """
-
-from .agent import (
-    GroundingDecision,
-    NaiveMatcher,
-    NoPriorContext,
-    OraclePlanner,
-    ground_target,
-    plan_high,
-    plan_low,
-    run_episode,
-)
-from .distiller import (
-    EpisodeLog,
-    EpisodicSummary,
-    SemanticStatement,
-    TrajectoryStep,
-    distill_semantic,
-    load_episodes,
-    memorize,
-    parse_rendered_summary,
-    save_episodes,
-    summarize_episodic,
-    trajectory_text,
-)
-from .encoder import DEFAULT_ENCODER, EncoderConfig, cosine, encode, encode_batch
-from .errors import (
-    ConfigurationError,
-    EncoderUnavailable,
-    ExplorationExhausted,
-    GenerationError,
-    GroundingFailed,
-    NotFound,
-    ParseError,
-    PolarError,
-    RejectedInput,
-)
-from .evaluation import (
-    MODES,
-    MetricsReport,
-    acquire,
-    evaluate,
-    load_graphs,
-    load_reports,
-    memorize_suite,
-    render_table,
-    save_graphs,
-    spl_term,
-    write_report,
-)
-from .graph import THETA_DEDUP, THETA_OBJ, EpisodicNode, MemoryGraph, ObjectNode, SemanticNode
-from .retrieval import (
-    DEFAULT_SETTINGS,
-    CandidateObject,
-    MemorySettings,
-    RetrievalResult,
-    assemble_candidates,
-    raw_retrieve,
-    recall_at_k,
-    retrieve,
-    retrieve_semantic,
-)
-from .scenarios import KINDS, AcquisitionScript, ScenarioSpec, gen_scenarios, load_specs, save_specs
-from .world import (
-    LOW_LEVEL_ACTIONS,
-    AgentState,
-    Observation,
-    SceneGraph,
-    ObjectInstance,
-    World,
-    gen_world,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AcquisitionScript",
-    "AgentState",
-    "CandidateObject",
-    "ConfigurationError",
-    "DEFAULT_ENCODER",
-    "DEFAULT_SETTINGS",
-    "EncoderConfig",
-    "EncoderUnavailable",
-    "EpisodeLog",
-    "EpisodicNode",
-    "EpisodicSummary",
-    "ExplorationExhausted",
-    "GenerationError",
-    "GroundingDecision",
-    "GroundingFailed",
-    "KINDS",
-    "LOW_LEVEL_ACTIONS",
-    "MODES",
-    "MemoryGraph",
-    "MemorySettings",
-    "MetricsReport",
-    "NaiveMatcher",
-    "NoPriorContext",
-    "NotFound",
-    "ObjectNode",
-    "Observation",
-    "OraclePlanner",
-    "ParseError",
-    "PolarError",
-    "RejectedInput",
-    "RetrievalResult",
-    "SceneGraph",
-    "ScenarioSpec",
-    "SemanticNode",
-    "SemanticStatement",
-    "THETA_DEDUP",
-    "THETA_OBJ",
-    "TrajectoryStep",
-    "ObjectInstance",
-    "World",
-    "acquire",
-    "assemble_candidates",
-    "cosine",
-    "distill_semantic",
-    "encode",
-    "encode_batch",
-    "evaluate",
-    "gen_scenarios",
-    "gen_world",
-    "ground_target",
-    "load_episodes",
-    "load_graphs",
-    "load_reports",
-    "load_specs",
-    "memorize",
-    "memorize_suite",
-    "parse_rendered_summary",
-    "plan_high",
-    "plan_low",
-    "raw_retrieve",
-    "recall_at_k",
-    "render_table",
-    "retrieve",
-    "retrieve_semantic",
-    "run_episode",
-    "save_episodes",
-    "save_graphs",
-    "save_specs",
-    "spl_term",
-    "summarize_episodic",
-    "trajectory_text",
-    "write_report",
-]

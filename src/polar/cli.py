@@ -95,11 +95,14 @@ class PipelineConfig:
         return MemorySettings(encoder, self.theta_dedup, self.theta_obj, self.k)
 
 
+_HINTS = typing.get_type_hints(PipelineConfig)
 # the JSON type a config file gives each field: a list for a tuple, str for `str | None`
 _FILE_TYPES = {
     name: list if typing.get_origin(hint) is tuple else (typing.get_args(hint) or (hint,))[0]
-    for name, hint in typing.get_type_hints(PipelineConfig).items()
+    for name, hint in _HINTS.items()
 }
+# the `str | None` fields, which a config file's null leaves unset
+_NULLABLE = {name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -112,6 +115,8 @@ def _load_config(path: str | None) -> dict:
     for key, value in doc.items():
         if key not in _FILE_TYPES:
             raise RejectedInput(f"unknown config field {key!r}")
+        if value is None and key in _NULLABLE:
+            continue
         want = _FILE_TYPES[key]
         if want is float and type(value) is int:  # JSON writes 1.0 as 1; a bool stays rejected
             value = float(value)

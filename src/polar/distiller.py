@@ -63,13 +63,6 @@ class EpisodeLog:
 
 
 @dataclass
-class SemanticStatement:
-    object_id: str
-    text: str
-    fact_key: str  # a later statement under the same key supersedes this one
-
-
-@dataclass
 class EpisodicSummary:
     success: bool
     room_sequence: list[str]
@@ -77,15 +70,6 @@ class EpisodicSummary:
     found_room: str | None
     path_length_m: float
     rendered_text: str
-
-
-@dataclass
-class MutationReport:
-    objects_created: int = 0
-    semantic_created: int = 0
-    episodic_created: int = 0
-    edges_created: int = 0
-    supersessions: int = 0
 
 
 def render_statement(key: str, value: str, category: str, object_id: str) -> str:
@@ -104,18 +88,6 @@ def parse_statement(text: str) -> tuple[str, str] | None:
 def trajectory_text(episode: EpisodeLog) -> str:
     """Flat `room action` token stream, one pair per step."""
     return " ".join(f"{s.room} {s.action}" for s in episode.trajectory)
-
-
-def distill_semantic(episode: EpisodeLog) -> list[SemanticStatement]:
-    """One single-fact statement per user fact; order follows the episode's fact list."""
-    return [
-        SemanticStatement(
-            object_id=episode.target_object_id,
-            text=render_statement(key, value, episode.target_category, episode.target_object_id),
-            fact_key=key,
-        )
-        for key, value in episode.facts
-    ]
 
 
 def summarize_episodic(episode: EpisodeLog) -> EpisodicSummary:
@@ -157,12 +129,38 @@ def parse_rendered_summary(text: str) -> dict:
     return out
 
 
+def memorize_facts(
+    graph: MemoryGraph,
+    object_ref: str,
+    facts: list[tuple[str, str]],
+    category: str,
+    object_id: str,
+    timestamp: int,
+    encoder_config: EncoderConfig,
+) -> None:
+    """Link one statement per fact to object_ref, in the facts' order. Each names
+    `category object_id`; a new value under a key supersedes that key's stale
+    active statements."""
+    for key, value in facts:
+        text = render_statement(key, value, category, object_id)
+        stale = []
+        for sem_id, _ts in graph.neighbors(object_ref, kind="semantic", active_only=True):
+            statement = graph.semantic[sem_id].statement
+            parsed = parse_statement(statement)
+            if parsed and parsed[0] == key and statement != text:
+                stale.append(sem_id)
+        new_id = graph.add_semantic(object_ref, text, encode(text, encoder_config), timestamp)
+        for old_id in stale:
+            if old_id != new_id:
+                graph.supersede(object_ref, old_id, new_id, timestamp)
+
+
 def memorize(
     episode: EpisodeLog,
     graph: MemoryGraph,
     *,
     encoder_config: EncoderConfig = DEFAULT_ENCODER,
-) -> MutationReport:
+) -> None:
     """Distill one episode into the graph: upsert the object, link statements
     (superseding stale same-key facts), and append the episodic record.
 
@@ -170,30 +168,16 @@ def memorize(
     an empty graph rebuilds an identical snapshot.
     """
     episode.validate()
-    report = MutationReport()
     t = episode.timestamp
-    edges_before = len(graph.edges)
-    objects_before = len(graph.objects)
-    semantic_before = len(graph.semantic)
-
     object_ref = graph.upsert_object(
         episode.target_category,
         object_id=episode.target_object_id,
         reference_feature=episode.reference_feature,
         timestamp=t,
     )
-    for stmt in distill_semantic(episode):
-        stale = []
-        for sem_id, _ts in graph.neighbors(object_ref, kind="semantic", active_only=True):
-            node = graph.semantic[sem_id]
-            parsed = parse_statement(node.statement)
-            if parsed and parsed[0] == stmt.fact_key and node.statement != stmt.text:
-                stale.append(sem_id)
-        new_id = graph.add_semantic(object_ref, stmt.text, encode(stmt.text, encoder_config), t)
-        for old_id in stale:
-            if old_id != new_id:
-                graph.supersede(object_ref, old_id, new_id, t)
-                report.supersessions += 1
+    memorize_facts(
+        graph, object_ref, episode.facts, episode.target_category, episode.target_object_id, t, encoder_config
+    )
     summary = summarize_episodic(episode)
     graph.add_episodic(
         object_ref,
@@ -207,11 +191,6 @@ def memorize(
         rendered_text=summary.rendered_text,
         timestamp=t,
     )
-    report.objects_created = len(graph.objects) - objects_before
-    report.semantic_created = len(graph.semantic) - semantic_before
-    report.episodic_created = 1
-    report.edges_created = len(graph.edges) - edges_before
-    return report
 
 
 # -- episode files (one JSON object per line) ------------------------------

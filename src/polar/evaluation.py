@@ -41,7 +41,7 @@ from .agent import (
 )
 from .distiller import EpisodeLog, memorize, summarize_episodic, trajectory_text
 from .errors import ConfigurationError, GroundingFailed, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, atomic_write_text, dump_json, load_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_text, atomic_write_text, dump_json, load_json
 from .graph import MemoryGraph
 from .retrieval import DEFAULT_SETTINGS, MemorySettings, RetrievalResult, raw_retrieve, recall_at_k, retrieve
 from .scenarios import ScenarioSpec
@@ -71,7 +71,9 @@ def acquire(spec: ScenarioSpec) -> list[EpisodeLog]:
     logs = []
     for idx, script in enumerate(sorted(spec.scripts, key=lambda s: (s.timestamp, s.target_object_id))):
         staged = world
-        obj = world.objects[script.target_object_id]
+        obj = world.objects.get(script.target_object_id)
+        if obj is None:
+            raise RejectedInput(f"{spec.scenario_id}: unknown object {script.target_object_id!r}")
         if script.object_position != obj.position:
             staged = world.move_object(script.target_object_id, script.object_position)
         decision = GroundingDecision(
@@ -398,9 +400,9 @@ def load_reports(path: str) -> list[MetricsReport]:
         try:
             reports.append(
                 MetricsReport(
-                    str(row["mode"]), str(row["kind"]), int(row["n"]),
+                    as_text(row["mode"]), as_text(row["kind"]), int(row["n"]),
                     _metric(row["sr"]), _metric(row["spl"]), _metric(row["cm"]),
-                    {str(k): _metric(v) for k, v in row["recall"].items()}, list(row["rows"]),
+                    {as_text(k): _metric(v) for k, v in row["recall"].items()}, list(row["rows"]),
                 )
             )
         except MALFORMED as exc:

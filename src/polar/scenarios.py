@@ -17,9 +17,9 @@ globally unique words: candidate score inheritance keys on fact-value
 tokens, so value words must never collide across objects by accident.
 The generator checks each construction under the MemorySettings the suite
 will run with. Statements a kind must merge into one node (or keep apart) are
-checked against the dedup threshold, and the spec's scripts are memorized,
-retrieved and grounded with the real distiller, retrieval and planner code: a
-spec whose memory does not ground gold is refused.
+checked against the dedup threshold, and the facts of the spec's scripts are
+ingested, retrieved and grounded with the real distiller, retrieval and planner
+code: a spec whose memory does not ground gold is refused.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from .agent import GroundingDecision, OraclePlanner, sweep_room
 from .encoder import cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
-from .distiller import EpisodeLog, TrajectoryStep, memorize, render_statement
+from .distiller import memorize_facts, render_statement
 from .fileio import FORMAT_VERSION, MALFORMED, as_text, dump_json, load_json
 from .graph import MemoryGraph
 from .retrieval import DEFAULT_SETTINGS, MemorySettings, retrieve
-from .world import ACTION_START, HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
+from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
 
 KINDS = (
     "compositional-single",
@@ -279,19 +279,14 @@ def _guard_dedup(settings: MemorySettings, a: str, b: str, want_shared: bool, wh
 def _guard_grounds_gold(
     settings: MemorySettings, world: World, scripts: list[AcquisitionScript], instruction: str, gold: str, what: str
 ) -> None:
-    """Memorize the scripts in acquisition's order, then retrieve and ground the
-    instruction with the real code; gold must be the object grounded."""
+    """Ingest the scripts' facts in acquisition's order, then retrieve and ground the
+    instruction with the real code; gold must be the object grounded. The choice reads
+    only statements and their edge timestamps, so no episodic record is made."""
     graph = MemoryGraph(theta_dedup=settings.theta_dedup, theta_obj=settings.theta_obj)
     for script in sorted(scripts, key=lambda s: (s.timestamp, s.target_object_id)):
         obj = world.objects[script.target_object_id]
-        start = TrajectoryStep(
-            script.agent_start, script.agent_heading, ACTION_START, world.room_of(script.agent_start) or ""
-        )
-        episode = EpisodeLog(
-            f"{what}:acq", script.timestamp, script.instruction, script.facts, None,
-            obj.object_id, obj.category, [start], False, script.agent_start,
-        )
-        memorize(episode, graph, encoder_config=settings.encoder)
+        object_ref = graph.upsert_object(obj.category, object_id=obj.object_id, timestamp=script.timestamp)
+        memorize_facts(graph, object_ref, script.facts, obj.category, obj.object_id, script.timestamp, settings.encoder)
     result = retrieve(graph, instruction, settings.k, encoder_config=settings.encoder)
     grounded = OraclePlanner().ground(instruction, result).chosen_object_id
     if grounded != gold:
@@ -552,11 +547,11 @@ def spec_from_json(doc: dict) -> ScenarioSpec:
             kind=as_text(doc["kind"]),
             world_seed=int(doc["world_seed"]),
             world_n_rooms=int(doc["world_n_rooms"]),
-            world_objects=[(str(c), int(k)) for c, k in doc["world_objects"]],
+            world_objects=[(as_text(c), int(k)) for c, k in doc["world_objects"]],
             scripts=[
                 AcquisitionScript(
                     instruction=as_text(s["instruction"]),
-                    facts=[(str(k), str(v)) for k, v in s["facts"]],
+                    facts=[(as_text(k), as_text(v)) for k, v in s["facts"]],
                     target_object_id=as_text(s["target_object_id"]),
                     timestamp=int(s["timestamp"]),
                     object_position=(float(s["object_position"][0]), float(s["object_position"][1])),

@@ -124,6 +124,8 @@ def test_bad_env_seed_is_domain_error(tmp_path, monkeypatch, capsys):
         {"seed": True},  # bools masquerade as ints
         ["not", "an", "object"],
         {"theta_dedup": True},  # an int is taken for a float, a bool is not
+        {"seed": None},  # null unsets only the `str | None` fields
+        {"kinds": None},
     ],
 )
 def test_config_file_validation(tmp_path, capsys, doc):
@@ -142,6 +144,17 @@ def test_config_file_takes_an_integer_for_a_float_field(tmp_path, capsys):
     out = tmp_path / "s.json"
     argv = ["--config", str(cfg), "scenario", "gen", "--kind", "distractor", "--n", "1", "--out", str(out)]
     assert main(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["encoder_endpoint", "out_dir"])
+def test_config_file_null_leaves_an_optional_field_unset(tmp_path, capsys, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: None, "seed": 3}))
+    assert _load_config(str(cfg)) == {"seed": 3}
+    out = tmp_path / "s.json"
+    assert main(["--config", str(cfg), "scenario", "gen", "--kind", "distractor", "--n", "1", "--out", str(out)]) == 0
+    assert load_specs(str(out))[0].scenario_id == "distractor-s3-000"
     capsys.readouterr()
 
 
@@ -357,6 +370,7 @@ def _file_flag_argv(flag: str, path: str, staged: dict, out: str) -> list[str]:
     return {
         "--config": ["--config", path, "world", "gen", "--out", out],
         "--specs": ["eval", "--specs", path, "--mode", "no-prior", "--out", out],
+        "acquire --specs": ["acquire", "--specs", path, "--out", out],
         "--episodes": ["memorize", "--episodes", path, "--out", out],
         "--graphs": ["eval", "--specs", staged["specs"], "--mode", "polar", "--graphs", path, "--out", out],
         "--metrics": ["report", "--metrics", path, "--out", out],
@@ -371,6 +385,14 @@ def _huge(key: str):
 def _retyped(key: str):
     """The staged file with the first value of key replaced by the number 5."""
     return lambda text: text.replace(f'"{key}": ', f'"{key}": 5, "was": ', 1)
+
+
+def _object_missing(text: str) -> str:
+    """The staged specs with the last world object's category renamed, so that a
+    script names an object the spec's world lacks."""
+    doc = json.loads(text)
+    doc["specs"][0]["world_objects"][-1][0] = "gadget"
+    return json.dumps(doc)
 
 
 _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
@@ -395,12 +417,16 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         ("--graphs", "graphs", _retyped("statement")),
         ("--specs", "specs", _retyped("eval_instruction")),
         ("--episodes", "episodes", _retyped("instruction")),
+        ("--metrics", "metrics", _retyped("mode")),
+        ("--metrics", "metrics", _retyped("kind")),
+        ("acquire --specs", "specs", _object_missing),
     ],
     ids=[
         "config-not-utf8", "specs-not-utf8", "episodes-not-utf8", "graphs-not-utf8", "metrics-not-utf8",
         "metrics-reports-not-list", "specs-key-missing", "graphs-key-missing", "metrics-key-missing",
         "specs-1e400", "episodes-1e400", "metrics-1e400", "metrics-sr-string",
         "graphs-statement-number", "specs-eval-instruction-number", "episodes-instruction-number",
+        "metrics-mode-number", "metrics-kind-number", "acquire-specs-object-missing",
     ],
 )
 def test_malformed_file_flag_is_one_line_domain_error(tmp_path, capsys, staged, flag, source, mutate):

@@ -6,7 +6,6 @@ import pytest
 from polar.distiller import (
     EpisodeLog,
     TrajectoryStep,
-    distill_semantic,
     episode_from_json,
     episode_to_json,
     load_episodes,
@@ -89,13 +88,18 @@ def test_validate_rejects_empty_or_skewed_trajectories():
         ep.validate()
 
 
-def test_distill_semantic_one_statement_per_fact():
-    stmts = distill_semantic(_episode(facts=[("color", "red"), ("location", "desk")]))
-    assert [s.text for s in stmts] == [
+def _statement_texts(graph: MemoryGraph) -> list[str]:
+    return [graph.semantic[sid].statement for sid in sorted(graph.semantic)]
+
+
+def test_memorize_one_statement_per_fact():
+    g = MemoryGraph()
+    memorize(_episode(facts=[("color", "red"), ("location", "desk")]), g)
+    assert _statement_texts(g) == [
         "user: color = red refers to mug mug_01",
         "user: location = desk refers to mug mug_01",
     ]
-    assert [s.fact_key for s in stmts] == ["color", "location"]
+    assert [parse_statement(text)[0] for text in _statement_texts(g)] == ["color", "location"]
 
 
 def test_summarize_episodic_counts_only_effective_forward_moves():
@@ -127,36 +131,51 @@ def test_parse_rendered_summary_rejects_foreign_text():
 
 def test_memorize_wires_object_statements_and_episode():
     g = MemoryGraph()
-    report = memorize(_episode(facts=[("color", "red"), ("location", "desk")]), g)
-    assert report.objects_created == 1
-    assert report.semantic_created == 2
-    assert report.episodic_created == 1
-    assert report.supersessions == 0
+    memorize(_episode(facts=[("color", "red"), ("location", "desk")]), g)
     assert set(g.objects) == {"mug_01"}
     assert len(g.semantic) == 2 and len(g.episodic) == 1
+    assert len(g.neighbors("mug_01", kind="semantic")) == 2
+    assert len(g.neighbors("mug_01", kind="episodic")) == 1
+    assert all(edge.active for edge in g.edges)
 
 
 def test_memorize_same_key_new_value_supersedes():
     g = MemoryGraph()
     memorize(_episode(timestamp=1, facts=[("color", "deep crimson red")]), g)
-    report = memorize(_episode(episode_id="ep-2", timestamp=2, facts=[("color", "pale sky blue")]), g)
-    assert report.supersessions == 1
+    memorize(_episode(episode_id="ep-2", timestamp=2, facts=[("color", "pale sky blue")]), g)
+    assert set(g.objects) == {"mug_01"}
     active = g.neighbors("mug_01", kind="semantic")
     assert len(active) == 1
     assert parse_statement(g.semantic[active[0][0]].statement) == ("color", "pale sky blue")
     stale = [sid for sid, _ in g.neighbors("mug_01", kind="semantic", active_only=False) if sid != active[0][0]]
-    assert stale  # the old fact remains as inactive history
+    assert [parse_statement(g.semantic[sid].statement) for sid in stale] == [("color", "deep crimson red")]
+    inactive = [edge for edge in g.edges if not edge.active]
+    assert [(edge.src, edge.dst) for edge in inactive] == [("mug_01", stale[0])]  # old fact kept as history
 
 
 def test_memorize_is_idempotent_for_semantics_append_only_for_episodes():
     g = MemoryGraph()
     ep = _episode()
     memorize(ep, g)
-    semantic_before, episodic_before = len(g.semantic), len(g.episodic)
-    report = memorize(ep, g)
-    assert len(g.semantic) == semantic_before
-    assert report.semantic_created == 0
+    texts_before, episodic_before = _statement_texts(g), len(g.episodic)
+    memorize(ep, g)
+    assert _statement_texts(g) == texts_before
+    assert len(g.neighbors("mug_01", kind="semantic")) == 1
+    assert set(g.objects) == {"mug_01"}
     assert len(g.episodic) == episodic_before + 1
+
+
+def test_memorize_names_the_episode_target_but_links_the_matched_object():
+    feat = np.zeros(32)
+    feat[3] = 1.0
+    first, second = _episode(), _episode(episode_id="ep-2", timestamp=2, target="mug_09", facts=[("size", "large")])
+    first.reference_feature = second.reference_feature = feat
+    g = MemoryGraph()
+    memorize(first, g)
+    memorize(second, g)
+    assert set(g.objects) == {"mug_01"}  # the feature matched, so no mug_09 node
+    linked = [g.semantic[sid].statement for sid, _ in g.neighbors("mug_01", kind="semantic")]
+    assert "user: size = large refers to mug mug_09" in linked
 
 
 def test_memorize_replay_rebuilds_identical_graph():

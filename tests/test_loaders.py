@@ -142,3 +142,14 @@ def test_loader_accepts_its_valid_document(tmp_path, name):
     path = tmp_path / "input"
     path.write_bytes(_encode(_valid(name)[0], lines=name == "load_episodes"))
     loader(str(path))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("specs", 0, "world_objects", 0, 0), ("specs", 0, "scripts", 0, "facts", 0, 0), ("specs", 0, "scripts", 0, "facts", 0, 1)],
+)
+def test_load_specs_takes_no_number_for_text(tmp_path, path):
+    file = tmp_path / "input"
+    file.write_bytes(_encode(_mutated(_valid("load_specs")[0], path, 5), lines=False))
+    with pytest.raises(ParseError):
+        load_specs(str(file))
