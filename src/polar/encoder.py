@@ -136,8 +136,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise RejectedInput(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    return cosine_from_norms(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def cosine_from_norms(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
+    """cosine(a, b) given both norms: dot(a, b) / (norm_a * norm_b) clamped to [-1, 1],
+    and 0 when either norm is 0. Equal norms give cosine()'s bits exactly."""
+    if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return float(min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb))))
+    return float(min(1.0, max(-1.0, float(np.dot(a, b)) / (norm_a * norm_b))))

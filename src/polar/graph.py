@@ -19,15 +19,20 @@ so a query reads only those rows of the matrix. `from_json` rebuilds all
 of it.
 
 Exactness. A matrix-vector product does not round like `encoder.cosine`, so
-the matrix only cuts; the statements that survive a cut are scored with
-`cosine()` in sorted node-id order, and matrix row order never decides a
-tie. Dedup keeps every statement whose approximate cosine reaches
-`theta_dedup - _SHORTLIST_MARGIN`, so a new statement with no near
-neighbour costs one matvec and no `cosine()` call. Retrieval (`shortlist`)
-keeps every linked statement within _SHORTLIST_MARGIN of the k-th best
-approximate score. The margin is far above a matvec's rounding error, so
-each cut holds the exact winner and all its ties; scores, dedup choices and
-tie-breaks are bit-identical to a full scalar scan.
+the matrix only cuts; the statements that survive a cut are scored exactly
+by `statement_scores`, in sorted node-id order, and matrix row order never
+decides a tie. That score is `cosine()`'s own dot product and formula with
+the query's norm computed once per call and each statement's norm read from
+the stored vector. `np.linalg.norm` of the same float64 array always returns
+the same bits, and stored vectors are read-only, so a stored norm is the one
+`cosine()` would recompute and every score is bit-identical to it. Dedup
+keeps every statement whose approximate cosine reaches `theta_dedup -
+_SHORTLIST_MARGIN`, so a new statement with no near neighbour costs one
+matvec and no exact score. Retrieval (`shortlist`) keeps every linked
+statement within _SHORTLIST_MARGIN of the k-th best approximate score.
+The margin is far above a matvec's rounding error, so each cut holds the
+exact winner and all its ties; scores, dedup choices and tie-breaks are
+bit-identical to a full scalar scan.
 
 Single-writer discipline: one ingestion sequence mutates a graph at a time;
 concurrent readers are safe between mutations.
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import cosine
+from .encoder import cosine, cosine_from_norms
 from .errors import NotFound, ParseError, RejectedInput
 from .fileio import FORMAT_VERSION, MALFORMED, as_text, check_version, dump_json, read_json
 
@@ -93,10 +98,25 @@ class Edge:
     active: bool = True
 
 
-def _check_unit(vec: np.ndarray, what: str) -> None:
+def _check_unit(vec: np.ndarray, what: str) -> float:
+    """The norm of vec, which must be within _UNIT_TOL of 1."""
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > _UNIT_TOL:
         raise RejectedInput(f"{what} must be unit norm, got {norm:.6f}")
+    return norm
+
+
+def _frozen(vec: np.ndarray) -> np.ndarray:
+    """vec made read-only, so no write can make a stored norm stale."""
+    vec.setflags(write=False)
+    return vec
+
+
+def _check_units(ids: list[str], norms: np.ndarray, what: str) -> None:
+    """ValueError naming the first id whose norm is not within _UNIT_TOL of 1 (NaN is not)."""
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))
+    if len(bad):
+        raise ValueError(f"{what} of {ids[bad[0]]!r} must be unit norm, got {norms[bad[0]]:.6f}")
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
@@ -133,6 +153,7 @@ class MemoryGraph:
         self._columns = np.zeros((0, 0))  # dim x capacity: column r holds statement r's embedding
         self._norms = np.zeros(0)
         self._active_links = np.zeros(0, dtype=np.int64)  # active edges into each statement
+        self._feature_shape: tuple[int, ...] | None = None  # of every reference feature, as from_json needs
 
     # -- mutation ---------------------------------------------------------
 
@@ -157,6 +178,8 @@ class MemoryGraph:
             return object_id
         if reference_feature is not None:
             feat = np.asarray(reference_feature, dtype=np.float64)
+            if feat.ndim != 1 or self._feature_shape not in (None, feat.shape):
+                raise RejectedInput(f"reference_feature must be a vector of the graph's one length, got {feat.shape}")
             _check_unit(feat, "reference_feature")
             best_id, best_score = None, -2.0
             for oid in sorted(self.objects):
@@ -168,7 +191,8 @@ class MemoryGraph:
                     best_id, best_score = oid, score
             if best_id is not None and best_score >= self.theta_obj:
                 return best_id
-            reference_feature = feat
+            reference_feature = _frozen(feat.copy())  # asarray may have returned the caller's array
+            self._feature_shape = feat.shape
         if object_id is None:
             object_id = f"obj_{self.counters.object:04d}"
             self.counters.object += 1
@@ -186,24 +210,25 @@ class MemoryGraph:
             raise NotFound(f"unknown object {object_ref!r}")
         if not statement:
             raise RejectedInput("statement must be non-empty")
-        emb = np.array(embedding, dtype=np.float64)  # the node owns its copy
+        emb = _frozen(np.array(embedding, dtype=np.float64))  # the node owns its copy
         if emb.ndim != 1:
             raise RejectedInput(f"statement embedding must be a vector, got shape {emb.shape}")
-        _check_unit(emb, "statement embedding")
+        norm = _check_unit(emb, "statement embedding")
         self._touch(timestamp)
         near = np.flatnonzero(self._approx_cosines(emb) >= self.theta_dedup - _SHORTLIST_MARGIN)
         best_id, best_score = None, -2.0
-        for sid in sorted(self._row_ids[r] for r in near):
-            score = cosine(emb, self.semantic[sid].embedding)
-            if score > best_score:
-                best_id, best_score = sid, score
+        if len(near):
+            near_ids = sorted(self._row_ids[r] for r in near)
+            for sid, score in zip(near_ids, self.statement_scores(emb, near_ids)):
+                if score > best_score:
+                    best_id, best_score = sid, score
         if best_id is not None and best_score >= self.theta_dedup:
             node_id = best_id
         else:
             node_id = f"sem_{self.counters.semantic:04d}"
             self.counters.semantic += 1
             self.semantic[node_id] = SemanticNode(node_id, statement, emb, timestamp)
-            self._add_row(self.semantic[node_id])
+            self._add_row(self.semantic[node_id], norm)
         if self._active_edge(object_ref, node_id) is None:
             self._add_edge(Edge(object_ref, node_id, EDGE_SEMANTIC, timestamp, True))
         return node_id
@@ -300,7 +325,8 @@ class MemoryGraph:
         Only statements with an active linking edge count. The ids come from one
         matrix-vector product and include every statement within
         _SHORTLIST_MARGIN of the k-th best approximate score, so the exact top k
-        by cosine() and all of its ties are in it.
+        by `statement_scores` (bit-identical to cosine()) and all of its ties
+        are in it.
         """
         rows = np.flatnonzero(self._active_links[: len(self._row_ids)])
         if len(rows) == 0:
@@ -311,14 +337,35 @@ class MemoryGraph:
             rows = rows[approx >= cutoff - _SHORTLIST_MARGIN]
         return sorted(self._row_ids[r] for r in rows)
 
+    def statement_scores(self, query: np.ndarray, node_ids: list[str]) -> list[float]:
+        """Exact cosine of query against each statement in node_ids, in that order.
+
+        Bit-identical to `cosine(query, embedding)`: the same dot product and
+        formula, with the query's norm computed once and each statement's norm
+        read from the stored vector instead of recomputed.
+        """
+        if not node_ids:
+            return []
+        query = self._as_query(query)
+        query_norm = float(np.linalg.norm(query))
+        norms, rows, semantic = self._norms, self._rows, self.semantic
+        return [
+            cosine_from_norms(query, semantic[sid].embedding, query_norm, float(norms[rows[sid]])) for sid in node_ids
+        ]
+
+    def _as_query(self, query: np.ndarray) -> np.ndarray:
+        """query as float64, with the dimension every stored statement has."""
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != self._columns.shape[:1]:
+            raise RejectedInput(f"dimension mismatch: {query.shape} vs {self._columns.shape[:1]}")
+        return query
+
     def _approx_cosines(self, query: np.ndarray) -> np.ndarray:
         """Matvec cosine of query against every stored statement; zero norms score 0."""
         n = len(self._row_ids)
         if n == 0:
             return np.zeros(0)
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != self._columns.shape[:1]:
-            raise RejectedInput(f"dimension mismatch: {query.shape} vs {self._columns.shape[:1]}")
+        query = self._as_query(query)
         buckets = np.flatnonzero(query)
         dots = query[buckets] @ self._columns[buckets, :n]
         denom = self._norms[:n] * float(np.linalg.norm(query))
@@ -345,8 +392,8 @@ class MemoryGraph:
         if edge.kind == EDGE_SEMANTIC:
             self._active_links[self._rows[edge.dst]] -= 1
 
-    def _add_row(self, node: SemanticNode) -> None:
-        """Copy node's embedding into the next column of the matrix."""
+    def _add_row(self, node: SemanticNode, norm: float) -> None:
+        """Copy node's embedding, whose norm is `norm`, into the next column of the matrix."""
         n = len(self._row_ids)
         if n == 0:
             self._columns = np.zeros((node.embedding.shape[0], 0))
@@ -355,7 +402,7 @@ class MemoryGraph:
                 _grown(a, max(_MIN_ROWS, 2 * n)) for a in (self._columns, self._norms, self._active_links)
             )
         self._columns[:, n] = node.embedding
-        self._norms[n] = np.linalg.norm(node.embedding)
+        self._norms[n] = norm
         self._rows[node.node_id] = n
         self._row_ids.append(node.node_id)
 
@@ -433,14 +480,14 @@ class MemoryGraph:
                 g.objects[row["object_id"]] = ObjectNode(
                     as_text(row["object_id"]),
                     as_text(row["category"]),
-                    None if feat is None else np.asarray(feat, dtype=np.float64),
+                    None if feat is None else _frozen(np.array(feat, dtype=np.float64)),
                     int(row["created_at"]),
                 )
             for row in doc["semantic_nodes"]:
                 g.semantic[row["node_id"]] = SemanticNode(
                     as_text(row["node_id"]),
                     as_text(row["statement"]),
-                    np.asarray(row["embedding"], dtype=np.float64),
+                    _frozen(np.array(row["embedding"], dtype=np.float64)),
                     int(row["created_at"]),
                 )
             for row in doc["episodic_nodes"]:
@@ -456,14 +503,23 @@ class MemoryGraph:
                     as_text(row["rendered_text"]),
                     int(row["created_at"]),
                 )
+            for kind, nodes in (("object", g.objects), ("semantic", g.semantic), ("episodic", g.episodic)):
+                if len(nodes) != len(doc[f"{kind}_nodes"]):
+                    raise ValueError(f"two {kind} nodes share an id")
             for row in doc["edges"]:
                 g.edges.append(Edge(row["src"], row["dst"], row["kind"], int(row["timestamp"]), bool(row["active"])))
             for node in g.semantic.values():
                 if node.embedding.ndim != 1:
                     raise ValueError(f"embedding of {node.node_id!r} is not a vector")
-                g._add_row(node)
-            if not np.isfinite(g._norms).all():
-                raise ValueError("semantic embeddings must have finite norms")
+                g._add_row(node, float(np.linalg.norm(node.embedding)))
+            _check_units(g._row_ids, g._norms[: len(g._row_ids)], "semantic embedding")
+            featured = [n for n in g.objects.values() if n.reference_feature is not None]
+            if featured:
+                features = np.stack([n.reference_feature for n in featured])  # one dimension per snapshot
+                if features.ndim != 2:
+                    raise ValueError("reference features must be vectors")
+                _check_units([n.object_id for n in featured], np.linalg.norm(features, axis=1), "reference_feature")
+                g._feature_shape = features.shape[1:]
             g._validate_structure()
         except MALFORMED as exc:
             raise ParseError(f"malformed graph snapshot: {exc}") from exc

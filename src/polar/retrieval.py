@@ -93,10 +93,10 @@ def retrieve_semantic(
 def _rank_semantic(graph: MemoryGraph, query: np.ndarray, k: int) -> list[SemanticHit]:
     """retrieve_semantic for an already encoded query."""
     hits = []
-    for node_id in graph.shortlist(query, k):
+    shortlist = graph.shortlist(query, k)
+    for node_id, score in zip(shortlist, graph.statement_scores(query, shortlist)):
         linking = graph.neighbors(node_id, kind="object")
         newest = linking[0][1]
-        score = cosine(query, graph.semantic[node_id].embedding)
         hits.append(SemanticHit(node_id, score, newest, sorted({obj for obj, _ in linking})))
     hits.sort(key=lambda h: (-h.score, -h.timestamp, h.node_id))
     return hits[:k]
@@ -112,26 +112,23 @@ def assemble_candidates(
 
     Expansion always follows active edges, so every candidate carries at
     least one active statement. Statement scores are cosines against the
-    instruction embedding.
+    instruction embedding, all from one `statement_scores` call.
     """
-    candidates: list[CandidateObject] = []
-    seen: set[str] = set()
+    linked: dict[str, list[tuple[str, int]]] = {}  # candidate id -> its active statements, in first-hit order
     for hit in hits:
         for object_id, _ts in graph.neighbors(hit.node_id, kind="object", active_only=True):
-            if object_id in seen:
-                continue
-            seen.add(object_id)
-            statements = []
-            for sem_id, ts in graph.neighbors(object_id, kind="semantic", active_only=True):
-                node = graph.semantic[sem_id]
-                score = cosine(instruction_embedding, node.embedding)
-                statements.append(CandidateStatement(node.statement, score, ts, sem_id))
-            renderings = [
-                graph.episodic[epi_id].rendered_text
-                for epi_id, _ets in graph.neighbors(object_id, kind="episodic", active_only=True)
-            ]
-            candidates.append(CandidateObject(object_id, graph.objects[object_id].category, statements, renderings))
-    return candidates
+            if object_id not in linked:
+                linked[object_id] = graph.neighbors(object_id, kind="semantic", active_only=True)
+    scores = iter(graph.statement_scores(instruction_embedding, [sid for links in linked.values() for sid, _ in links]))
+    return [
+        CandidateObject(
+            object_id,
+            graph.objects[object_id].category,
+            [CandidateStatement(graph.semantic[sid].statement, next(scores), ts, sid) for sid, ts in links],
+            [graph.episodic[epi_id].rendered_text for epi_id, _ in graph.neighbors(object_id, kind="episodic")],
+        )
+        for object_id, links in linked.items()
+    ]
 
 
 def retrieve(

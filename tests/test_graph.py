@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_vec
-from polar.encoder import cosine
+from polar.encoder import cosine, cosine_from_norms, encode
 from polar.errors import NotFound, ParseError, RejectedInput
 from polar.graph import EDGE_EPISODIC, EDGE_SEMANTIC, Edge, MemoryGraph, SemanticNode, THETA_DEDUP, THETA_OBJ
 from polar.retrieval import _rank_semantic
@@ -83,6 +83,19 @@ def test_upsert_rejects_non_unit_feature():
         _graph().upsert_object("mug", reference_feature=np.ones(DIM))
 
 
+def test_upsert_keeps_one_feature_dimension_so_the_graph_reloads():
+    g = _graph()
+    g.upsert_object("mug", reference_feature=unit_vec(DIM), timestamp=1)
+    reloaded = MemoryGraph.from_json(g.to_json())
+    for graph in (g, reloaded):
+        with pytest.raises(RejectedInput):
+            graph.upsert_object("vase", reference_feature=unit_vec(DIM + 1), timestamp=2)  # another category, too
+        with pytest.raises(RejectedInput):
+            graph.upsert_object("vase", reference_feature=unit_vec(DIM)[None, :], timestamp=2)
+        assert len(graph.objects) == 1
+    assert reloaded.to_json() == g.to_json()
+
+
 # -- semantic nodes ----------------------------------------------------------
 
 
@@ -109,7 +122,7 @@ def test_add_semantic_scores_only_statements_near_the_threshold():
     g = _graph()
     g.upsert_object("mug", object_id="mug_01")
     g.add_semantic("mug_01", "color = red", unit_vec(DIM), 1)
-    with mock.patch("polar.graph.cosine", wraps=cosine) as scored:
+    with mock.patch("polar.graph.cosine_from_norms", wraps=cosine_from_norms) as scored:
         far = g.add_semantic("mug_01", "location = desk", unit_vec(DIM, math.acos(THETA_DEDUP) + 1e-3), 2)
         assert scored.call_count == 0  # nothing within theta_dedup: no exact rescoring at all
         # within theta_dedup of both stored statements: both are scored, the closer one wins
@@ -293,11 +306,14 @@ def test_load_rejects_duplicate_active_edges():
 
 
 @pytest.mark.parametrize(
-    "embedding", [[math.nan] + [0.0] * (DIM - 1), [1.0] + [0.0] * DIM, [[1.0] + [0.0] * (DIM - 1)]]
+    "embedding",
+    [[math.nan] + [0.0] * (DIM - 1), [1.0] + [0.0] * DIM, [[1.0] + [0.0] * (DIM - 1)], [0.0] * DIM,
+     [2.0] + [0.0] * (DIM - 1)],
 )
 def test_load_rejects_bad_embeddings(embedding):
     doc = _populated().to_json()
-    doc["semantic_nodes"][0]["embedding"] = embedding  # not finite, another length, not a vector
+    # not finite, another length, not a vector, and the zero and non-unit vectors that ingest refuses
+    doc["semantic_nodes"][0]["embedding"] = embedding
     with pytest.raises(ParseError):
         MemoryGraph.from_json(doc)
 
@@ -307,6 +323,39 @@ def test_load_rejects_unknown_edge_kind():
     doc["edges"][0]["kind"] = "object->psychic"
     with pytest.raises(ParseError):
         MemoryGraph.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "nodes, field, value",
+    [("object_nodes", "category", "lamp"), ("semantic_nodes", "statement", "color = green"),
+     ("episodic_nodes", "episode_id", "ep-again")],
+)
+def test_load_rejects_duplicate_node_ids(nodes, field, value):
+    doc = _populated().to_json()
+    doc[nodes].append({**doc[nodes][0], field: value})  # a later row must not replace the first
+    with pytest.raises(ParseError, match="share an id"):
+        MemoryGraph.from_json(doc)
+
+
+@pytest.mark.parametrize("feature", [[0.0] * DIM, [2.0] + [0.0] * (DIM - 1), [math.nan] + [0.0] * (DIM - 1)])
+def test_load_rejects_non_unit_reference_features(feature):
+    doc = _populated().to_json()
+    doc["object_nodes"][0]["reference_feature"] = feature  # upsert_object refuses each of these
+    with pytest.raises(ParseError, match="unit norm"):
+        MemoryGraph.from_json(doc)
+
+
+def test_stored_vectors_are_read_only_and_callers_keep_theirs():
+    g = _graph()
+    feature, embedding = unit_vec(DIM), unit_vec(DIM, 1.0)
+    g.upsert_object("mug", object_id="mug_01", reference_feature=feature, timestamp=1)
+    sem_id = g.add_semantic("mug_01", "color = red", embedding, 1)
+    for graph in (g, MemoryGraph.from_json(g.to_json())):
+        for stored in (graph.objects["mug_01"].reference_feature, graph.semantic[sem_id].embedding):
+            with pytest.raises(ValueError):
+                stored[0] = 0.5  # a write would make the stored norm stale
+    feature[0] = embedding[0] = 0.5  # the caller's arrays are still its own and writable
+    assert g.objects["mug_01"].reference_feature[0] == 1.0
 
 
 # -- indexes against a full scan ---------------------------------------------
@@ -458,3 +507,33 @@ def test_indexes_match_full_scan(before, after, theta_dedup, first_id):
         for node_id in [*g.objects, *g.semantic, *g.episodic]:
             for active_only in (True, False):
                 assert g.neighbors(node_id, active_only=active_only) == _scan_neighbors(scan, node_id, active_only)
+
+
+@settings(max_examples=100, deadline=None)
+@given(statements=st.lists(_LATTICE, min_size=1, max_size=12), queries=st.lists(_LATTICE, max_size=4))
+def test_statement_scores_match_cosine_bit_for_bit(statements, queries):
+    g = _graph(theta_dedup=1.5)  # never merges, so every vector gets a node
+    g.upsert_object("mug", object_id="mug_01")
+    ids = [g.add_semantic("mug_01", f"fact {i}", _embedding(("lattice", v), []), i) for i, v in enumerate(statements)]
+    reloaded = MemoryGraph.from_json(json.loads(json.dumps(g.to_json())))
+    raw = [np.asarray(q, dtype=np.float64) for q in queries]  # queries need not be unit norm
+    for query in [np.zeros(DIM), *raw, *(q / np.linalg.norm(q) for q in raw)]:
+        for graph in (g, reloaded):
+            want = [cosine(query, graph.semantic[sid].embedding).hex() for sid in ids]
+            assert [score.hex() for score in graph.statement_scores(query, ids)] == want
+            assert [score.hex() for score in graph.statement_scores(query, ids[::-1])] == want[::-1]
+
+
+def test_statement_scores_of_encoded_statements_and_the_empty_query():
+    g = MemoryGraph()
+    g.upsert_object("mug", object_id="mug_01")
+    texts = ["user: color = crimson refers to mug mug_01", "user: owner = ana refers to mug mug_01", "x"]
+    ids = [g.add_semantic("mug_01", text, encode(text), 1) for text in texts]
+    reloaded = MemoryGraph.from_json(g.to_json())
+    for query in (encode(""), encode("find my crimson mug"), encode(texts[1])):
+        want = [cosine(query, encode(text)).hex() for text in texts]
+        assert [score.hex() for score in g.statement_scores(query, ids)] == want
+        assert [score.hex() for score in reloaded.statement_scores(query, ids)] == want
+    assert g.statement_scores(encode(""), ids) == [0.0, 0.0, 0.0]
+    with pytest.raises(RejectedInput):
+        g.statement_scores(np.ones(DIM), ids)

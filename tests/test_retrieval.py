@@ -167,7 +167,7 @@ def test_retrieve_scores_statements_against_instruction():
     assert result.candidates[0].object_id == "mug_01"
     st = result.candidates[0].statements[0]
     assert st.text == text
-    assert st.score == pytest.approx(cosine(encode("find my crimson mug"), encode(text)), abs=1e-12)
+    assert st.score == cosine(encode("find my crimson mug"), encode(text))
 
 
 def test_candidates_carry_episodic_renderings_newest_first():
