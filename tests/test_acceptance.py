@@ -359,3 +359,18 @@ def test_run_all_seed0_artifacts_match_pinned_hashes(run_all_seed0):
                 got[os.path.relpath(path, run_all_seed0).replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
     assert sorted(got) == sorted(RUN_ALL_SEED0_SHA256)
     assert {k: v for k, v in got.items() if v != RUN_ALL_SEED0_SHA256[k]} == {}
+
+
+# sha256 of metrics.json from `run-all --seed 0 --kinds compositional-joint --n 5` over
+# all six modes: the pinned tree above runs only no-prior, raw-interaction and polar, so
+# this is the byte check of polar's three episodic ablations.
+SIX_MODES_METRICS_SHA256 = "54d159dbd693cc4d076b08f75c4af34c6df645e6291b822cc2d52b031b332281"
+
+
+def test_run_all_six_modes_metrics_match_pinned_hash(tmp_path, capsys):
+    modes = ["no-prior", "raw-interaction", "polar", "polar-instruction-only", "polar-raw-trajectory", "polar-summary"]
+    argv = ["run-all", "--seed", "0", "--kinds", "compositional-joint", "--n", "5", "--modes", *modes]
+    assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "metrics.json", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SIX_MODES_METRICS_SHA256
