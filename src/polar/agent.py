@@ -1,13 +1,15 @@
 """Hierarchical navigation policy over retrieved memory.
 
-Grounding runs once, before the episode: `ground_target` resolves which
-object instance the instruction means from the mode's context. The
-deterministic planner scores each retrieved candidate by summed
-instruction-statement cosine, lets candidates inherit the score of a
-retrieved statement from another candidate when they share a fact-value
-token (joint composition), and breaks exact ties toward the newest
-statement edge, then the smallest object id. The room prior comes from the
-candidate's most recent successful episodic rendering.
+Grounding runs once, before the episode. Each grounder takes (instruction,
+context) and raises GroundingFailed on an empty context, which
+`ground_target` turns into an ungrounded sweep. `OraclePlanner` scores each
+retrieved candidate by summed instruction-statement cosine, lets candidates
+inherit the score of a retrieved statement from another candidate when they
+share a fact-value token (joint composition), and breaks exact ties toward
+the newest statement edge, then the smallest object id; its reader takes the
+prior room from the winner's newest rendering that names one. `NaiveMatcher`
+matches raw episode logs by lexical overlap, `CategoryMatcher` the world's
+category vocabulary.
 
 `run_episode` then executes that decision, alternating a room-level plan
 (prior room first, else a nearest-unvisited sweep over the scene graph) with
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
-from .distiller import EpisodeLog, TrajectoryStep, parse_rendered_summary, parse_statement
-from .encoder import EncoderConfig, DEFAULT_ENCODER, cosine, encode
+from .distiller import EpisodeLog, TrajectoryStep, parse_statement, rendered_found_in
+from .encoder import EncoderConfig, cosine, encode
 from .errors import ExplorationExhausted, GroundingFailed, RejectedInput
 from .retrieval import CandidateObject, RetrievalResult, episode_document, tokenize
 from .world import (
@@ -42,23 +45,14 @@ MAX_STEPS = 700  # an episode's step cap
 SUCCESS_RADIUS_M = 2.0  # an episode succeeds when it ends this close to gold
 
 _EPS = 1e-9
-_SUMMARY_FOUND_PREFIX = "found it in "
 
 
 @dataclass
 class GroundingDecision:
-    chosen_object_id: str  # empty only for category-only (no-prior) grounding
+    chosen_object_id: str  # empty for category-only (no-prior) grounding and ungrounded sweeps
     chosen_category: str
     prior_room: str | None
     rationale: str
-    source: str  # {polar, raw, none}
-
-
-@dataclass
-class NoPriorContext:
-    """Memory-free context: only the world's category vocabulary is known."""
-
-    categories: tuple[str, ...] = ()
 
 
 def _turn_count(current: int, target: int) -> int:
@@ -71,8 +65,7 @@ def _turn_toward(current: int, target: int) -> str:
     return TURN_RIGHT if delta <= 180 else TURN_LEFT
 
 
-def sweep_room(scene_graph: SceneGraph, decision: GroundingDecision, visited: set[str], current_room: str) -> str:
-    prior = decision.prior_room
+def sweep_room(scene_graph: SceneGraph, prior: str | None, visited: set[str], current_room: str) -> str:
     if prior and prior in scene_graph.waypoints and prior not in visited:
         return prior
     unvisited = [r for r in scene_graph.rooms if r not in visited]
@@ -93,37 +86,19 @@ def sweep_room(scene_graph: SceneGraph, decision: GroundingDecision, visited: se
     return unvisited[0]
 
 
-def _prior_room_from_renderings(renderings: list[str], memory_mode: str) -> str | None:
-    for rendering in renderings:  # newest first
-        if memory_mode == "episodic":
-            parsed = parse_rendered_summary(rendering)
-            if parsed.get("outcome") == "success" and parsed.get("found_in", "none") != "none":
-                return parsed["found_in"]
-        elif memory_mode == "summary":
-            if rendering.startswith(_SUMMARY_FOUND_PREFIX):
-                rest = rendering[len(_SUMMARY_FOUND_PREFIX) :]
-                return rest.split(" after searching", 1)[0]
-        elif memory_mode == "raw":
-            tokens = rendering.split()
-            if len(tokens) >= 2:
-                return tokens[-2]  # trajectory text alternates room/action
-    return None
-
-
 class OraclePlanner:
     """Transparent deterministic grounding over retrieved candidates (no model calls).
 
     Statement scores are retrieval's cosines against `context.instruction`;
-    grounding encodes nothing itself.
+    grounding encodes nothing itself. `reader` takes the prior room out of one
+    episodic rendering; the default reads polar's stored renderings.
     """
 
-    def __init__(self, memory_mode: str = "episodic"):
-        if memory_mode not in ("episodic", "summary", "raw", "none"):
-            raise RejectedInput(f"unknown memory_mode {memory_mode!r}")
-        self.memory_mode = memory_mode
+    def __init__(self, reader: Callable[[str], str | None] = rendered_found_in):
+        self.reader = reader
 
     def ground(self, instruction: str, context: RetrievalResult) -> GroundingDecision:
-        if not isinstance(context, RetrievalResult) or not context.candidates:
+        if not context.candidates:
             raise GroundingFailed("no retrieved candidates to ground against")
         node_texts = {st.node_id: st.text for cand in context.candidates for st in cand.statements}
         scored = []
@@ -132,12 +107,12 @@ class OraclePlanner:
             scored.append((-score, -latest, cand.object_id, cand, score))
         scored.sort(key=lambda row: row[:3])
         _, _, _, best, score = scored[0]
+        rooms = (self.reader(rendering) for rendering in best.episodic_memories)  # newest first
         return GroundingDecision(
             best.object_id,
             best.category,
-            _prior_room_from_renderings(best.episodic_memories, self.memory_mode),
+            next((room for room in rooms if room is not None), None),
             f"statement-similarity score {score:.6f} over {len(context.candidates)} candidates",
-            "polar",
         )
 
     def _score(self, cand: CandidateObject, context: RetrievalResult, node_texts: dict[str, str]) -> tuple[float, int]:
@@ -182,58 +157,49 @@ class NaiveMatcher:
             best.target_category,
             prior,
             f"token overlap {overlap} with episode {best.episode_id}",
-            "raw",
         )
 
 
-def _category_only(instruction: str, categories: tuple[str, ...], encoder_config: EncoderConfig) -> GroundingDecision:
-    if not categories:
-        raise GroundingFailed("no known categories for category-only grounding")
-    tokens = tokenize(instruction)
-    positions = {}
-    for category in categories:
-        lowered = category.lower()
-        if lowered in tokens:
-            positions[category] = max(i for i, t in enumerate(tokens) if t == lowered)
-    if positions:
-        # the object noun tends to close the sentence: latest mention wins
-        category = max(sorted(positions), key=lambda c: positions[c])
-        how = "parsed from instruction"
-    else:
-        query = encode(instruction, encoder_config)
-        category = min(sorted(categories), key=lambda c: -cosine(query, encode(c, encoder_config)))
-        how = "nearest category by similarity"
-    return GroundingDecision("", category, None, f"category-only grounding ({how})", "none")
+class CategoryMatcher:
+    """No-prior grounding: the category the instruction names last, else the
+    category nearest to it under `encoder_config`; the episode locks onto the
+    first instance of it sighted."""
 
+    def __init__(self, encoder_config: EncoderConfig):
+        self.encoder_config = encoder_config
 
-def ground_target(
-    planner,
-    instruction: str,
-    context: RetrievalResult | list[EpisodeLog] | NoPriorContext,
-    encoder_config: EncoderConfig = DEFAULT_ENCODER,
-) -> GroundingDecision:
-    """Dispatch grounding by context shape; empty memory contexts are errors."""
-    if isinstance(context, NoPriorContext):
-        return _category_only(instruction, tuple(context.categories), encoder_config)
-    if isinstance(context, RetrievalResult):
-        if not context.candidates:
-            raise GroundingFailed("retrieval produced no candidates")
-        return planner.ground(instruction, context)
-    if isinstance(context, list):
+    def ground(self, instruction: str, context: tuple[str, ...]) -> GroundingDecision:
         if not context:
-            raise GroundingFailed("raw-interaction context is empty")
-        return planner.ground(instruction, context)
-    raise RejectedInput(f"unsupported grounding context {type(context).__name__}")
+            raise GroundingFailed("no known categories for category-only grounding")
+        tokens = tokenize(instruction)
+        positions = {}
+        for category in context:
+            lowered = category.lower()
+            if lowered in tokens:
+                positions[category] = max(i for i, t in enumerate(tokens) if t == lowered)
+        if positions:
+            # the object noun tends to close the sentence: latest mention wins
+            category = max(sorted(positions), key=lambda c: positions[c])
+            how = "parsed from instruction"
+        else:
+            query = encode(instruction, self.encoder_config)
+            category = min(sorted(context), key=lambda c: -cosine(query, encode(c, self.encoder_config)))
+            how = "nearest category by similarity"
+        return GroundingDecision("", category, None, f"category-only grounding ({how})")
 
 
-def plan_high(
-    scene_graph: SceneGraph,
-    decision: GroundingDecision,
-    visited: set[str],
-    current_room: str,
-) -> list[str]:
+def ground_target(grounder, instruction: str, context) -> GroundingDecision:
+    """`grounder.ground(instruction, context)`; when grounding fails, the episode
+    still runs, as an ungrounded sweep."""
+    try:
+        return grounder.ground(instruction, context)
+    except GroundingFailed as exc:
+        return GroundingDecision("", "", None, f"grounding unavailable: {exc}")
+
+
+def plan_high(scene_graph: SceneGraph, prior: str | None, visited: set[str], current_room: str) -> list[str]:
     """Rooms to traverse toward the sweep's next room, ending with it."""
-    room = sweep_room(scene_graph, decision, visited, current_room)
+    room = sweep_room(scene_graph, prior, visited, current_room)
     path = scene_graph.bfs_path(current_room, room)
     if path is None:
         raise ExplorationExhausted(f"room {room!r} is unreachable from {current_room!r}")
@@ -343,7 +309,7 @@ def run_episode(
         else:
             if not plan:
                 try:
-                    plan = plan_high(scene_graph, working, visited, world.room_of(state.position) or "")
+                    plan = plan_high(scene_graph, working.prior_room, visited, world.room_of(state.position) or "")
                 except ExplorationExhausted:
                     break
                 if not plan:

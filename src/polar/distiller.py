@@ -10,7 +10,9 @@ for that object rather than editing history.
 
 `parse_statement` inverts STATEMENT_TEMPLATE into (key, value) for both
 supersession (keys) and grounding (value tokens). It is memoised, since
-every ingest re-reads the object's active statements.
+every ingest re-reads the object's active statements. Each episodic rendering
+a polar evaluation mode hands the planner sits next to the reader that takes
+the prior room back out of it.
 """
 
 from __future__ import annotations
@@ -85,11 +87,6 @@ def parse_statement(text: str) -> tuple[str, str] | None:
     return (key, value) if sep else None
 
 
-def trajectory_text(episode: EpisodeLog) -> str:
-    """Flat `room action` token stream, one pair per step."""
-    return " ".join(f"{s.room} {s.action}" for s in episode.trajectory)
-
-
 def summarize_episodic(episode: EpisodeLog) -> EpisodicSummary:
     """Deterministic trajectory compression; path length counts successful forward moves."""
     if not episode.trajectory:
@@ -127,6 +124,45 @@ def parse_rendered_summary(text: str) -> dict:
     if set(out) != {"outcome", "searched", "found_in", "length"}:
         return {}
     return out
+
+
+# -- renderings and their prior-room readers (each reader: None when no room) ----
+
+
+def rendered_found_in(rendering: str) -> str | None:
+    """The room a successful episodic rendering found its target in."""
+    parsed = parse_rendered_summary(rendering)
+    return parsed["found_in"] if parsed.get("outcome") == "success" and parsed["found_in"] != "none" else None
+
+
+def summary_digest(record) -> str:
+    """One-line digest of an episodic record (anything with success, found_room and room_sequence)."""
+    rooms = ", ".join(record.room_sequence)
+    if record.success and record.found_room:
+        return f"found it in {record.found_room} after searching {rooms}"
+    return f"failed after searching {rooms}"
+
+
+def digest_found_in(digest: str) -> str | None:
+    if digest.startswith("found it in "):
+        return digest[len("found it in ") :].split(" after searching", 1)[0]
+    return None
+
+
+def trajectory_text(episode: EpisodeLog) -> str:
+    """Flat `room action` token stream, one pair per step."""
+    return " ".join(f"{s.room} {s.action}" for s in episode.trajectory)
+
+
+def trajectory_last_room(text: str) -> str | None:
+    """The room of a trajectory text's last step, whether or not the episode succeeded."""
+    tokens = text.split()
+    return tokens[-2] if len(tokens) >= 2 else None
+
+
+def no_prior_room(rendering: str) -> None:
+    """Instruction-only grounding reads no room: its candidates carry no renderings."""
+    return None
 
 
 def memorize_facts(

@@ -4,16 +4,13 @@ Each scenario is an isolated little universe: its acquisition episodes are
 memorized into their own graph (object ids repeat across scenarios, so a
 shared graph would cross-contaminate facts). The evaluation stage rebuilds
 the scenario's world, relocates the gold object to its evaluation position,
-and runs one episode per spec under the requested context mode:
+and runs one episode per spec under the requested context mode.
 
-- no-prior: only the instruction and the world's category vocabulary;
-- raw-interaction: a seeded sample of 15 raw episode logs that always
-  contains every gold episode, grounded by lexical overlap;
-- polar: top-k semantic retrieval expanded into candidates, full episodic
-  renderings attached;
-- polar-instruction-only / polar-raw-trajectory / polar-summary: the same
-  retrieval with the candidates' episodic context swapped for the ablated
-  trajectory representation.
+Each mode is one row of `MODES`: the inputs it needs, how it builds its
+grounding context, the grounder that reads it and the recall column its
+table row shows (README's "Evaluation modes" lists them). A missing input
+raises ConfigurationError, as does an episodes file that lacks an episode
+the graph names; rows still report every recall their inputs allow.
 
 memorize_suite and evaluate take one MemorySettings: the graphs are built
 with its encoder and thresholds, and evaluation encodes and retrieves with
@@ -29,33 +26,38 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .agent import (
+    CategoryMatcher,
     GroundingDecision,
     NaiveMatcher,
-    NoPriorContext,
     OraclePlanner,
     SUCCESS_RADIUS_M,
     ground_target,
     run_episode,
 )
-from .distiller import EpisodeLog, memorize, summarize_episodic, trajectory_text
-from .errors import ConfigurationError, GroundingFailed, ParseError, RejectedInput
+from .distiller import (
+    EpisodeLog,
+    digest_found_in,
+    memorize,
+    no_prior_room,
+    rendered_found_in,
+    summarize_episodic,
+    summary_digest,
+    trajectory_last_room,
+    trajectory_text,
+)
+from .encoder import EncoderConfig
+from .errors import ConfigurationError, ParseError, RejectedInput
 from .fileio import FORMAT_VERSION, MALFORMED, as_text, atomic_write_text, dump_json, load_json
 from .graph import MemoryGraph
 from .retrieval import DEFAULT_SETTINGS, MemorySettings, RetrievalResult, raw_retrieve, recall_at_k, retrieve
 from .scenarios import ScenarioSpec
 from .world import AgentState, World, cached_world
 
-MODES = (
-    "no-prior",
-    "raw-interaction",
-    "polar",
-    "polar-instruction-only",
-    "polar-raw-trajectory",
-    "polar-summary",
-)
 RAW_SAMPLE_SIZE = 15
+
 
 def world_for_spec(spec: ScenarioSpec) -> World:
     """The World that gen_scenarios built this spec's suite in."""
@@ -76,9 +78,7 @@ def acquire(spec: ScenarioSpec) -> list[EpisodeLog]:
             raise RejectedInput(f"{spec.scenario_id}: unknown object {script.target_object_id!r}")
         if script.object_position != obj.position:
             staged = world.move_object(script.target_object_id, script.object_position)
-        decision = GroundingDecision(
-            script.target_object_id, obj.category, None, "acquisition: target given explicitly", "polar"
-        )
+        decision = GroundingDecision(script.target_object_id, obj.category, None, "acquisition: target given explicitly")
         log = run_episode(
             staged,
             script.instruction,
@@ -121,10 +121,23 @@ def load_graphs(path: str) -> dict[str, MemoryGraph]:
     return {k: MemoryGraph.from_json(g) for k, g in load_json(path, "graphs", dict).items()}
 
 
-# -- evaluation contexts ----------------------------------------------------------
+# -- evaluation modes ------------------------------------------------------------
 
 
-def _raw_sample(spec: ScenarioSpec, logs: list[EpisodeLog], seed: int) -> list[EpisodeLog]:
+@dataclass(frozen=True)
+class Mode:
+    """One evaluation mode. `context` takes a spec's inputs by keyword (spec, seed,
+    world, graph, logs, result: the moved world, graph, acquisition logs and
+    retrieval result, None where not given) and keeps those it reads."""
+
+    needs_graph: bool
+    needs_episodes: bool
+    context: Callable[..., object]
+    grounder: Callable[[EncoderConfig], object]  # builds an object whose ground(instruction, context) decides
+    recall: str | None  # the recall column render_table shows
+
+
+def _raw_sample(spec: ScenarioSpec, logs: list[EpisodeLog], seed: int, **_) -> list[EpisodeLog]:
     """Seeded 15-episode sample that always contains every gold episode."""
     rng = random.Random(f"{seed}:{spec.scenario_id}:raw")
     gold = [e for e in logs if e.target_object_id == spec.gold_object_id]
@@ -136,40 +149,43 @@ def _raw_sample(spec: ScenarioSpec, logs: list[EpisodeLog], seed: int) -> list[E
     return sorted(sample, key=lambda e: (e.timestamp, e.episode_id))
 
 
-def _summary_digest(node) -> str:
-    rooms = ", ".join(node.room_sequence)
-    if node.success and node.found_room:
-        return f"found it in {node.found_room} after searching {rooms}"
-    return f"failed after searching {rooms}"
-
-
-def _ablated_result(result: RetrievalResult, mode: str, graph: MemoryGraph, logs: list[EpisodeLog] | None) -> RetrievalResult:
-    if mode == "polar":
-        return result
-    logs_by_id = {e.episode_id: e for e in logs or []}
+def _rerendered(result: RetrievalResult, graph: MemoryGraph, render: Callable | None) -> RetrievalResult:
+    """The retrieval result with each candidate's episodic renderings made anew:
+    `render` of each of its active episodic nodes, or none when `render` is None."""
     candidates = []
     for cand in result.candidates:
-        if mode == "polar-instruction-only":
-            renderings: list[str] = []
-        else:
-            renderings = []
+        renderings = []
+        if render is not None:
             for epi_id, _ts in graph.neighbors(cand.object_id, kind="episodic", active_only=True):
-                node = graph.episodic[epi_id]
-                if mode == "polar-raw-trajectory":
-                    episode = logs_by_id.get(node.episode_id)
-                    if episode is not None:
-                        renderings.append(trajectory_text(episode))
-                else:  # polar-summary
-                    renderings.append(_summary_digest(node))
+                renderings.append(render(graph.episodic[epi_id]))
         candidates.append(replace(cand, episodic_memories=renderings))
     return RetrievalResult(result.instruction, result.hits, candidates)
 
 
-_MEMORY_MODE = {
-    "polar": "episodic",
-    "polar-instruction-only": "none",
-    "polar-raw-trajectory": "raw",
-    "polar-summary": "summary",
+def _raw_trajectories(result: RetrievalResult, graph: MemoryGraph, logs: list[EpisodeLog], **_) -> RetrievalResult:
+    by_id = {e.episode_id: e for e in logs}
+    missing = sorted(node.episode_id for node in graph.episodic.values() if node.episode_id not in by_id)
+    if missing:
+        raise ConfigurationError(f"the graph names episode {missing[0]!r}, which the episodes lack")
+    return _rerendered(result, graph, lambda node: trajectory_text(by_id[node.episode_id]))
+
+
+def _polar(needs_episodes: bool, context: Callable[..., object], reader: Callable[[str], str | None]) -> Mode:
+    return Mode(True, needs_episodes, context, lambda _encoder: OraclePlanner(reader), "semantic")
+
+
+MODES: dict[str, Mode] = {
+    "no-prior": Mode(
+        False, False, lambda world, **_: tuple(sorted({o.category for o in world.objects.values()})),
+        CategoryMatcher, None,
+    ),
+    "raw-interaction": Mode(False, True, _raw_sample, lambda _encoder: NaiveMatcher(), "bm25"),
+    "polar": _polar(False, lambda result, **_: result, rendered_found_in),
+    "polar-instruction-only": _polar(False, lambda result, graph, **_: _rerendered(result, graph, None), no_prior_room),
+    "polar-raw-trajectory": _polar(True, _raw_trajectories, trajectory_last_room),
+    "polar-summary": _polar(
+        False, lambda result, graph, **_: _rerendered(result, graph, summary_digest), digest_found_in
+    ),
 }
 
 
@@ -283,30 +299,17 @@ def _evaluate_one(
     graph: MemoryGraph | None,
     logs: list[EpisodeLog] | None,
 ) -> dict:
-    world = world_for_spec(spec)
-    eval_world = world.move_object(spec.gold_object_id, spec.eval_gold_position)
+    row = MODES[mode]
+    if row.needs_graph and graph is None:
+        raise ConfigurationError(f"mode {mode!r} needs a memorized graph for {spec.scenario_id!r} (run memorize first)")
+    if row.needs_episodes and not logs:
+        raise ConfigurationError(f"mode {mode!r} needs acquisition episodes for {spec.scenario_id!r}")
+    eval_world = world_for_spec(spec).move_object(spec.gold_object_id, spec.eval_gold_position)
     retrieval_result = None
     if graph is not None:
         retrieval_result = retrieve(graph, spec.eval_instruction, settings.k, encoder_config=settings.encoder)
-    if mode.startswith("polar"):
-        if graph is None:
-            raise ConfigurationError(f"mode {mode!r} needs a memorized graph for {spec.scenario_id!r} (run memorize first)")
-        context = _ablated_result(retrieval_result, mode, graph, logs)
-        planner, source = OraclePlanner(memory_mode=_MEMORY_MODE[mode]), "polar"
-    elif mode == "raw-interaction":
-        if not logs:
-            raise ConfigurationError(f"mode raw-interaction needs acquisition episodes for {spec.scenario_id!r}")
-        context = _raw_sample(spec, logs, seed)
-        planner, source = NaiveMatcher(), "raw"
-    else:  # no-prior
-        categories = tuple(sorted({o.category for o in eval_world.objects.values()}))
-        context = NoPriorContext(categories)
-        planner, source = None, "none"
-    try:
-        decision = ground_target(planner, spec.eval_instruction, context, settings.encoder)
-    except GroundingFailed as exc:
-        # the episode still runs, as an ungrounded sweep
-        decision = GroundingDecision("", "", None, f"grounding unavailable: {exc}", source)
+    context = row.context(spec=spec, seed=seed, world=eval_world, graph=graph, logs=logs, result=retrieval_result)
+    decision = ground_target(row.grounder(settings.encoder), spec.eval_instruction, context)
 
     log = run_episode(
         eval_world,
@@ -320,7 +323,6 @@ def _evaluate_one(
     path_m = summarize_episodic(log).path_length_m
     shortest_m = eval_world.shortest_path_length(spec.eval_agent_start, spec.eval_gold_position)
     reachable = not math.isinf(shortest_m)
-    gold_pos = spec.eval_gold_position
     near_decoy = any(
         o.category == eval_world.objects[spec.gold_object_id].category
         and o.object_id != spec.gold_object_id
@@ -328,20 +330,13 @@ def _evaluate_one(
         <= SUCCESS_RADIUS_M + 1e-9
         for o in eval_world.objects.values()
     )
-    recall_semantic = None
+    recall = dict.fromkeys(("semantic", "bm25", "dense"))
     if retrieval_result is not None:
-        recall_semantic = float(recall_at_k(retrieval_result, gold_object_id=spec.gold_object_id))
-    recall_bm25 = recall_dense = None
-    if logs:
-        gold_ids = [e.episode_id for e in logs if e.target_object_id == spec.gold_object_id]
-        if gold_ids:
-            for name in ("bm25", "dense"):
-                ranked = raw_retrieve(logs, spec.eval_instruction, settings.k, name, encoder_config=settings.encoder)
-                hit = sum(recall_at_k(ranked, gold_episode_id=g) for g in gold_ids) / len(gold_ids)
-                if name == "bm25":
-                    recall_bm25 = hit
-                else:
-                    recall_dense = hit
+        recall["semantic"] = float(recall_at_k(retrieval_result, gold_object_id=spec.gold_object_id))
+    gold_ids = [e.episode_id for e in logs or [] if e.target_object_id == spec.gold_object_id]
+    for name in ("bm25", "dense") if gold_ids else ():
+        ranked = raw_retrieve(logs, spec.eval_instruction, settings.k, name, encoder_config=settings.encoder)
+        recall[name] = sum(recall_at_k(ranked, gold_episode_id=g) for g in gold_ids) / len(gold_ids)
     return {
         "spec_id": spec.scenario_id,
         "kind": spec.kind,
@@ -353,16 +348,13 @@ def _evaluate_one(
         "grounded_object_id": decision.chosen_object_id,
         "grounding_correct": int(decision.chosen_object_id == spec.gold_object_id),
         "steps": len(log.trajectory) - 1,
-        "recall_semantic": recall_semantic,
-        "recall_bm25": recall_bm25,
-        "recall_dense": recall_dense,
+        "recall_semantic": recall["semantic"],
+        "recall_bm25": recall["bm25"],
+        "recall_dense": recall["dense"],
     }
 
 
 # -- reporting ---------------------------------------------------------------------
-
-
-_PRIMARY_RETRIEVER = {"raw-interaction": "bm25"}
 
 
 def _fmt(value: float | None) -> str:
@@ -373,8 +365,7 @@ def render_table(reports: list[MetricsReport]) -> str:
     header = f"{'mode':<24}{'kind':<24}{'N':>5}{'SR':>9}{'SPL':>9}{'CM':>9}{'recall@5':>10}"
     lines = [header, "-" * len(header)]
     for report in reports:
-        retriever = _PRIMARY_RETRIEVER.get(report.mode, "semantic" if report.mode.startswith("polar") else None)
-        recall = report.recall.get(retriever) if retriever else None
+        recall = report.recall.get(MODES[report.mode].recall) if report.mode in MODES else None
         lines.append(
             f"{report.mode:<24}{report.kind:<24}{report.n:>5}"
             f"{_fmt(report.sr):>9}{_fmt(report.spl):>9}{_fmt(report.cm):>9}{_fmt(recall):>10}"

@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .agent import GroundingDecision, OraclePlanner, sweep_room
+from .agent import OraclePlanner, sweep_room
 from .encoder import cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import memorize_facts, render_statement
@@ -224,10 +224,9 @@ def _sweep_path_m(
     goal_room: str,
 ) -> float:
     """Meters a nearest-first sweep walks before reaching goal_room's waypoint."""
-    probe = GroundingDecision("", "", None, "", "none")
     total = 0.0
     for _ in range(len(scene.rooms) + 1):
-        room = sweep_room(scene, probe, visited, current)
+        room = sweep_room(scene, None, visited, current)
         waypoint = scene.waypoints[room]
         total += world.shortest_path_length(pos, waypoint)
         visited.add(room)

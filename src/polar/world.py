@@ -252,8 +252,8 @@ _WORLD_CACHE: dict[tuple, "World"] = {}
 
 
 def cached_world(seed: int, n_rooms: int, objects_spec: list[tuple[str, int]]) -> "World":
-    """gen_world, built once per distinct request. Worlds are immutable, so scenario
-    generation, acquisition and evaluation of one suite all share one World."""
+    """gen_world, built once per distinct request. A World's grid and objects never change,
+    so scenario generation, acquisition and evaluation of one suite all share one World."""
     key = (seed, n_rooms, tuple(tuple(row) for row in objects_spec))
     world = _WORLD_CACHE.get(key)
     if world is None:
@@ -264,7 +264,13 @@ def cached_world(seed: int, n_rooms: int, objects_spec: list[tuple[str, int]]) -
 
 
 class World:
-    """Immutable occupancy-grid world; cells hold a room index or WALL."""
+    """Occupancy-grid world whose grid, rooms and objects never change; cells hold a
+    room index or WALL. Reads fill two last-key caches, so a World is not for
+    concurrent use. Each caches only what its key and owner fix, so a hit equals a
+    recomputation: `_sightings`, the last observed position's room and in-range
+    objects (fixed by the position and this World's objects), and the grid-shared
+    `_NavCache.last_descents`, the strides from the last position that descend to
+    the last goal cell (fixed by those and the grid, which moved copies share)."""
 
     def __init__(
         self,

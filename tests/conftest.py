@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from polar.agent import _prior_room_from_renderings, _turn_count, _turn_toward
+from polar.agent import _turn_count, _turn_toward
 from polar.distiller import parse_statement
 from polar.encoder import DEFAULT_ENCODER, cosine, encode
 from polar.world import HEADINGS, MOVE_FORWARD, STRIDE_M, WALL, World, gen_world, heading_vector
@@ -120,13 +120,14 @@ def reference_steer(world, state, goal):
     return _turn_toward(state.heading, best[2])
 
 
-def reference_ground(instruction, context, memory_mode="episodic", encoder_config=DEFAULT_ENCODER):
+def reference_ground(instruction, context, reader, encoder_config=DEFAULT_ENCODER):
     """Statement-similarity grounding that encodes every candidate statement again
     instead of reading the cosines retrieval stored: (chosen id, prior room, rationale).
 
     A candidate scores the summed cosine of its own statements plus, once each, the
     hit score of every foreign retrieved statement sharing one of its value tokens;
-    ties go to the newest statement edge, then the smallest object id."""
+    ties go to the newest statement edge, then the smallest object id. The prior room
+    is the first room `reader` finds in the winner's renderings, newest first."""
     query = encode(instruction, encoder_config)
     node_texts = {s.node_id: s.text for cand in context.candidates for s in cand.statements}
     scored = []
@@ -149,7 +150,12 @@ def reference_ground(instruction, context, memory_mode="episodic", encoder_confi
     scored.sort(key=lambda row: row[:3])
     _, _, _, best, score = scored[0]
     rationale = f"statement-similarity score {score:.6f} over {len(context.candidates)} candidates"
-    return best.object_id, _prior_room_from_renderings(best.episodic_memories, memory_mode), rationale
+    prior = None
+    for rendering in best.episodic_memories:
+        prior = reader(rendering)
+        if prior is not None:
+            break
+    return best.object_id, prior, rationale
 
 
 @pytest.fixture(scope="session")

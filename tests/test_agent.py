@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,14 +8,12 @@ from hypothesis import strategies as st
 from conftest import reference_descents, reference_ground, reference_steer
 from polar import agent
 from polar.agent import (
+    CategoryMatcher,
     GroundingDecision,
     NaiveMatcher,
-    NoPriorContext,
     OraclePlanner,
     MAX_STEPS,
     SUCCESS_RADIUS_M,
-    _category_only,
-    _prior_room_from_renderings,
     _steer_action,
     sweep_room,
     _turn_count,
@@ -23,10 +22,10 @@ from polar.agent import (
     plan_high,
     run_episode,
 )
-from polar.distiller import EpisodeLog, TrajectoryStep, memorize
+from polar.distiller import EpisodeLog, TrajectoryStep, memorize, no_prior_room, trajectory_last_room
 from polar.encoder import DEFAULT_ENCODER, EncoderConfig, encode
 from polar import evaluation
-from polar.evaluation import _MEMORY_MODE, _ablated_result, evaluate
+from polar.evaluation import MODES, evaluate
 from polar.errors import ExplorationExhausted, GroundingFailed, RejectedInput
 from polar.graph import MemoryGraph
 from polar.retrieval import MemorySettings, retrieve
@@ -43,7 +42,7 @@ def _scene() -> SceneGraph:
 
 
 def _decision(prior=None):
-    return GroundingDecision("mug_01", "mug", prior, "test", "polar")
+    return GroundingDecision("mug_01", "mug", prior, "test")
 
 
 def test_turn_math():
@@ -100,36 +99,36 @@ def test_descents_and_steering_sequences_match_scalar_loop(data):
 
 
 def test_sweep_prefers_unvisited_prior_room():
-    assert sweep_room(_scene(), _decision(prior="pantry"), set(), "hallway") == "pantry"
+    assert sweep_room(_scene(), "pantry", set(), "hallway") == "pantry"
 
 
 def test_sweep_skips_visited_prior_room():
-    room = sweep_room(_scene(), _decision(prior="pantry"), {"pantry"}, "hallway")
+    room = sweep_room(_scene(), "pantry", {"pantry"}, "hallway")
     assert room != "pantry"
 
 
 def test_sweep_orders_by_hops_then_degree():
     scene = _scene()
     # the spawn room itself is searched first (0 hops)
-    assert sweep_room(scene, _decision(), set(), "hallway") == "hallway"
+    assert sweep_room(scene, None, set(), "hallway") == "hallway"
     # then: den and kitchen are both 1 hop, but den is a degree-1 dead end
     # while kitchen is a degree-2 connector, so den wins the tie
-    assert sweep_room(scene, _decision(), {"hallway"}, "hallway") == "den"
-    assert sweep_room(scene, _decision(), {"hallway", "den"}, "hallway") == "kitchen"
-    assert sweep_room(scene, _decision(), {"hallway", "den", "kitchen"}, "hallway") == "pantry"
+    assert sweep_room(scene, None, {"hallway"}, "hallway") == "den"
+    assert sweep_room(scene, None, {"hallway", "den"}, "hallway") == "kitchen"
+    assert sweep_room(scene, None, {"hallway", "den", "kitchen"}, "hallway") == "pantry"
 
 
 def test_sweep_exhaustion_raises():
     scene = _scene()
     with pytest.raises(ExplorationExhausted):
-        sweep_room(scene, _decision(), set(scene.rooms), "hallway")
+        sweep_room(scene, None, set(scene.rooms), "hallway")
 
 
 def test_plan_high_returns_route_ending_at_choice():
     scene = _scene()
-    assert plan_high(scene, _decision(prior="pantry"), set(), "hallway") == ["kitchen", "pantry"]
+    assert plan_high(scene, "pantry", set(), "hallway") == ["kitchen", "pantry"]
     # searching the current room still routes to its waypoint
-    assert plan_high(scene, _decision(), set(), "hallway") == ["hallway"]
+    assert plan_high(scene, None, set(), "hallway") == ["hallway"]
 
 
 # -- grounding -----------------------------------------------------------------
@@ -161,7 +160,6 @@ def test_oracle_planner_grounds_best_statement_match():
     result = retrieve(g, "find my crimson mug", k=5)
     decision = OraclePlanner().ground("find my crimson mug", result)
     assert decision.chosen_object_id == "mug_01"
-    assert decision.source == "polar"
 
 
 def test_oracle_planner_recency_breaks_statement_ties():
@@ -199,15 +197,13 @@ def test_oracle_planner_instruction_only_has_no_prior():
         renderings={"mug_01": [(1, "outcome=success; searched=kitchen; found_in=kitchen; length=2.0m")]},
     )
     result = retrieve(g, "find my crimson mug", k=5)
-    decision = OraclePlanner(memory_mode="none").ground("find my crimson mug", result)
+    decision = OraclePlanner(no_prior_room).ground("find my crimson mug", result)
     assert decision.prior_room is None
 
 
 def test_oracle_planner_rejects_empty_context():
     with pytest.raises(GroundingFailed):
         OraclePlanner().ground("find it", retrieve_result_empty())
-    with pytest.raises(RejectedInput):
-        OraclePlanner(memory_mode="psychic")
 
 
 def retrieve_result_empty():
@@ -218,6 +214,7 @@ def retrieve_result_empty():
 
 _GROUND_OBJECTS = ("mug_01", "mug_02", "mug_03", "vase_01")
 _GROUND_ROOMS = ("kitchen", "den", "pantry")
+_POLAR_MODES = [mode for mode, row in MODES.items() if isinstance(row.grounder(DEFAULT_ENCODER), OraclePlanner)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -251,25 +248,28 @@ def test_oracle_planner_matches_reencoding_reference(data):
         logs.append(episode)
     values = data.draw(st.lists(st.sampled_from(_VALUE_POOL[:4]), min_size=1, max_size=2, unique=True))
     instruction = _eval_instruction(values, data.draw(st.sampled_from(("mug", "vase"))))
-    mode = data.draw(st.sampled_from(sorted(_MEMORY_MODE)))
-    context = _ablated_result(retrieve(graph, instruction, data.draw(st.integers(1, 5))), mode, graph, logs)
-    decision = OraclePlanner(memory_mode=_MEMORY_MODE[mode]).ground(instruction, context)
-    expected = reference_ground(instruction, context, _MEMORY_MODE[mode])
+    row = MODES[data.draw(st.sampled_from(sorted(_POLAR_MODES)))]
+    result = retrieve(graph, instruction, data.draw(st.integers(1, 5)))
+    context = row.context(graph=graph, logs=logs, result=result)
+    planner = row.grounder(DEFAULT_ENCODER)
+    decision = planner.ground(instruction, context)
+    expected = reference_ground(instruction, context, planner.reader)
     assert (decision.chosen_object_id, decision.prior_room, decision.rationale) == expected
 
 
-def test_prior_room_from_renderings_modes():
-    episodic = [
-        "outcome=failure; searched=den; found_in=none; length=1.0m",
-        "outcome=success; searched=den,kitchen; found_in=kitchen; length=2.0m",
-    ]
-    assert _prior_room_from_renderings(episodic, "episodic") == "kitchen"
-    assert _prior_room_from_renderings(episodic, "none") is None
-    summary = ["failed after searching den", "found it in pantry after searching den, pantry"]
-    assert _prior_room_from_renderings(summary, "summary") == "pantry"
-    raw = ["hallway START kitchen MOVE_FORWARD kitchen STOP"]
-    assert _prior_room_from_renderings(raw, "raw") == "kitchen"
-    assert _prior_room_from_renderings([], "episodic") is None
+def test_the_mode_table_has_four_polar_rows():
+    assert _POLAR_MODES == ["polar", "polar-instruction-only", "polar-raw-trajectory", "polar-summary"]
+
+
+def test_oracle_planner_takes_the_newest_room_its_reader_finds():
+    result = retrieve(_graph_with({"mug_01": ["user: color = crimson refers to mug mug_01"]}), "find my crimson mug", 5)
+    [cand] = result.candidates
+    newest_first = ["START", "den STOP", "kitchen STOP"]  # the first names no room
+    swapped = dataclasses.replace(result, candidates=[dataclasses.replace(cand, episodic_memories=newest_first)])
+    assert OraclePlanner(trajectory_last_room).ground("find my crimson mug", swapped).prior_room == "den"
+    assert OraclePlanner().ground("find my crimson mug", swapped).prior_room is None  # none is an episodic rendering
+    bare = dataclasses.replace(result, candidates=[dataclasses.replace(cand, episodic_memories=[])])
+    assert OraclePlanner(trajectory_last_room).ground("find my crimson mug", bare).prior_room is None
 
 
 def test_naive_matcher_overlap_and_recency():
@@ -282,7 +282,6 @@ def test_naive_matcher_overlap_and_recency():
     decision = matcher.ground("find my crimson mug", eps)
     assert decision.chosen_object_id == "obj_a"
     assert decision.prior_room == "kitchen"
-    assert decision.source == "raw"
     # equal overlap: later timestamp wins
     tie = [ep("old", "same words here", 1), ep("new", "same words here", 5)]
     assert matcher.ground("same words here", tie).chosen_object_id == "obj_new"
@@ -291,24 +290,28 @@ def test_naive_matcher_overlap_and_recency():
 
 
 def test_category_only_parses_last_mentioned_category():
-    d = _category_only("move the vase then find my mug", ("mug", "vase"), DEFAULT_ENCODER)
+    matcher = CategoryMatcher(DEFAULT_ENCODER)
+    d = matcher.ground("move the vase then find my mug", ("mug", "vase"))
     assert d.chosen_category == "mug"
     assert d.chosen_object_id == ""
-    assert d.source == "none"
-    d = _category_only("find my cup", ("mug", "vase"), DEFAULT_ENCODER)
+    d = matcher.ground("find my cup", ("mug", "vase"))
     assert d.chosen_category in ("mug", "vase")  # similarity fallback
     with pytest.raises(GroundingFailed):
-        _category_only("find it", (), DEFAULT_ENCODER)
+        matcher.ground("find it", ())
 
 
-def test_ground_target_dispatch():
-    assert ground_target(None, "find my mug", NoPriorContext(("mug",))).chosen_category == "mug"
-    with pytest.raises(GroundingFailed):
-        ground_target(None, "find my mug", NoPriorContext(()))  # no category vocabulary at all
-    with pytest.raises(GroundingFailed):
-        ground_target(OraclePlanner(), "find it", [])
-    with pytest.raises(RejectedInput):
-        ground_target(OraclePlanner(), "find it", {"not": "supported"})
+def test_ground_target_turns_a_grounding_failure_into_a_sweep():
+    assert ground_target(CategoryMatcher(DEFAULT_ENCODER), "find my mug", ("mug",)).chosen_category == "mug"
+    for grounder, empty in (
+        (CategoryMatcher(DEFAULT_ENCODER), ()),  # no category vocabulary at all
+        (NaiveMatcher(), []),
+        (OraclePlanner(), retrieve_result_empty()),
+    ):
+        with pytest.raises(GroundingFailed) as failed:
+            grounder.ground("find it", empty)
+        decision = ground_target(grounder, "find it", empty)
+        assert (decision.chosen_object_id, decision.chosen_category, decision.prior_room) == ("", "", None)
+        assert decision.rationale == f"grounding unavailable: {failed.value}"
 
 
 # -- episode loop ----------------------------------------------------------------
@@ -318,7 +321,7 @@ def test_run_episode_with_explicit_decision_reaches_target():
     world = gen_world(0, 5, [("mug", 2), ("vase", 1)])
     gold = "mug_01"
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
-    decision = GroundingDecision(gold, "mug", None, "given", "polar")
+    decision = GroundingDecision(gold, "mug", None, "given")
     log = run_episode(world, "go to the mug", decision, gold_object_id=gold, start=start)
     assert log.success
     assert len(log.trajectory) - 1 <= MAX_STEPS
@@ -332,7 +335,7 @@ def test_run_episode_with_explicit_decision_reaches_target():
 def test_run_episode_is_deterministic():
     world = gen_world(1, 5, [("mug", 1)])
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 90)
-    decision = GroundingDecision("mug_01", "mug", None, "given", "polar")
+    decision = GroundingDecision("mug_01", "mug", None, "given")
     runs = [
         run_episode(world, "go", decision, gold_object_id="mug_01", start=start)
         for _ in range(2)
@@ -347,7 +350,7 @@ def test_run_episode_respects_step_cap(monkeypatch):
     start = AgentState(world.build_scene_graph().waypoints["hallway"], 0)
     # grounding that can never be satisfied: category-only lock on a category
     # that is not in the world forces a full exploration sweep
-    decision = GroundingDecision("", "unicorn", None, "given", "none")
+    decision = GroundingDecision("", "unicorn", None, "given")
     monkeypatch.setattr(agent, "MAX_STEPS", 40)
     log = run_episode(world, "find the unicorn", decision, gold_object_id="mug_01", start=start)
     assert len(log.trajectory) - 1 <= 40
@@ -393,7 +396,7 @@ def test_run_episode_grounding_failure_degrades_gracefully(monkeypatch):
     spec = _probe_spec([("mug", 1)], "find it")
     graphs = {spec.scenario_id: MemoryGraph()}
     [row], [decision] = _evaluate_recording_decisions(monkeypatch, spec, "polar", graphs=graphs)
-    assert (decision.chosen_object_id, decision.chosen_category, decision.source) == ("", "", "polar")
+    assert (decision.chosen_object_id, decision.chosen_category, decision.prior_room) == ("", "", None)
     assert decision.rationale.startswith("grounding unavailable: ")
     assert row["grounded_object_id"] == "" and row["grounding_correct"] == 0
     assert row["steps"] >= 1
@@ -403,8 +406,8 @@ def test_run_episode_no_prior_grounding_uses_the_callers_encoder(monkeypatch):
     categories = tuple(f"c{i}x" for i in range(40))
     instruction = "find my thing c7 zz"  # names no category: the similarity fallback decides
     small = EncoderConfig(dim=64)
-    want = _category_only(instruction, categories, small).chosen_category
-    assert want == "c15x" and want != _category_only(instruction, categories, DEFAULT_ENCODER).chosen_category
+    want = CategoryMatcher(small).ground(instruction, categories).chosen_category
+    assert want == "c15x" and want != CategoryMatcher(DEFAULT_ENCODER).ground(instruction, categories).chosen_category
     spec = _probe_spec([(c, 1) for c in categories], instruction)
     _, [decision] = _evaluate_recording_decisions(monkeypatch, spec, "no-prior", settings=MemorySettings(encoder=small))
     assert decision.chosen_category == want

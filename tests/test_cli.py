@@ -366,6 +366,47 @@ def staged(tmp_path_factory):
     return paths
 
 
+# the input files each evaluation mode needs besides --specs
+_NEEDED_INPUTS = {
+    "no-prior": (),
+    "raw-interaction": ("--episodes",),
+    "polar": ("--graphs",),
+    "polar-instruction-only": ("--graphs",),
+    "polar-raw-trajectory": ("--graphs", "--episodes"),
+    "polar-summary": ("--graphs",),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_NEEDED_INPUTS))
+def test_eval_runs_on_the_inputs_its_mode_needs_and_refuses_without_each(tmp_path, capsys, staged, mode):
+    paths = {"--graphs": staged["graphs"], "--episodes": staged["episodes"]}
+
+    def eval_with(flags, out):
+        inputs = [arg for flag in flags for arg in (flag, paths[flag])]
+        return main(["eval", "--specs", staged["specs"], "--mode", mode, *inputs, "--out", str(tmp_path / out)])
+
+    needed = _NEEDED_INPUTS[mode]
+    assert eval_with(needed, "m.json") == 0
+    capsys.readouterr()
+    for dropped in needed:
+        assert eval_with([flag for flag in needed if flag != dropped], f"without{dropped}.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("polar: error:") and err.count("\n") == 1 and mode in err
+        assert not (tmp_path / f"without{dropped}.json").exists()
+
+
+def test_eval_raw_trajectory_refuses_episodes_that_miss_one_the_graph_names(tmp_path, capsys, staged):
+    [spec] = load_specs(staged["specs"])
+    with open(staged["episodes"], encoding="utf-8") as fh:
+        lines = [line for line in fh if json.loads(line)["target_object_id"] != spec.gold_object_id]
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text("".join(lines), encoding="utf-8")
+    argv = ["eval", "--specs", staged["specs"], "--mode", "polar-raw-trajectory", "--graphs", staged["graphs"]]
+    assert main([*argv, "--episodes", str(episodes), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("polar: error:") and err.count("\n") == 1 and "names episode" in err
+
+
 def _file_flag_argv(flag: str, path: str, staged: dict, out: str) -> list[str]:
     return {
         "--config": ["--config", path, "world", "gen", "--out", out],

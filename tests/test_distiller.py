@@ -2,19 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polar.distiller import (
     EpisodeLog,
     TrajectoryStep,
+    digest_found_in,
     episode_from_json,
     episode_to_json,
     load_episodes,
     memorize,
+    no_prior_room,
     parse_rendered_summary,
     parse_statement,
     render_statement,
+    rendered_found_in,
     save_episodes,
     summarize_episodic,
+    summary_digest,
+    trajectory_last_room,
     trajectory_text,
 )
 from polar.errors import ParseError, RejectedInput
@@ -122,6 +129,27 @@ def test_summarize_failure_has_no_found_room():
     assert s.found_room is None
     assert s.unpromising_rooms == ["hallway", "kitchen"]
     assert parse_rendered_summary(s.rendered_text)["found_in"] == "none"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(("hallway", "kitchen", "bedroom_1", "living_room")), min_size=1, max_size=6), st.booleans())
+def test_each_rendering_round_trips_through_its_reader(rooms, success):
+    """Each rendering a polar mode hands the planner gives back, through its own reader,
+    the room the episode ended in: the two summaries only on success, the raw trajectory
+    either way. Instruction-only grounding renders nothing and reads no room."""
+    actions = [ACTION_START] + [MOVE_FORWARD] * (len(rooms) - 1)
+    steps = [_step((0.5 + i, 0.5), action, room) for i, (action, room) in enumerate(zip(actions, rooms))]
+    episode = _episode(success=success)
+    episode.trajectory = steps + [_step(steps[-1].position, STOP, rooms[-1])]
+    summary = summarize_episodic(episode)
+    found = rooms[-1] if success else None
+    assert rendered_found_in(summary.rendered_text) == found
+    assert digest_found_in(summary_digest(summary)) == found
+    assert trajectory_last_room(trajectory_text(episode)) == rooms[-1]
+    assert no_prior_room(summary.rendered_text) is None
+    # the two summary readers take no room out of each other's rendering
+    assert rendered_found_in(summary_digest(summary)) is None
+    assert digest_found_in(summary.rendered_text) is None
 
 
 def test_parse_rendered_summary_rejects_foreign_text():

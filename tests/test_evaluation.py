@@ -3,16 +3,14 @@ import json
 
 import pytest
 
-from polar.distiller import episode_to_json, trajectory_text, summarize_episodic
+from polar.distiller import digest_found_in, episode_to_json, summarize_episodic, summary_digest, trajectory_text
 from polar.errors import ConfigurationError, ParseError, RejectedInput
 from polar.evaluation import (
     MODES,
     RAW_SAMPLE_SIZE,
     MetricsReport,
-    _ablated_result,
     _all_retrievers_hit,
     _raw_sample,
-    _summary_digest,
     acquire,
     aggregate,
     evaluate,
@@ -26,7 +24,7 @@ from polar.evaluation import (
     world_for_spec,
     write_report,
 )
-from polar.agent import MAX_STEPS, SUCCESS_RADIUS_M, _prior_room_from_renderings
+from polar.agent import MAX_STEPS, SUCCESS_RADIUS_M
 from polar.retrieval import retrieve
 from polar.scenarios import gen_scenarios
 
@@ -154,15 +152,15 @@ def test_summary_digest_round_trips_through_prior_room(single_suite):
     specs, episodes, _ = single_suite
     node = summarize_episodic(episodes[specs[0].scenario_id][0])
     assert node.success
-    digest = _summary_digest(node)
+    digest = summary_digest(node)
     assert digest.startswith(f"found it in {node.found_room} after searching ")
-    assert _prior_room_from_renderings([digest], "summary") == node.found_room
+    assert digest_found_in(digest) == node.found_room
     failed = dataclasses.replace(node, success=False)
-    assert _summary_digest(failed).startswith("failed after searching ")
-    assert _prior_room_from_renderings([_summary_digest(failed)], "summary") is None
+    assert summary_digest(failed).startswith("failed after searching ")
+    assert digest_found_in(summary_digest(failed)) is None
 
 
-def test_ablated_result_swaps_episodic_renderings(single_suite):
+def test_polar_rows_swap_episodic_renderings(single_suite):
     specs, episodes, graphs = single_suite
     spec = specs[0]
     graph = graphs[spec.scenario_id]
@@ -170,18 +168,26 @@ def test_ablated_result_swaps_episodic_renderings(single_suite):
     result = retrieve(graph, spec.eval_instruction, 5)
     assert any(cand.episodic_memories for cand in result.candidates)
 
-    assert _ablated_result(result, "polar", graph, logs) is result
+    def context(mode, logs=logs):
+        return MODES[mode].context(graph=graph, logs=logs, result=result)
 
-    bare = _ablated_result(result, "polar-instruction-only", graph, logs)
+    assert context("polar") is result
+
+    bare = context("polar-instruction-only")
     assert all(cand.episodic_memories == [] for cand in bare.candidates)
 
-    raw = _ablated_result(result, "polar-raw-trajectory", graph, logs)
+    raw = context("polar-raw-trajectory")
     traces = {trajectory_text(e) for e in logs}
     assert any(cand.episodic_memories for cand in raw.candidates)
     for cand in raw.candidates:
         assert set(cand.episodic_memories) <= traces
 
-    digests = _ablated_result(result, "polar-summary", graph, logs)
+    remembered = next(cand for cand in result.candidates if cand.episodic_memories)
+    named = {graph.episodic[e].episode_id for e, _ts in graph.neighbors(remembered.object_id, kind="episodic")}
+    with pytest.raises(ConfigurationError, match="names episode"):  # an episodes file that lacks them
+        context("polar-raw-trajectory", logs=[e for e in logs if e.episode_id not in named])
+
+    digests = context("polar-summary")
     for cand in digests.candidates:
         for text in cand.episodic_memories:
             assert text.startswith(("found it in ", "failed after searching "))
@@ -230,6 +236,8 @@ def test_evaluate_validates_inputs(single_suite):
         evaluate(specs, "polar")  # no graphs
     with pytest.raises(ConfigurationError):
         evaluate(specs, "raw-interaction")  # no episodes
+    with pytest.raises(ConfigurationError):
+        evaluate(specs, "polar-raw-trajectory", graphs=graphs)  # no episodes to render trajectories from
 
 
 def test_evaluate_no_prior_reports_without_recall(single_suite):
