@@ -7,6 +7,7 @@ between criteria; every criterion still works when run alone.
 """
 
 import filecmp
+import gzip
 import hashlib
 import os
 import random
@@ -374,3 +375,34 @@ def test_run_all_six_modes_metrics_match_pinned_hash(tmp_path, capsys):
     capsys.readouterr()
     with open(tmp_path / "metrics.json", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == SIX_MODES_METRICS_SHA256
+
+
+# sha256 of the file-staged path over benchmarks/staged: `polar memorize` on the staged
+# episodes, then `polar eval` in every mode with --graphs and --episodes. It reads
+# specs, episodes and graphs back from disk, which the pinned run-all tree never does.
+STAGED_SHA256 = {
+    "graphs.json": "e1bbb09e7cc150368856a15ddf2c965429f451dbd06b801dfc6c7bc6d7d97095",
+    "metrics-no-prior.json": "e3329a6d7cc8016c6a3b7efd4f1273397b56bc987639125e4354a8077d2a259d",
+    "metrics-raw-interaction.json": "896e316b24450f675065ba7abeb5b758d7cfae92d5e3927f157ba8685604b0a2",
+    "metrics-polar.json": "f27d7818011c6e9093065d449ad00b5bf307723654cc4509fc041a41e3772802",
+    "metrics-polar-instruction-only.json": "6e644653b5f97d538e368237cdda49293a40cd1962a85c51f6a05335435225be",
+    "metrics-polar-raw-trajectory.json": "e2471cac0500146e2818f5138ffc8711730a6293e88251d4015ed1d765251722",
+    "metrics-polar-summary.json": "79dde15ef0b5b6c8fa6d358d91258011701fd5c8a7ee306095e3c21b9b3b78e7",
+}
+_STAGED_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "staged")
+
+
+def test_staged_memorize_and_eval_match_pinned_hashes(tmp_path, capsys):
+    for name in ("specs.json", "episodes.jsonl"):
+        with gzip.open(os.path.join(_STAGED_DIR, f"{name}.gz"), "rb") as src:
+            (tmp_path / name).write_bytes(src.read())
+    specs, episodes, graphs = (str(tmp_path / name) for name in ("specs.json", "episodes.jsonl", "graphs.json"))
+    assert cli_main(["memorize", "--episodes", episodes, "--out", graphs]) == 0
+    for name in STAGED_SHA256:
+        if name.startswith("metrics-"):
+            mode = name[len("metrics-") : -len(".json")]
+            argv = ["eval", "--specs", specs, "--mode", mode, "--graphs", graphs, "--episodes", episodes]
+            assert cli_main([*argv, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in STAGED_SHA256}
+    assert {name: digest for name, digest in got.items() if digest != STAGED_SHA256[name]} == {}
