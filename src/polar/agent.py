@@ -89,8 +89,8 @@ def sweep_room(scene_graph: SceneGraph, prior: str | None, visited: set[str], cu
 class OraclePlanner:
     """Transparent deterministic grounding over retrieved candidates (no model calls).
 
-    Statement scores are retrieval's cosines against `context.instruction`;
-    grounding encodes nothing itself. `reader` takes the prior room out of one
+    Statement scores are the cosines retrieval computed against the instruction
+    it encoded; grounding encodes nothing itself. `reader` takes the prior room out of one
     episodic rendering; the default reads polar's stored renderings.
     """
 
@@ -241,7 +241,7 @@ def plan_low(
 
 
 def _visible_ids(observation: Observation) -> list[str]:
-    return sorted({oid for view in observation.views for oid, _cat, _d in view.visible})
+    return sorted({oid for view in observation.views for oid, _cat, _d in view})
 
 
 def run_episode(
@@ -285,7 +285,7 @@ def run_episode(
         if not working.chosen_object_id and working.chosen_category:
             # category-only grounding locks onto the first instance sighted
             for view in observation.views:
-                for oid, category, _d in view.visible:
+                for oid, category, _d in view:
                     if category == working.chosen_category:
                         working = replace(working, chosen_object_id=oid)
                         break

@@ -159,7 +159,7 @@ def _rerendered(result: RetrievalResult, graph: MemoryGraph, render: Callable | 
             for epi_id, _ts in graph.neighbors(cand.object_id, kind="episodic", active_only=True):
                 renderings.append(render(graph.episodic[epi_id]))
         candidates.append(replace(cand, episodic_memories=renderings))
-    return RetrievalResult(result.instruction, result.hits, candidates)
+    return RetrievalResult(result.hits, candidates)
 
 
 def _raw_trajectories(result: RetrievalResult, graph: MemoryGraph, logs: list[EpisodeLog], **_) -> RetrievalResult:
@@ -192,16 +192,34 @@ MODES: dict[str, Mode] = {
 # -- metrics -----------------------------------------------------------------------
 
 
+_RECALLS = ("semantic", "bm25", "dense")
+
+
 @dataclass
 class MetricsReport:
+    """One mode's rows over a suite, and the aggregates computed from them once, at
+    construction: n, SR, SPL and CM are the row means of success, spl and cm (None
+    without rows), and each recall is the mean over the rows that have that
+    retriever's value (None when none has)."""
+
     mode: str
     kind: str
-    n: int
-    sr: float | None
-    spl: float | None
-    cm: float | None
-    recall: dict[str, float | None]
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict]
+    n: int = field(init=False)
+    sr: float | None = field(init=False)
+    spl: float | None = field(init=False)
+    cm: float | None = field(init=False)
+    recall: dict[str, float | None] = field(init=False)
+
+    def __post_init__(self):
+        n = self.n = len(self.rows)
+        self.sr, self.spl, self.cm = (
+            sum(r[column] for r in self.rows) / n if n else None for column in ("success", "spl", "cm")
+        )
+        self.recall = {}
+        for name in _RECALLS:
+            present = [r[f"recall_{name}"] for r in self.rows if r[f"recall_{name}"] is not None]
+            self.recall[name] = sum(present) / len(present) if present else None
 
     def to_json(self) -> dict:
         return {
@@ -222,23 +240,6 @@ def spl_term(success: bool, path_m: float, shortest_m: float) -> float:
         return 0.0
     denom = max(path_m, shortest_m)
     return 1.0 if denom <= 0 else shortest_m / denom
-
-
-def aggregate(rows: list[dict]) -> dict:
-    n = len(rows)
-    if n == 0:
-        return {"n": 0, "sr": None, "spl": None, "cm": None}
-    return {
-        "n": n,
-        "sr": sum(r["success"] for r in rows) / n,
-        "spl": sum(r["spl"] for r in rows) / n,
-        "cm": sum(r["cm"] for r in rows) / n,
-    }
-
-
-def _mean_or_none(values: list[float | None]) -> float | None:
-    present = [v for v in values if v is not None]
-    return sum(present) / len(present) if present else None
 
 
 def evaluate(
@@ -269,24 +270,11 @@ def evaluate(
     if only_retrieval_hits:
         rows = [r for r in rows if _all_retrievers_hit(r)]
     kinds = sorted({s.kind for s in specs})
-    stats = aggregate(rows)
-    recall = {
-        name: _mean_or_none([r[f"recall_{name}"] for r in rows]) for name in ("semantic", "bm25", "dense")
-    }
-    return MetricsReport(
-        mode=mode,
-        kind=kinds[0] if len(kinds) == 1 else ("mixed" if kinds else "-"),
-        n=stats["n"],
-        sr=stats["sr"],
-        spl=stats["spl"],
-        cm=stats["cm"],
-        recall=recall,
-        rows=rows,
-    )
+    return MetricsReport(mode, kinds[0] if len(kinds) == 1 else ("mixed" if kinds else "-"), rows)
 
 
 def _all_retrievers_hit(row: dict) -> bool:
-    values = [row[k] for k in ("recall_semantic", "recall_bm25", "recall_dense") if row[k] is not None]
+    values = [row[f"recall_{name}"] for name in _RECALLS if row[f"recall_{name}"] is not None]
     return bool(values) and all(v >= 1.0 for v in values)
 
 
@@ -330,7 +318,7 @@ def _evaluate_one(
         <= SUCCESS_RADIUS_M + 1e-9
         for o in eval_world.objects.values()
     )
-    recall = dict.fromkeys(("semantic", "bm25", "dense"))
+    recall = dict.fromkeys(_RECALLS)
     if retrieval_result is not None:
         recall["semantic"] = float(recall_at_k(retrieval_result, gold_object_id=spec.gold_object_id))
     gold_ids = [e.episode_id for e in logs or [] if e.target_object_id == spec.gold_object_id]
@@ -365,7 +353,7 @@ def render_table(reports: list[MetricsReport]) -> str:
     header = f"{'mode':<24}{'kind':<24}{'N':>5}{'SR':>9}{'SPL':>9}{'CM':>9}{'recall@5':>10}"
     lines = [header, "-" * len(header)]
     for report in reports:
-        recall = report.recall.get(MODES[report.mode].recall) if report.mode in MODES else None
+        recall = report.recall.get(MODES[report.mode].recall)
         lines.append(
             f"{report.mode:<24}{report.kind:<24}{report.n:>5}"
             f"{_fmt(report.sr):>9}{_fmt(report.spl):>9}{_fmt(report.cm):>9}{_fmt(recall):>10}"
@@ -381,21 +369,18 @@ def write_report(reports: list[MetricsReport], json_path: str, table_path: str |
     return table
 
 
-def _metric(value) -> float | None:
-    return None if value is None else float(value)
-
-
 def load_reports(path: str) -> list[MetricsReport]:
+    """Each stored report rebuilt from its mode, kind and rows; ParseError unless
+    the mode is an evaluation mode and the rebuilt report equals the stored one."""
     reports = []
-    for row in load_json(path, "reports", list):
+    for doc in load_json(path, "reports", list):
         try:
-            reports.append(
-                MetricsReport(
-                    as_text(row["mode"]), as_text(row["kind"]), int(row["n"]),
-                    _metric(row["sr"]), _metric(row["spl"]), _metric(row["cm"]),
-                    {as_text(k): _metric(v) for k, v in row["recall"].items()}, list(row["rows"]),
-                )
-            )
+            report = MetricsReport(as_text(doc["mode"]), as_text(doc["kind"]), list(doc["rows"]))
         except MALFORMED as exc:
             raise ParseError(f"malformed metrics report: {exc}") from exc
+        if report.mode not in MODES:
+            raise ParseError(f"metrics report of unknown evaluation mode {report.mode!r}")
+        if report.to_json() != doc:
+            raise ParseError(f"metrics report {report.mode}/{report.kind} differs from the report its rows give")
+        reports.append(report)
     return reports

@@ -88,6 +88,15 @@ class EpisodicNode:
     rendered_text: str
     created_at: int
 
+    def __post_init__(self):
+        """The record checks that add_episodic and from_json share (RejectedInput)."""
+        if self.success != (self.found_room is not None):
+            raise RejectedInput("found_room must be present exactly when success is true")
+        if not set(self.unpromising_rooms) <= set(self.room_sequence):
+            raise RejectedInput("unpromising_rooms must be a subset of room_sequence")
+        if self.path_length_m < 0:
+            raise RejectedInput("path_length_m must be >= 0")
+
 
 @dataclass
 class Edge:
@@ -250,17 +259,8 @@ class MemoryGraph:
         """Append an episodic record for object_ref. Episodic nodes are never merged."""
         if object_ref not in self.objects:
             raise NotFound(f"unknown object {object_ref!r}")
-        if success != (found_room is not None):
-            raise RejectedInput("found_room must be present exactly when success is true")
-        if not set(unpromising_rooms) <= set(room_sequence):
-            raise RejectedInput("unpromising_rooms must be a subset of room_sequence")
-        if path_length_m < 0:
-            raise RejectedInput("path_length_m must be >= 0")
-        self._touch(timestamp)
-        node_id = f"epi_{self.counters.episodic:04d}"
-        self.counters.episodic += 1
-        self.episodic[node_id] = EpisodicNode(
-            node_id,
+        node = EpisodicNode(
+            f"epi_{self.counters.episodic:04d}",
             episode_id,
             instruction,
             success,
@@ -271,8 +271,11 @@ class MemoryGraph:
             rendered_text,
             timestamp,
         )
-        self._add_edge(Edge(object_ref, node_id, EDGE_EPISODIC, timestamp, True))
-        return node_id
+        self._touch(timestamp)
+        self.counters.episodic += 1
+        self.episodic[node.node_id] = node
+        self._add_edge(Edge(object_ref, node.node_id, EDGE_EPISODIC, timestamp, True))
+        return node.node_id
 
     def supersede(self, object_ref: str, old_id: str, new_id: str, timestamp: int) -> None:
         """Deactivate the active edge object_ref -> old_id and activate one to new_id.
@@ -521,7 +524,7 @@ class MemoryGraph:
                 _check_units([n.object_id for n in featured], np.linalg.norm(features, axis=1), "reference_feature")
                 g._feature_shape = features.shape[1:]
             g._validate_structure()
-        except MALFORMED as exc:
+        except (*MALFORMED, RejectedInput) as exc:
             raise ParseError(f"malformed graph snapshot: {exc}") from exc
         for edge in g.edges:
             g._index_edge(edge)

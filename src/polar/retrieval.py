@@ -51,7 +51,7 @@ class SemanticHit:
     node_id: str
     score: float
     timestamp: int  # newest linking edge
-    object_ids: list[str]
+    object_ids: list[str]  # its active linking objects in `neighbors` order: newest edge first, then id
 
 
 @dataclass
@@ -72,7 +72,6 @@ class CandidateObject:
 
 @dataclass
 class RetrievalResult:
-    instruction: str
     hits: list[SemanticHit]
     candidates: list[CandidateObject]
 
@@ -96,8 +95,7 @@ def _rank_semantic(graph: MemoryGraph, query: np.ndarray, k: int) -> list[Semant
     shortlist = graph.shortlist(query, k)
     for node_id, score in zip(shortlist, graph.statement_scores(query, shortlist)):
         linking = graph.neighbors(node_id, kind="object")
-        newest = linking[0][1]
-        hits.append(SemanticHit(node_id, score, newest, sorted({obj for obj, _ in linking})))
+        hits.append(SemanticHit(node_id, score, linking[0][1], [obj for obj, _ in linking]))
     hits.sort(key=lambda h: (-h.score, -h.timestamp, h.node_id))
     return hits[:k]
 
@@ -110,13 +108,14 @@ def assemble_candidates(
 ) -> list[CandidateObject]:
     """Expand hits into deduplicated candidate objects, in first-hit order.
 
-    Expansion always follows active edges, so every candidate carries at
-    least one active statement. Statement scores are cosines against the
+    Expansion follows each hit's `object_ids`, its active linking objects, and
+    then their active edges, so every candidate carries at least one active
+    statement. Statement scores are cosines against the
     instruction embedding, all from one `statement_scores` call.
     """
     linked: dict[str, list[tuple[str, int]]] = {}  # candidate id -> its active statements, in first-hit order
     for hit in hits:
-        for object_id, _ts in graph.neighbors(hit.node_id, kind="object", active_only=True):
+        for object_id in hit.object_ids:
             if object_id not in linked:
                 linked[object_id] = graph.neighbors(object_id, kind="semantic", active_only=True)
     scores = iter(graph.statement_scores(instruction_embedding, [sid for links in linked.values() for sid, _ in links]))
@@ -143,7 +142,7 @@ def retrieve(
         raise RejectedInput(f"k must be >= 1, got {k}")
     query = encode(instruction, encoder_config)
     hits = _rank_semantic(graph, query, k)
-    return RetrievalResult(instruction, hits, assemble_candidates(graph, hits, instruction_embedding=query))
+    return RetrievalResult(hits, assemble_candidates(graph, hits, instruction_embedding=query))
 
 
 # -- raw-episode baselines --------------------------------------------------

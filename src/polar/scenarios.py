@@ -236,6 +236,18 @@ def _sweep_path_m(
     return math.inf
 
 
+def _shortcut_gap_m(
+    world: World, scene: SceneGraph, start: tuple[float, float], start_room: str, base_room: str, eval_room: str
+) -> float:
+    """Meters the prior-room shortcut saves: a nearest-first sweep from start to
+    eval_room, less the walk to base_room plus the sweep on from there."""
+    sweep = _sweep_path_m(world, scene, start, start_room, {start_room}, eval_room)
+    return sweep - (
+        world.shortest_path_length(start, scene.waypoints[base_room])
+        + _sweep_path_m(world, scene, scene.waypoints[base_room], base_room, {start_room, base_room}, eval_room)
+    )
+
+
 def _joint_rooms(world: World, scene: SceneGraph, base_room: str, margin_m: float = 3.0) -> list[tuple[str, str]]:
     """Rank (gold's eval room, agent start room) pairs by how far the
     remembered-room shortcut beats a nearest-first sweep; keep clear winners."""
@@ -247,12 +259,8 @@ def _joint_rooms(world: World, scene: SceneGraph, base_room: str, margin_m: floa
         for start_room in scene.rooms:
             if start_room in ("hallway", base_room, eval_room):
                 continue
-            start = scene.waypoints[start_room]
-            sweep = _sweep_path_m(world, scene, start, start_room, {start_room}, eval_room)
-            prior = world.shortest_path_length(start, scene.waypoints[base_room]) + _sweep_path_m(
-                world, scene, scene.waypoints[base_room], base_room, {start_room, base_room}, eval_room
-            )
-            ranked.append((-(sweep - prior), eval_room, start_room))
+            gap = _shortcut_gap_m(world, scene, scene.waypoints[start_room], start_room, base_room, eval_room)
+            ranked.append((-gap, eval_room, start_room))
     ranked.sort()
     pairs = [(e, s) for neg_gap, e, s in ranked if -neg_gap >= margin_m]
     if not pairs:
@@ -478,10 +486,7 @@ def _gen_one(
         # so neither mode can luck into an early glimpse
         _, base_room, eval_room, start_room, eval_gold_position = joint_placement
         eval_start, eval_heading = _pick_start(rng, world, rooms=[start_room], avoid=used_starts)
-        gap = _sweep_path_m(world, scene, eval_start, start_room, {start_room}, eval_room) - (
-            world.shortest_path_length(eval_start, scene.waypoints[base_room])
-            + _sweep_path_m(world, scene, scene.waypoints[base_room], base_room, {start_room, base_room}, eval_room)
-        )
+        gap = _shortcut_gap_m(world, scene, eval_start, start_room, base_room, eval_room)
         if gap <= 0:
             raise GenerationError(f"{scenario_id}: prior-room shortcut saves no distance (gap {gap:.2f} m)")
     else:

@@ -111,28 +111,24 @@ class AgentState:
 
 
 @dataclass
-class View:
-    view_heading: int
-    visible: list[tuple[str, str, float]]  # (object_id, category, distance m)
-    room: str
-
-
-@dataclass
 class Observation:
-    front: View
-    left: View
-    right: View
+    """What each 90-degree view sees: (object_id, category, distance m) rows
+    sorted by distance, then id."""
+
+    front: list[tuple[str, str, float]]
+    left: list[tuple[str, str, float]]
+    right: list[tuple[str, str, float]]
     blocked: bool = False
 
     @property
-    def views(self) -> tuple[View, View, View]:
+    def views(self) -> tuple[list, list, list]:
         return (self.front, self.left, self.right)
 
     def find(self, object_id: str) -> float | None:
         """Distance to object_id if visible in any view, else None."""
         best = None
         for view in self.views:
-            for oid, _cat, dist in view.visible:
+            for oid, _cat, dist in view:
                 if oid == object_id and (best is None or dist < best):
                     best = dist
         return best
@@ -181,7 +177,6 @@ class _NavCache:
     _MAX_FIELDS = 64
 
     def __init__(self, grid: np.ndarray, resolution: float):
-        self.grid = grid
         self.res = resolution
         ny, nx = grid.shape
         self.shape = (ny, nx)
@@ -267,8 +262,8 @@ class World:
     """Occupancy-grid world whose grid, rooms and objects never change; cells hold a
     room index or WALL. Reads fill two last-key caches, so a World is not for
     concurrent use. Each caches only what its key and owner fix, so a hit equals a
-    recomputation: `_sightings`, the last observed position's room and in-range
-    objects (fixed by the position and this World's objects), and the grid-shared
+    recomputation: `_sightings`, the last observed position's in-range objects
+    (fixed by the position and this World's objects), and the grid-shared
     `_NavCache.last_descents`, the strides from the last position that descend to
     the last goal cell (fixed by those and the grid, which moved copies share)."""
 
@@ -293,7 +288,7 @@ class World:
         self._nav = _nav if _nav is not None else _NavCache(grid, resolution)
         self._obj_ids = [o.object_id for o in objects]
         self._obj_positions = np.array([o.position for o in objects], dtype=np.float64).reshape(len(objects), 2)
-        self._sightings: tuple[tuple, str, list] | None = None  # last observed (x, y), room, sightings
+        self._sightings: tuple[tuple, list] | None = None  # last observed (x, y), its sightings
 
     # -- geometry ----------------------------------------------------------
 
@@ -420,8 +415,8 @@ class World:
                     dist = math.hypot(obj.position[0] - pos[0], obj.position[1] - pos[1])
                     bearing = None if dist < _EPS else bearing_deg(pos, obj.position)
                     sightings.append([(obj.object_id, obj.category, dist), obj.position, bearing, None])
-            self._sightings = (key, self.room_of(pos) or "", sightings)
-        _key, room, sightings = self._sightings
+            self._sightings = (key, sightings)
+        sightings = self._sightings[1]
         view_headings = [(state.heading + offset) % 360 for offset in (0, -90, 90)]
         visible: list[list[tuple[str, str, float]]] = [[], [], []]
         for sighting in sightings:
@@ -441,11 +436,8 @@ class World:
             if clear:
                 for k in in_cone:
                     visible[k].append(row)
-        views = [
-            View(view_heading, sorted(rows, key=lambda row: (row[2], row[0])), room)
-            for view_heading, rows in zip(view_headings, visible)
-        ]
-        return Observation(front=views[0], left=views[1], right=views[2], blocked=blocked)
+        front, left, right = (sorted(rows, key=lambda row: (row[2], row[0])) for rows in visible)
+        return Observation(front, left, right, blocked)
 
     # -- navigation metric ---------------------------------------------------
 

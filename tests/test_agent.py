@@ -209,7 +209,7 @@ def test_oracle_planner_rejects_empty_context():
 def retrieve_result_empty():
     from polar.retrieval import RetrievalResult
 
-    return RetrievalResult("find it", [], [])
+    return RetrievalResult([], [])
 
 
 _GROUND_OBJECTS = ("mug_01", "mug_02", "mug_03", "vase_01")

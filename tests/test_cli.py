@@ -1,3 +1,4 @@
+import copy
 import filecmp
 import gc
 import json
@@ -351,6 +352,37 @@ def test_run_all_twice_is_byte_identical(tmp_path, capsys):
     match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], rel_files, shallow=False)
     assert mismatch == [] and errors == []
     assert sorted(match) == rel_files
+
+
+@pytest.fixture(scope="module")
+def run_all_metrics(tmp_path_factory) -> dict:
+    """The merged metrics.json of a small run-all: no-prior's SR is 0.6 there, polar's 1.0."""
+    out_dir = tmp_path_factory.mktemp("run-all")
+    argv = ["run-all", "--seed", "0", "--kinds", "distractor", "--n", "5", "--modes", "no-prior", "polar"]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 0
+    return json.loads((out_dir / "metrics.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "edit", [None, ("mode", "telepathy"), ("sr", 0.99)], ids=["as-written", "unknown-mode", "sr-not-its-rows"]
+)
+def test_report_takes_only_reports_that_their_rows_give(tmp_path, capsys, run_all_metrics, edit):
+    doc = copy.deepcopy(run_all_metrics)
+    assert doc["reports"][0]["mode"] == "no-prior" and doc["reports"][0]["sr"] == 0.6
+    if edit is not None:
+        key, value = edit
+        doc["reports"][0][key] = value
+    metrics, table = tmp_path / "metrics.json", tmp_path / "table.txt"
+    metrics.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["report", "--metrics", str(metrics), "--out", str(table)])
+    captured = capsys.readouterr()
+    if edit is None:
+        assert code == 0 and table.read_text(encoding="utf-8") == captured.out
+        assert "0.6000" in captured.out.splitlines()[2]
+        return
+    assert code == 1 and captured.out == "" and not table.exists()
+    assert captured.err.startswith("polar: error:") and captured.err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

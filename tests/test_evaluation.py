@@ -12,7 +12,6 @@ from polar.evaluation import (
     _all_retrievers_hit,
     _raw_sample,
     acquire,
-    aggregate,
     evaluate,
     group_by_scenario,
     load_graphs,
@@ -209,13 +208,16 @@ def test_spl_term_formula():
 
 
 def test_aggregate_handles_empty_and_means():
-    assert aggregate([]) == {"n": 0, "sr": None, "spl": None, "cm": None}
+    empty = MetricsReport("polar", "distractor", [])
+    assert (empty.n, empty.sr, empty.spl, empty.cm) == (0, None, None, None)
+    assert empty.recall == {"semantic": None, "bm25": None, "dense": None}
     rows = [
-        {"success": 1, "spl": 0.5, "cm": 0},
-        {"success": 0, "spl": 0.0, "cm": 1},
+        {"success": 1, "spl": 0.5, "cm": 0, "recall_semantic": 1.0, "recall_bm25": None, "recall_dense": 0.5},
+        {"success": 0, "spl": 0.0, "cm": 1, "recall_semantic": 0.0, "recall_bm25": None, "recall_dense": None},
     ]
-    stats = aggregate(rows)
-    assert stats == {"n": 2, "sr": 0.5, "spl": 0.25, "cm": 0.5}
+    report = MetricsReport("polar", "distractor", rows)
+    assert (report.n, report.sr, report.spl, report.cm) == (2, 0.5, 0.25, 0.5)
+    assert report.recall == {"semantic": 0.5, "bm25": None, "dense": 0.5}  # each over the rows that have it
 
 
 def test_all_retrievers_hit_requires_every_present_recall():
@@ -350,7 +352,6 @@ def test_metrics_report_to_json_shape(single_suite):
     report = evaluate(specs[:1], "no-prior")
     doc = report.to_json()
     assert set(doc) == {"mode", "kind", "n", "sr", "spl", "cm", "recall", "rows"}
-    assert isinstance(MetricsReport(**{
-        "mode": doc["mode"], "kind": doc["kind"], "n": doc["n"], "sr": doc["sr"],
-        "spl": doc["spl"], "cm": doc["cm"], "recall": doc["recall"], "rows": doc["rows"],
-    }), MetricsReport)
+    assert MetricsReport(doc["mode"], doc["kind"], doc["rows"]).to_json() == doc
+    with pytest.raises(TypeError):
+        MetricsReport(**doc)  # the aggregates are computed from the rows, never passed in

@@ -337,6 +337,20 @@ def test_load_rejects_duplicate_node_ids(nodes, field, value):
         MemoryGraph.from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("found_room", None, "found_room"), ("unpromising_rooms", ["attic"], "subset"), ("path_length_m", -5.0, ">= 0")],
+)
+def test_load_rejects_episodic_records_that_add_episodic_refuses(field, value, match):
+    doc = _populated().to_json()
+    doc["episodic_nodes"][0][field] = value  # a successful episode with no room, a foreign room, a negative length
+    with pytest.raises(ParseError, match=match):
+        MemoryGraph.from_json(doc)
+    row = {k: v for k, v in doc["episodic_nodes"][0].items() if k not in ("node_id", "created_at")}
+    with pytest.raises(RejectedInput, match=match):
+        _populated().add_episodic("mug_01", **row, timestamp=3)
+
+
 @pytest.mark.parametrize("feature", [[0.0] * DIM, [2.0] + [0.0] * (DIM - 1), [math.nan] + [0.0] * (DIM - 1)])
 def test_load_rejects_non_unit_reference_features(feature):
     doc = _populated().to_json()
@@ -415,7 +429,7 @@ def _scan_hits(graph, query, k):
         linking = _scan_neighbors(graph, node_id, True)
         if linking:
             score = cosine(query, graph.semantic[node_id].embedding)
-            hits.append((node_id, score, linking[0][1], sorted({obj for obj, _ in linking})))
+            hits.append((node_id, score, linking[0][1], [obj for obj, _ in linking]))  # newest edge first
     hits.sort(key=lambda h: (-h[1], -h[2], h[0]))
     return [(node_id, score.hex(), ts, objs) for node_id, score, ts, objs in hits[:k]]
 

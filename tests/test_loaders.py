@@ -45,6 +45,14 @@ def _graph_doc() -> dict:
     return g.to_json()
 
 
+# one row as evaluate writes it
+_REPORT_ROW = {
+    "spec_id": "s", "kind": "distractor", "success": 1, "path_m": 4.0, "shortest_m": 3.5, "spl": 0.875, "cm": 0,
+    "grounded_object_id": "mug_01", "grounding_correct": 1, "steps": 9,
+    "recall_semantic": 1.0, "recall_bm25": None, "recall_dense": 0.5,
+}
+
+
 def _episode_doc(i: int) -> dict:
     steps = [TrajectoryStep((0.5, 0.5), 0, ACTION_START, "hallway", ["mug_01"]), TrajectoryStep((0.5, 0.5), 30, STOP, "hallway")]
     episode = EpisodeLog(f"s:acq:{i:02d}", i, "note the mug", [("color", "red")], np.eye(4)[1], "mug_01", "mug", steps, True, (0.5, 0.5))
@@ -65,7 +73,7 @@ _CASES = {
         load_reports,
         lambda: {
             "format_version": 1,
-            "reports": [MetricsReport("polar", "distractor", 2, 0.5, 0.25, 0.0, {"semantic": 1.0, "bm25": None}, [{"id": "s"}]).to_json()],
+            "reports": [MetricsReport("polar", "distractor", [_REPORT_ROW]).to_json()],
         },
         (ParseError,),
     ),

@@ -137,7 +137,7 @@ def test_observation_front_view_sees_nearby_object(small_world):
         pytest.skip("sampled cell is a wall in this layout")
     obs = w.observe(AgentState(pos, 90))  # the object sits due east
     assert obs.find("mug_01") == pytest.approx(2.0)
-    front_ids = [oid for oid, _, _ in obs.front.visible]
+    front_ids = [oid for oid, _, _ in obs.front]
     assert "mug_01" in front_ids
 
 
@@ -169,7 +169,7 @@ def test_observation_views_cover_270_not_rear(small_world):
     obj, probe, facing = probes[0]
     # facing the object: the front view itself reports it
     front = w.observe(AgentState(probe, facing)).front
-    assert obj.object_id in [oid for oid, _, _ in front.visible]
+    assert obj.object_id in [oid for oid, _, _ in front]
     # object abeam: still covered by the side views
     assert w.observe(AgentState(probe, (facing + 90) % 360)).find(obj.object_id) is not None
     assert w.observe(AgentState(probe, (facing - 90) % 360)).find(obj.object_id) is not None
@@ -367,7 +367,7 @@ def _reference_observe(world, state):
                 continue
             visible.append((obj.object_id, obj.category, dist))
         visible.sort(key=lambda row: (row[2], row[0]))
-        views.append((view_heading, visible, world.room_of(state.position) or ""))
+        views.append(visible)
     return views
 
 
@@ -470,7 +470,7 @@ def test_observe_matches_per_view_loop(world_pos, heading):
     if not world.in_bounds(pos):
         return
     state = AgentState(pos, heading)
-    got = [(v.view_heading, v.visible, v.room) for v in world.observe(state).views]
+    got = list(world.observe(state).views)
     assert got == _reference_observe(world, state)
 
 
@@ -496,7 +496,7 @@ def test_observe_sequences_match_uncached_loop(data):
         world = worlds[moved]
         for heading in headings:
             state = AgentState(pool[at], heading)
-            got = [(v.view_heading, v.visible, v.room) for v in world.observe(state).views]
+            got = list(world.observe(state).views)
             assert got == _reference_observe(world, state)
 
 
@@ -520,7 +520,7 @@ def test_in_place_scan_traces_each_sightline_at_most_once():
     assert targets, "no object fell in a view cone"
     assert len(targets) == len(set(targets)) <= len(in_range(pos))
     for heading, observation in zip((0, 30, 60, 90), observations):
-        got = [(v.view_heading, v.visible, v.room) for v in observation.views]
+        got = list(observation.views)
         assert got == _reference_observe(world, AgentState(pos, heading))
 
 
