@@ -90,8 +90,8 @@ class OraclePlanner:
     """Transparent deterministic grounding over retrieved candidates (no model calls).
 
     Statement scores are the cosines retrieval computed against the instruction
-    it encoded; grounding encodes nothing itself. `reader` takes the prior room out of one
-    episodic rendering; the default reads polar's stored renderings.
+    it encoded; grounding encodes nothing itself. `reader` takes the prior room
+    out of one episodic rendering; the default reads polar's stored renderings.
     """
 
     def __init__(self, reader: Callable[[str], str | None] = rendered_found_in):

@@ -110,8 +110,8 @@ def assemble_candidates(
 
     Expansion follows each hit's `object_ids`, its active linking objects, and
     then their active edges, so every candidate carries at least one active
-    statement. Statement scores are cosines against the
-    instruction embedding, all from one `statement_scores` call.
+    statement. Statement scores are cosines against the instruction
+    embedding, all from one `statement_scores` call.
     """
     linked: dict[str, list[tuple[str, int]]] = {}  # candidate id -> its active statements, in first-hit order
     for hit in hits:
