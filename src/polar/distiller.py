@@ -3,10 +3,11 @@
 The distiller is deterministic and calls no model. Each user fact (key,
 value) from the episode becomes one single-fact statement rendered from a
 fixed template, and the trajectory is compressed into a small structured
-record (outcome, room order, unpromising rooms, where the target was found,
-meters walked). A second
-fact arriving later under the same key supersedes the earlier statement's edge
-for that object rather than editing history.
+record: outcome, room order, where the target was found, and a rendering
+that also carries the meters walked. The graph stores only that record's
+outcome, rooms and rendering. A second fact arriving later under the same
+key supersedes the earlier statement's edge for that object rather than
+editing history.
 
 `parse_statement` inverts STATEMENT_TEMPLATE into (key, value) for both
 supersession (keys) and grounding (value tokens). It is memoised, since
@@ -25,7 +26,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, DEFAULT_ENCODER, encode
 from .errors import ParseError, RejectedInput
-from .fileio import MALFORMED, as_text, atomic_write_text, read_json_lines
+from .fileio import MALFORMED, as_bool, as_text, atomic_write_text, read_json_lines
 from .graph import MemoryGraph
 from .world import MOVE_FORWARD
 
@@ -68,7 +69,6 @@ class EpisodeLog:
 class EpisodicSummary:
     success: bool
     room_sequence: list[str]
-    unpromising_rooms: list[str]
     found_room: str | None
     path_length_m: float
     rendered_text: str
@@ -103,14 +103,13 @@ def summarize_episodic(episode: EpisodeLog) -> EpisodicSummary:
         prev = step.position
     path_length_m = 1.0 * forward
     found_room = episode.trajectory[-1].room if episode.success else None
-    unpromising = [r for r in room_sequence if r != found_room]
     rendered = (
         f"outcome={'success' if episode.success else 'failure'}; "
         f"searched={','.join(room_sequence)}; "
         f"found_in={found_room if found_room is not None else 'none'}; "
         f"length={path_length_m}m"
     )
-    return EpisodicSummary(episode.success, room_sequence, unpromising, found_room, path_length_m, rendered)
+    return EpisodicSummary(episode.success, room_sequence, found_room, path_length_m, rendered)
 
 
 def parse_rendered_summary(text: str) -> dict:
@@ -209,7 +208,6 @@ def memorize(
         episode.target_category,
         object_id=episode.target_object_id,
         reference_feature=episode.reference_feature,
-        timestamp=t,
     )
     memorize_facts(
         graph, object_ref, episode.facts, episode.target_category, episode.target_object_id, t, encoder_config
@@ -218,12 +216,9 @@ def memorize(
     graph.add_episodic(
         object_ref,
         episode_id=episode.episode_id,
-        instruction=episode.instruction,
         success=summary.success,
         room_sequence=summary.room_sequence,
-        unpromising_rooms=summary.unpromising_rooms,
         found_room=summary.found_room,
-        path_length_m=summary.path_length_m,
         rendered_text=summary.rendered_text,
         timestamp=t,
     )
@@ -285,7 +280,7 @@ def episode_from_json(doc: dict) -> EpisodeLog:
             target_object_id=as_text(doc["target_object_id"]),
             target_category=as_text(doc["target_category"]),
             trajectory=_trajectory_from_json(doc["trajectory"]),
-            success=bool(doc["success"]),
+            success=as_bool(doc["success"]),
             final_position=(float(doc["final_position"][0]), float(doc["final_position"][1])),
         )
     except MALFORMED as exc:

@@ -7,7 +7,8 @@ file is read through `read_json`, `read_json_lines` or `load_json` (which
 also checks the format_version and the type of the one top-level container),
 so any input that is not UTF-8 JSON of the expected shape raises ParseError;
 record parsers map the exceptions in `MALFORMED` to ParseError as well, and
-check that their text and id fields are strings (mostly through `as_text`).
+check that their text and id fields are strings and their flags booleans
+(mostly through `as_text` and `as_bool`).
 `post_json` is the JSON-over-POST client of the remote encoder, on
 `urllib.request`; every fault it meets raises EncoderUnavailable.
 """
@@ -36,6 +37,13 @@ def as_text(value: object, optional: bool = False) -> str | None:
     if isinstance(value, str) or (optional and value is None):
         return value
     raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
+
+
+def as_bool(value: object) -> bool:
+    """value if it is a JSON boolean; TypeError, one of MALFORMED, otherwise (bool() would read "false" as true)."""
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"expected a boolean, got {type(value).__name__} {value!r}")
 
 
 def atomic_write_text(path: str, text: str) -> None:

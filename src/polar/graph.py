@@ -8,6 +8,11 @@ object -> semantic or object -> episodic, carry the episode timestamp, and
 are never deleted: superseding a fact deactivates the old edge and adds a
 new active one, so history stays queryable.
 
+Snapshots. `to_json` stores only what some reader uses: the thresholds, the
+id counters (new ids after a reload), each node's fields and each edge with
+its timestamp (the `neighbors` order). Keys that older version-1 snapshots
+carry and nothing reads are ignored on load.
+
 Indexes. Besides the edge list, the graph keeps three edge indexes in step
 with every mutation: the edges out of each object, the edges into each node,
 and the one active edge of each (object, node) pair. `neighbors` and
@@ -40,13 +45,13 @@ concurrent readers are safe between mutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import cosine, cosine_from_norms
 from .errors import NotFound, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, as_text, check_version, dump_json, read_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_bool, as_text, check_version, dump_json, read_json
 
 THETA_DEDUP = 0.92  # statements at or above this cosine collapse to one node
 THETA_OBJ = 0.95  # reference features at or above this cosine are the same object
@@ -64,7 +69,6 @@ class ObjectNode:
     object_id: str
     category: str
     reference_feature: np.ndarray | None
-    created_at: int
 
 
 @dataclass
@@ -72,30 +76,21 @@ class SemanticNode:
     node_id: str
     statement: str
     embedding: np.ndarray
-    created_at: int
 
 
 @dataclass
 class EpisodicNode:
     node_id: str
     episode_id: str
-    instruction: str
     success: bool
     room_sequence: list[str]
-    unpromising_rooms: list[str]
     found_room: str | None
-    path_length_m: float
     rendered_text: str
-    created_at: int
 
     def __post_init__(self):
-        """The record checks that add_episodic and from_json share (RejectedInput)."""
+        """The record check that add_episodic and from_json share (RejectedInput)."""
         if self.success != (self.found_room is not None):
             raise RejectedInput("found_room must be present exactly when success is true")
-        if not set(self.unpromising_rooms) <= set(self.room_sequence):
-            raise RejectedInput("unpromising_rooms must be a subset of room_sequence")
-        if self.path_length_m < 0:
-            raise RejectedInput("path_length_m must be >= 0")
 
 
 @dataclass
@@ -153,7 +148,6 @@ class MemoryGraph:
         self.episodic: dict[str, EpisodicNode] = {}
         self.edges: list[Edge] = []
         self.counters = _Counters()
-        self.clock = 0
         self._out: dict[str, list[Edge]] = {}  # object id -> its edges, in edge-list order
         self._in: dict[str, list[Edge]] = {}  # node id -> edges into it, in edge-list order
         self._active: dict[tuple[str, str], Edge] = {}  # (src, dst) -> the active edge
@@ -172,7 +166,6 @@ class MemoryGraph:
         *,
         object_id: str | None = None,
         reference_feature: np.ndarray | None = None,
-        timestamp: int = 0,
     ) -> str:
         """Return the id of an existing matching object or create a new node.
 
@@ -182,7 +175,6 @@ class MemoryGraph:
         """
         if object_id is None and reference_feature is None:
             raise RejectedInput("upsert_object needs an object_id or a reference_feature")
-        self._touch(timestamp)
         if object_id is not None and object_id in self.objects:
             return object_id
         if reference_feature is not None:
@@ -205,7 +197,7 @@ class MemoryGraph:
         if object_id is None:
             object_id = f"obj_{self.counters.object:04d}"
             self.counters.object += 1
-        self.objects[object_id] = ObjectNode(object_id, category, reference_feature, timestamp)
+        self.objects[object_id] = ObjectNode(object_id, category, reference_feature)
         return object_id
 
     def add_semantic(self, object_ref: str, statement: str, embedding: np.ndarray, timestamp: int) -> str:
@@ -223,7 +215,6 @@ class MemoryGraph:
         if emb.ndim != 1:
             raise RejectedInput(f"statement embedding must be a vector, got shape {emb.shape}")
         norm = _check_unit(emb, "statement embedding")
-        self._touch(timestamp)
         near = np.flatnonzero(self._approx_cosines(emb) >= self.theta_dedup - _SHORTLIST_MARGIN)
         best_id, best_score = None, -2.0
         if len(near):
@@ -236,7 +227,7 @@ class MemoryGraph:
         else:
             node_id = f"sem_{self.counters.semantic:04d}"
             self.counters.semantic += 1
-            self.semantic[node_id] = SemanticNode(node_id, statement, emb, timestamp)
+            self.semantic[node_id] = SemanticNode(node_id, statement, emb)
             self._add_row(self.semantic[node_id], norm)
         if self._active_edge(object_ref, node_id) is None:
             self._add_edge(Edge(object_ref, node_id, EDGE_SEMANTIC, timestamp, True))
@@ -247,12 +238,9 @@ class MemoryGraph:
         object_ref: str,
         *,
         episode_id: str,
-        instruction: str,
         success: bool,
         room_sequence: list[str],
-        unpromising_rooms: list[str],
         found_room: str | None,
-        path_length_m: float,
         rendered_text: str,
         timestamp: int,
     ) -> str:
@@ -262,16 +250,11 @@ class MemoryGraph:
         node = EpisodicNode(
             f"epi_{self.counters.episodic:04d}",
             episode_id,
-            instruction,
             success,
             list(room_sequence),
-            list(unpromising_rooms),
             found_room,
-            path_length_m,
             rendered_text,
-            timestamp,
         )
-        self._touch(timestamp)
         self.counters.episodic += 1
         self.episodic[node.node_id] = node
         self._add_edge(Edge(object_ref, node.node_id, EDGE_EPISODIC, timestamp, True))
@@ -287,7 +270,6 @@ class MemoryGraph:
         old_edge = self._active_edge(object_ref, old_id)
         if old_edge is None or old_edge.kind != EDGE_SEMANTIC:
             raise NotFound(f"no active semantic edge {object_ref!r} -> {old_id!r}")
-        self._touch(timestamp)
         self._deactivate(old_edge)
         existing = self._active_edge(object_ref, new_id)
         if existing is not None:
@@ -409,15 +391,11 @@ class MemoryGraph:
         self._rows[node.node_id] = n
         self._row_ids.append(node.node_id)
 
-    def _touch(self, timestamp: int) -> None:
-        self.clock = max(self.clock, timestamp)
-
     # -- persistence ------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,
-            "clock": self.clock,
             "counters": {
                 "object": self.counters.object,
                 "semantic": self.counters.semantic,
@@ -429,7 +407,6 @@ class MemoryGraph:
                     "object_id": n.object_id,
                     "category": n.category,
                     "reference_feature": None if n.reference_feature is None else n.reference_feature.tolist(),
-                    "created_at": n.created_at,
                 }
                 for _, n in sorted(self.objects.items())
             ],
@@ -438,7 +415,6 @@ class MemoryGraph:
                     "node_id": n.node_id,
                     "statement": n.statement,
                     "embedding": n.embedding.tolist(),
-                    "created_at": n.created_at,
                 }
                 for _, n in sorted(self.semantic.items())
             ],
@@ -446,14 +422,10 @@ class MemoryGraph:
                 {
                     "node_id": n.node_id,
                     "episode_id": n.episode_id,
-                    "instruction": n.instruction,
                     "success": n.success,
                     "room_sequence": n.room_sequence,
-                    "unpromising_rooms": n.unpromising_rooms,
                     "found_room": n.found_room,
-                    "path_length_m": n.path_length_m,
                     "rendered_text": n.rendered_text,
-                    "created_at": n.created_at,
                 }
                 for _, n in sorted(self.episodic.items())
             ],
@@ -475,7 +447,6 @@ class MemoryGraph:
                 theta_dedup=float(thresholds.get("theta_dedup", THETA_DEDUP)),
                 theta_obj=float(thresholds.get("theta_obj", THETA_OBJ)),
             )
-            g.clock = int(doc["clock"])
             counters = doc["counters"]
             g.counters = _Counters(int(counters["object"]), int(counters["semantic"]), int(counters["episodic"]))
             for row in doc["object_nodes"]:
@@ -484,33 +455,27 @@ class MemoryGraph:
                     as_text(row["object_id"]),
                     as_text(row["category"]),
                     None if feat is None else _frozen(np.array(feat, dtype=np.float64)),
-                    int(row["created_at"]),
                 )
             for row in doc["semantic_nodes"]:
                 g.semantic[row["node_id"]] = SemanticNode(
                     as_text(row["node_id"]),
                     as_text(row["statement"]),
                     _frozen(np.array(row["embedding"], dtype=np.float64)),
-                    int(row["created_at"]),
                 )
             for row in doc["episodic_nodes"]:
                 g.episodic[row["node_id"]] = EpisodicNode(
                     as_text(row["node_id"]),
                     as_text(row["episode_id"]),
-                    as_text(row["instruction"]),
-                    bool(row["success"]),
+                    as_bool(row["success"]),
                     [as_text(room) for room in row["room_sequence"]],
-                    [as_text(room) for room in row["unpromising_rooms"]],
                     as_text(row["found_room"], optional=True),
-                    float(row["path_length_m"]),
                     as_text(row["rendered_text"]),
-                    int(row["created_at"]),
                 )
             for kind, nodes in (("object", g.objects), ("semantic", g.semantic), ("episodic", g.episodic)):
                 if len(nodes) != len(doc[f"{kind}_nodes"]):
                     raise ValueError(f"two {kind} nodes share an id")
             for row in doc["edges"]:
-                g.edges.append(Edge(row["src"], row["dst"], row["kind"], int(row["timestamp"]), bool(row["active"])))
+                g.edges.append(Edge(row["src"], row["dst"], row["kind"], int(row["timestamp"]), as_bool(row["active"])))
             for node in g.semantic.values():
                 if node.embedding.ndim != 1:
                     raise ValueError(f"embedding of {node.node_id!r} is not a vector")

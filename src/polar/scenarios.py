@@ -137,7 +137,6 @@ class ScenarioSpec:
     scripts: list[AcquisitionScript]
     eval_instruction: str
     gold_object_id: str
-    filler_count: int
     eval_gold_position: tuple[float, float]
     eval_agent_start: tuple[float, float]
     eval_agent_heading: int
@@ -292,7 +291,7 @@ def _guard_grounds_gold(
     graph = MemoryGraph(theta_dedup=settings.theta_dedup, theta_obj=settings.theta_obj)
     for script in sorted(scripts, key=lambda s: (s.timestamp, s.target_object_id)):
         obj = world.objects[script.target_object_id]
-        object_ref = graph.upsert_object(obj.category, object_id=obj.object_id, timestamp=script.timestamp)
+        object_ref = graph.upsert_object(obj.category, object_id=obj.object_id)
         memorize_facts(graph, object_ref, script.facts, obj.category, obj.object_id, script.timestamp, settings.encoder)
     result = retrieve(graph, instruction, settings.k, encoder_config=settings.encoder)
     grounded = OraclePlanner().ground(instruction, result).chosen_object_id
@@ -506,7 +505,6 @@ def _gen_one(
         scripts=scripts,
         eval_instruction=eval_instruction,
         gold_object_id=gold,
-        filler_count=FILLER_COUNT,
         eval_gold_position=eval_gold_position,
         eval_agent_start=eval_start,
         eval_agent_heading=eval_heading,
@@ -537,7 +535,6 @@ def spec_to_json(spec: ScenarioSpec) -> dict:
         ],
         "eval_instruction": spec.eval_instruction,
         "gold_object_id": spec.gold_object_id,
-        "filler_count": spec.filler_count,
         "eval_gold_position": list(spec.eval_gold_position),
         "eval_agent_start": list(spec.eval_agent_start),
         "eval_agent_heading": spec.eval_agent_heading,
@@ -566,7 +563,6 @@ def spec_from_json(doc: dict) -> ScenarioSpec:
             ],
             eval_instruction=as_text(doc["eval_instruction"]),
             gold_object_id=as_text(doc["gold_object_id"]),
-            filler_count=int(doc["filler_count"]),
             eval_gold_position=(float(doc["eval_gold_position"][0]), float(doc["eval_gold_position"][1])),
             eval_agent_start=(float(doc["eval_agent_start"][0]), float(doc["eval_agent_start"][1])),
             eval_agent_heading=int(doc["eval_agent_heading"]),

@@ -137,15 +137,14 @@ def test_plan_high_returns_route_ending_at_choice():
 def _graph_with(statements: dict[str, list[str]], renderings: dict[str, list[tuple[int, str]]] | None = None):
     g = MemoryGraph()
     for t, (object_id, texts) in enumerate(sorted(statements.items()), start=1):
-        g.upsert_object(object_id.split("_")[0], object_id=object_id, timestamp=t)
+        g.upsert_object(object_id.split("_")[0], object_id=object_id)
         for text in texts:
             g.add_semantic(object_id, text, encode(text), t)
     for object_id, rows in (renderings or {}).items():
         for t, text in rows:
             g.add_episodic(
-                object_id, episode_id=f"{object_id}:{t}", instruction="i", success=True,
-                room_sequence=["kitchen"], unpromising_rooms=[], found_room="kitchen",
-                path_length_m=1.0, rendered_text=text, timestamp=t,
+                object_id, episode_id=f"{object_id}:{t}", success=True,
+                room_sequence=["kitchen"], found_room="kitchen", rendered_text=text, timestamp=t,
             )
     return g
 
@@ -372,7 +371,7 @@ def _probe_spec(objects: list[tuple[str, int]], instruction: str) -> ScenarioSpe
     world = gen_world(0, 5, objects)
     gold = sorted(world.objects)[0]
     start = world.build_scene_graph().waypoints["hallway"]
-    return ScenarioSpec("probe-000", "distractor", 0, 5, objects, [], instruction, gold, 0,
+    return ScenarioSpec("probe-000", "distractor", 0, 5, objects, [], instruction, gold,
                         world.objects[gold].position, start, 0)
 
 

@@ -460,6 +460,11 @@ def _retyped(key: str):
     return lambda text: text.replace(f'"{key}": ', f'"{key}": 5, "was": ', 1)
 
 
+def _quoted_bool(key: str):
+    """The staged file with the first boolean value of key replaced by the string "false"."""
+    return lambda text: re.sub(f'("{key}": )(true|false)', r'\g<1>"false"', text, count=1)
+
+
 def _object_missing(text: str) -> str:
     """The staged specs with the last world object's category renamed, so that a
     script names an object the spec's world lacks."""
@@ -492,6 +497,8 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         ("--episodes", "episodes", _retyped("instruction")),
         ("--metrics", "metrics", _retyped("mode")),
         ("--metrics", "metrics", _retyped("kind")),
+        ("--episodes", "episodes", _quoted_bool("success")),
+        ("--graphs", "graphs", _quoted_bool("active")),
         ("acquire --specs", "specs", _object_missing),
     ],
     ids=[
@@ -499,7 +506,8 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         "metrics-reports-not-list", "specs-key-missing", "graphs-key-missing", "metrics-key-missing",
         "specs-1e400", "episodes-1e400", "metrics-1e400", "metrics-sr-string",
         "graphs-statement-number", "specs-eval-instruction-number", "episodes-instruction-number",
-        "metrics-mode-number", "metrics-kind-number", "acquire-specs-object-missing",
+        "metrics-mode-number", "metrics-kind-number", "episodes-success-string", "graphs-active-string",
+        "acquire-specs-object-missing",
     ],
 )
 def test_malformed_file_flag_is_one_line_domain_error(tmp_path, capsys, staged, flag, source, mutate):

@@ -26,7 +26,7 @@ from polar.distiller import (
 )
 from polar.errors import ParseError, RejectedInput
 from polar.evaluation import acquire
-from polar.fileio import MALFORMED, as_text
+from polar.fileio import MALFORMED, as_bool, as_text
 from polar.graph import MemoryGraph
 from polar.scenarios import gen_scenarios
 from polar.world import ACTION_START, MOVE_FORWARD, STOP, TURN_RIGHT
@@ -114,7 +114,6 @@ def test_summarize_episodic_counts_only_effective_forward_moves():
     assert s.path_length_m == 2.0  # one forward was blocked
     assert s.room_sequence == ["hallway", "kitchen"]
     assert s.found_room == "kitchen"
-    assert s.unpromising_rooms == ["hallway"]
     parsed = parse_rendered_summary(s.rendered_text)
     assert parsed == {
         "outcome": "success",
@@ -127,7 +126,6 @@ def test_summarize_episodic_counts_only_effective_forward_moves():
 def test_summarize_failure_has_no_found_room():
     s = summarize_episodic(_episode(success=False))
     assert s.found_room is None
-    assert s.unpromising_rooms == ["hallway", "kitchen"]
     assert parse_rendered_summary(s.rendered_text)["found_in"] == "none"
 
 
@@ -268,7 +266,7 @@ def _reference_episode_from_json(doc: dict) -> EpisodeLog:
                 )
                 for s in doc["trajectory"]
             ],
-            success=bool(doc["success"]),
+            success=as_bool(doc["success"]),
             final_position=(float(doc["final_position"][0]), float(doc["final_position"][1])),
         )
     except MALFORMED as exc:

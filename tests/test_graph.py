@@ -25,12 +25,9 @@ def _add_epi(g, obj, *, t, success=True, rooms=("hallway", "kitchen"), episode_i
     return g.add_episodic(
         obj,
         episode_id=episode_id,
-        instruction="find it",
         success=success,
         room_sequence=list(rooms),
-        unpromising_rooms=[r for r in rooms[:-1]] if success else list(rooms),
         found_room=rooms[-1] if success else None,
-        path_length_m=3.0,
         rendered_text="outcome=success; searched=hallway,kitchen; found_in=kitchen; length=3.0m",
         timestamp=t,
     )
@@ -46,35 +43,36 @@ def test_upsert_needs_id_or_feature():
 
 def test_upsert_exact_id_wins_and_never_mutates():
     g = _graph()
-    a = g.upsert_object("mug", object_id="mug_01", timestamp=1)
+    a = g.upsert_object("mug", object_id="mug_01")
     assert a == "mug_01"
-    assert g.upsert_object("mug", object_id="mug_01", timestamp=9) == "mug_01"
-    assert g.objects["mug_01"].created_at == 1
+    node = g.objects["mug_01"]
+    assert g.upsert_object("vase", object_id="mug_01", reference_feature=unit_vec(DIM)) == "mug_01"
+    assert g.objects["mug_01"] is node and node.category == "mug" and node.reference_feature is None
     assert len(g.objects) == 1
 
 
 def test_upsert_feature_match_at_threshold():
     g = _graph()
     base = unit_vec(DIM)
-    g.upsert_object("mug", object_id="mug_01", reference_feature=base, timestamp=1)
+    g.upsert_object("mug", object_id="mug_01", reference_feature=base)
     near = unit_vec(DIM, math.acos(THETA_OBJ) - 1e-6)  # cosine just above theta_obj
     far = unit_vec(DIM, math.acos(THETA_OBJ) + 1e-3)  # cosine just below
-    assert g.upsert_object("mug", reference_feature=near, timestamp=2) == "mug_01"
-    new_id = g.upsert_object("mug", reference_feature=far, timestamp=3)
+    assert g.upsert_object("mug", reference_feature=near) == "mug_01"
+    new_id = g.upsert_object("mug", reference_feature=far)
     assert new_id != "mug_01" and new_id in g.objects
 
 
 def test_upsert_feature_respects_category():
     g = _graph()
     base = unit_vec(DIM)
-    g.upsert_object("mug", object_id="mug_01", reference_feature=base, timestamp=1)
-    assert g.upsert_object("vase", reference_feature=base, timestamp=2) != "mug_01"
+    g.upsert_object("mug", object_id="mug_01", reference_feature=base)
+    assert g.upsert_object("vase", reference_feature=base) != "mug_01"
 
 
 def test_upsert_allocates_sequential_ids():
     g = _graph()
-    a = g.upsert_object("mug", reference_feature=unit_vec(DIM), timestamp=1)
-    b = g.upsert_object("vase", reference_feature=unit_vec(DIM, math.pi / 2), timestamp=2)
+    a = g.upsert_object("mug", reference_feature=unit_vec(DIM))
+    b = g.upsert_object("vase", reference_feature=unit_vec(DIM, math.pi / 2))
     assert (a, b) == ("obj_0001", "obj_0002")
 
 
@@ -85,13 +83,13 @@ def test_upsert_rejects_non_unit_feature():
 
 def test_upsert_keeps_one_feature_dimension_so_the_graph_reloads():
     g = _graph()
-    g.upsert_object("mug", reference_feature=unit_vec(DIM), timestamp=1)
+    g.upsert_object("mug", reference_feature=unit_vec(DIM))
     reloaded = MemoryGraph.from_json(g.to_json())
     for graph in (g, reloaded):
         with pytest.raises(RejectedInput):
-            graph.upsert_object("vase", reference_feature=unit_vec(DIM + 1), timestamp=2)  # another category, too
+            graph.upsert_object("vase", reference_feature=unit_vec(DIM + 1))  # another category, too
         with pytest.raises(RejectedInput):
-            graph.upsert_object("vase", reference_feature=unit_vec(DIM)[None, :], timestamp=2)
+            graph.upsert_object("vase", reference_feature=unit_vec(DIM)[None, :])
         assert len(graph.objects) == 1
     assert reloaded.to_json() == g.to_json()
 
@@ -179,18 +177,13 @@ def test_episodic_validation():
     g.upsert_object("mug", object_id="mug_01")
     with pytest.raises(RejectedInput):
         g.add_episodic(
-            "mug_01", episode_id="e", instruction="i", success=True, room_sequence=["a"],
-            unpromising_rooms=[], found_room=None, path_length_m=1.0, rendered_text="r", timestamp=1,
+            "mug_01", episode_id="e", success=True, room_sequence=["a"], found_room=None, rendered_text="r",
+            timestamp=1,
         )
     with pytest.raises(RejectedInput):
         g.add_episodic(
-            "mug_01", episode_id="e", instruction="i", success=False, room_sequence=["a"],
-            unpromising_rooms=["b"], found_room=None, path_length_m=1.0, rendered_text="r", timestamp=1,
-        )
-    with pytest.raises(RejectedInput):
-        g.add_episodic(
-            "mug_01", episode_id="e", instruction="i", success=False, room_sequence=["a"],
-            unpromising_rooms=["a"], found_room=None, path_length_m=-1.0, rendered_text="r", timestamp=1,
+            "mug_01", episode_id="e", success=False, room_sequence=["a"], found_room="a", rendered_text="r",
+            timestamp=1,
         )
     with pytest.raises(NotFound):
         _add_epi(g, "ghost", t=1)
@@ -257,7 +250,7 @@ def test_neighbors_errors():
 
 def _populated() -> MemoryGraph:
     g = _graph()
-    g.upsert_object("mug", object_id="mug_01", reference_feature=unit_vec(DIM), timestamp=1)
+    g.upsert_object("mug", object_id="mug_01", reference_feature=unit_vec(DIM))
     old = g.add_semantic("mug_01", "color = red", unit_vec(DIM), 1)
     new = g.add_semantic("mug_01", "color = blue", unit_vec(DIM, 1.0), 2)
     g.supersede("mug_01", old, new, 2)
@@ -272,6 +265,20 @@ def test_round_trip_identity(tmp_path):
     loaded = MemoryGraph.load(str(path))
     assert json.dumps(loaded.to_json(), sort_keys=True) == json.dumps(g.to_json(), sort_keys=True)
     assert loaded.theta_dedup == THETA_DEDUP and loaded.theta_obj == THETA_OBJ
+
+
+def test_older_snapshots_with_unread_keys_still_load():
+    """A version-1 snapshot written before the unread keys were dropped loads, and
+    saving it again gives today's document."""
+    doc = _populated().to_json()
+    old = json.loads(json.dumps(doc))
+    old["clock"] = 2
+    for nodes in ("object_nodes", "semantic_nodes", "episodic_nodes"):
+        for row in old[nodes]:
+            row["created_at"] = 1
+    for row in old["episodic_nodes"]:
+        row.update(instruction="find it", unpromising_rooms=["hallway"], path_length_m=3.0)
+    assert MemoryGraph.from_json(old).to_json() == doc
 
 
 def test_load_rejects_bad_version(tmp_path):
@@ -337,16 +344,13 @@ def test_load_rejects_duplicate_node_ids(nodes, field, value):
         MemoryGraph.from_json(doc)
 
 
-@pytest.mark.parametrize(
-    "field, value, match",
-    [("found_room", None, "found_room"), ("unpromising_rooms", ["attic"], "subset"), ("path_length_m", -5.0, ">= 0")],
-)
+@pytest.mark.parametrize("field, value, match", [("found_room", None, "found_room"), ("success", False, "found_room")])
 def test_load_rejects_episodic_records_that_add_episodic_refuses(field, value, match):
     doc = _populated().to_json()
-    doc["episodic_nodes"][0][field] = value  # a successful episode with no room, a foreign room, a negative length
+    doc["episodic_nodes"][0][field] = value  # a success with no room, a failure with one
     with pytest.raises(ParseError, match=match):
         MemoryGraph.from_json(doc)
-    row = {k: v for k, v in doc["episodic_nodes"][0].items() if k not in ("node_id", "created_at")}
+    row = {k: v for k, v in doc["episodic_nodes"][0].items() if k != "node_id"}
     with pytest.raises(RejectedInput, match=match):
         _populated().add_episodic("mug_01", **row, timestamp=3)
 
@@ -362,7 +366,7 @@ def test_load_rejects_non_unit_reference_features(feature):
 def test_stored_vectors_are_read_only_and_callers_keep_theirs():
     g = _graph()
     feature, embedding = unit_vec(DIM), unit_vec(DIM, 1.0)
-    g.upsert_object("mug", object_id="mug_01", reference_feature=feature, timestamp=1)
+    g.upsert_object("mug", object_id="mug_01", reference_feature=feature)
     sem_id = g.add_semantic("mug_01", "color = red", embedding, 1)
     for graph in (g, MemoryGraph.from_json(g.to_json())):
         for stored in (graph.objects["mug_01"].reference_feature, graph.semantic[sem_id].embedding):
@@ -381,7 +385,6 @@ class _ScanGraph(MemoryGraph):
 
     def add_semantic(self, object_ref, statement, embedding, timestamp):
         emb = np.asarray(embedding, dtype=np.float64)
-        self._touch(timestamp)
         best_id, best_score = None, -2.0
         for sid in sorted(self.semantic):
             score = cosine(emb, self.semantic[sid].embedding)
@@ -392,14 +395,13 @@ class _ScanGraph(MemoryGraph):
         else:
             node_id = f"sem_{self.counters.semantic:04d}"
             self.counters.semantic += 1
-            self.semantic[node_id] = SemanticNode(node_id, statement, emb, timestamp)
+            self.semantic[node_id] = SemanticNode(node_id, statement, emb)
         if self._active_edge(object_ref, node_id) is None:
             self.edges.append(Edge(object_ref, node_id, EDGE_SEMANTIC, timestamp, True))
         return node_id
 
     def supersede(self, object_ref, old_id, new_id, timestamp):
         old_edge = self._active_edge(object_ref, old_id)
-        self._touch(timestamp)
         old_edge.active = False
         existing = self._active_edge(object_ref, new_id)
         if existing is not None:

@@ -35,12 +35,12 @@ _json_values = st.recursive(
 
 def _graph_doc() -> dict:
     g = MemoryGraph()
-    g.upsert_object("mug", object_id="mug_01", reference_feature=np.eye(4)[0], timestamp=1)
+    g.upsert_object("mug", object_id="mug_01", reference_feature=np.eye(4)[0])
     text = "user: color = red refers to mug mug_01"
     g.add_semantic("mug_01", text, encode(text, EncoderConfig(dim=16)), 1)
     g.add_episodic(
-        "mug_01", episode_id="s:acq:00", instruction="note the mug", success=True, room_sequence=["hallway"],
-        unpromising_rooms=[], found_room="hallway", path_length_m=1.0, rendered_text="r", timestamp=1,
+        "mug_01", episode_id="s:acq:00", success=True, room_sequence=["hallway"], found_room="hallway",
+        rendered_text="r", timestamp=1,
     )
     return g.to_json()
 

@@ -177,9 +177,8 @@ def test_candidates_carry_episodic_renderings_newest_first():
     g.add_semantic("mug_01", text, encode(text), 1)
     for t, rendering in ((1, "first"), (2, "second")):
         g.add_episodic(
-            "mug_01", episode_id=f"ep-{t}", instruction="i", success=True,
-            room_sequence=["kitchen"], unpromising_rooms=[], found_room="kitchen",
-            path_length_m=1.0, rendered_text=rendering, timestamp=t,
+            "mug_01", episode_id=f"ep-{t}", success=True,
+            room_sequence=["kitchen"], found_room="kitchen", rendered_text=rendering, timestamp=t,
         )
     result = retrieve(g, "crimson mug", k=5)
     assert result.candidates[0].episodic_memories == ["second", "first"]

@@ -59,7 +59,9 @@ def test_scripts_cover_fillers_then_kind(one_of_each):
     }
     for kind, specs in one_of_each.items():
         for spec in specs:
-            assert spec.filler_count == FILLER_COUNT
+            filler_ids = {f"{category}_01" for category, _ in spec.world_objects[1:]}
+            assert len(filler_ids) == FILLER_COUNT
+            assert sum(s.target_object_id in filler_ids for s in spec.scripts) == FILLER_COUNT
             assert len(spec.scripts) == FILLER_COUNT + extra_scripts[kind]
             stamps = [s.timestamp for s in spec.scripts]
             assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
