@@ -244,6 +244,15 @@ def _visible_ids(observation: Observation) -> list[str]:
     return sorted({oid for view in observation.views for oid, _cat, _d in view})
 
 
+def _watch(world: World, decision: GroundingDecision) -> frozenset[str]:
+    """The objects whose sightings the episode reads: the chosen object, else the
+    chosen category's instances (until one is sighted), else none."""
+    if decision.chosen_object_id:
+        return frozenset((decision.chosen_object_id,))
+    category = decision.chosen_category
+    return frozenset(oid for oid, obj in world.objects.items() if category and obj.category == category)
+
+
 def run_episode(
     world: World,
     instruction: str,
@@ -259,8 +268,10 @@ def run_episode(
     """Explore/approach the grounded target until STOP, exhaustion, or the step cap.
 
     The caller grounds first (`ground_target`, or an explicit decision for
-    acquisition episodes). Success is judged purely by the final position
-    against the gold object.
+    acquisition episodes). The world computes sightings only of the decision's
+    watch set (`_watch`), so each step's `visible_object_ids` lists the watched
+    objects in view. Success is judged purely by the final position against the
+    gold object.
     """
     if gold_object_id not in world.objects:
         raise RejectedInput(f"unknown gold object {gold_object_id!r}")
@@ -269,7 +280,8 @@ def run_episode(
     scene_graph = world.build_scene_graph()
 
     state = AgentState(start.position, start.heading, 0)
-    observation = world.observe(state)
+    watch = _watch(world, decision)
+    observation = world.observe(state, watch=watch)
     trajectory = [
         TrajectoryStep(state.position, state.heading, ACTION_START, world.room_of(state.position) or "", _visible_ids(observation))
     ]
@@ -288,6 +300,7 @@ def run_episode(
                 for oid, category, _d in view:
                     if category == working.chosen_category:
                         working = replace(working, chosen_object_id=oid)
+                        watch = _watch(world, working)
                         break
                 if working.chosen_object_id:
                     break
@@ -337,7 +350,7 @@ def run_episode(
             plan = []
             stall = 0
             continue
-        state, observation, done = world.step(state, action)
+        state, observation, done = world.step(state, action, watch)
         stall = 0 if (action == MOVE_FORWARD and not observation.blocked) or action == STOP else stall + 1
         trajectory.append(
             TrajectoryStep(state.position, state.heading, action, world.room_of(state.position) or "", _visible_ids(observation))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, DEFAULT_ENCODER, encode
 from .errors import ParseError, RejectedInput
-from .fileio import MALFORMED, as_bool, as_text, atomic_write_text, read_json_lines
+from .fileio import MALFORMED, as_bool, as_float, as_int, as_text, atomic_write_text, read_json_lines
 from .graph import MemoryGraph
 from .world import MOVE_FORWARD
 
@@ -35,6 +35,8 @@ STATEMENT_TEMPLATE = "user: {key} = {value} refers to {category} {object_id}"
 
 @dataclass
 class TrajectoryStep:
+    """One step of an episode; visible_object_ids are the watched objects in view."""
+
     position: tuple[float, float]
     heading: int
     action: str
@@ -251,20 +253,29 @@ def episode_to_json(episode: EpisodeLog) -> dict:
     }
 
 
+_NUMBERS = (int, float)  # the JSON number types as_float takes; bool is neither
+
+
 def _trajectory_from_json(steps: list) -> list[TrajectoryStep]:
-    """The trajectory of an episode record, in one loop with no call per visible id:
-    a step's id list must be a JSON list, and str.join raises TypeError on a non-string."""
+    """The trajectory of an episode record, in one loop with no call per value: the
+    checks of as_float, as_int and as_text are inlined, a step's id list must be a
+    JSON list, and str.join raises TypeError on a non-string."""
     trajectory = []
     append = trajectory.append
     for s in steps:
         position = s["position"]
+        x = position[0]
+        y = position[1]
+        heading = s["heading"]
         action = s["action"]
         room = s["room"]
         ids = s["visible_object_ids"]
+        if type(x) not in _NUMBERS or type(y) not in _NUMBERS or type(heading) is not int:
+            raise TypeError("a step's position must hold two numbers and its heading must be an integer")
         if not isinstance(action, str) or not isinstance(room, str) or type(ids) is not list:
             raise TypeError("a step's action and room must be strings and its visible_object_ids a list")
         "".join(ids)
-        append(TrajectoryStep((float(position[0]), float(position[1])), int(s["heading"]), action, room, ids[:]))
+        append(TrajectoryStep((float(x), float(y)), heading, action, room, ids[:]))
     return trajectory
 
 
@@ -273,7 +284,7 @@ def episode_from_json(doc: dict) -> EpisodeLog:
         feat = doc["reference_feature"]
         episode = EpisodeLog(
             episode_id=as_text(doc["episode_id"]),
-            timestamp=int(doc["timestamp"]),
+            timestamp=as_int(doc["timestamp"]),
             instruction=as_text(doc["instruction"]),
             facts=[(as_text(k), as_text(v)) for k, v in doc["facts"]],
             reference_feature=None if feat is None else np.asarray(feat, dtype=np.float64),
@@ -281,7 +292,7 @@ def episode_from_json(doc: dict) -> EpisodeLog:
             target_category=as_text(doc["target_category"]),
             trajectory=_trajectory_from_json(doc["trajectory"]),
             success=as_bool(doc["success"]),
-            final_position=(float(doc["final_position"][0]), float(doc["final_position"][1])),
+            final_position=(as_float(doc["final_position"][0]), as_float(doc["final_position"][1])),
         )
     except MALFORMED as exc:
         raise ParseError(f"malformed episode record: {exc}") from exc

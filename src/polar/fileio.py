@@ -7,8 +7,9 @@ file is read through `read_json`, `read_json_lines` or `load_json` (which
 also checks the format_version and the type of the one top-level container),
 so any input that is not UTF-8 JSON of the expected shape raises ParseError;
 record parsers map the exceptions in `MALFORMED` to ParseError as well, and
-check that their text and id fields are strings and their flags booleans
-(mostly through `as_text` and `as_bool`).
+check that their text and id fields are strings, their flags booleans and
+their numbers JSON numbers (mostly through `as_text`, `as_bool`, `as_int` and
+`as_float`).
 `post_json` is the JSON-over-POST client of the remote encoder, on
 `urllib.request`; every fault it meets raises EncoderUnavailable.
 """
@@ -27,8 +28,8 @@ from .errors import EncoderUnavailable, ParseError
 
 FORMAT_VERSION = 1
 
-# What indexing, unpacking and int()/float() raise on a JSON value of the wrong shape
-# (OverflowError: int() of the inf that a literal such as 1e400 parses to).
+# What indexing, unpacking and the as_* checks raise on a JSON value of the wrong shape
+# (OverflowError: float() of an integer literal too large for a float).
 MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -44,6 +45,20 @@ def as_bool(value: object) -> bool:
     if isinstance(value, bool):
         return value
     raise TypeError(f"expected a boolean, got {type(value).__name__} {value!r}")
+
+
+def as_int(value: object) -> int:
+    """value if it is a JSON integer; TypeError, one of MALFORMED, otherwise (int() would read "12" and 12.9)."""
+    if type(value) is int:
+        return value
+    raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
+
+
+def as_float(value: object) -> float:
+    """value as a float if it is a JSON number; TypeError, one of MALFORMED, otherwise (float() would read "0.5")."""
+    if type(value) in (float, int):
+        return float(value)
+    raise TypeError(f"expected a number, got {type(value).__name__} {value!r}")
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .encoder import cosine, cosine_from_norms
 from .errors import NotFound, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, as_bool, as_text, check_version, dump_json, read_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_bool, as_float, as_int, as_text, check_version, dump_json, read_json
 
 THETA_DEDUP = 0.92  # statements at or above this cosine collapse to one node
 THETA_OBJ = 0.95  # reference features at or above this cosine are the same object
@@ -444,11 +444,11 @@ class MemoryGraph:
         try:
             thresholds = doc.get("thresholds", {})
             g = cls(
-                theta_dedup=float(thresholds.get("theta_dedup", THETA_DEDUP)),
-                theta_obj=float(thresholds.get("theta_obj", THETA_OBJ)),
+                theta_dedup=as_float(thresholds.get("theta_dedup", THETA_DEDUP)),
+                theta_obj=as_float(thresholds.get("theta_obj", THETA_OBJ)),
             )
             counters = doc["counters"]
-            g.counters = _Counters(int(counters["object"]), int(counters["semantic"]), int(counters["episodic"]))
+            g.counters = _Counters(as_int(counters["object"]), as_int(counters["semantic"]), as_int(counters["episodic"]))
             for row in doc["object_nodes"]:
                 feat = row["reference_feature"]
                 g.objects[row["object_id"]] = ObjectNode(
@@ -475,7 +475,7 @@ class MemoryGraph:
                 if len(nodes) != len(doc[f"{kind}_nodes"]):
                     raise ValueError(f"two {kind} nodes share an id")
             for row in doc["edges"]:
-                g.edges.append(Edge(row["src"], row["dst"], row["kind"], int(row["timestamp"]), as_bool(row["active"])))
+                g.edges.append(Edge(row["src"], row["dst"], row["kind"], as_int(row["timestamp"]), as_bool(row["active"])))
             for node in g.semantic.values():
                 if node.embedding.ndim != 1:
                     raise ValueError(f"embedding of {node.node_id!r} is not a vector")

@@ -32,7 +32,7 @@ from .agent import OraclePlanner, sweep_room
 from .encoder import cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import memorize_facts, render_statement
-from .fileio import FORMAT_VERSION, MALFORMED, as_text, dump_json, load_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_float, as_int, as_text, dump_json, load_json
 from .graph import MemoryGraph
 from .retrieval import DEFAULT_SETTINGS, MemorySettings, retrieve
 from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
@@ -546,26 +546,26 @@ def spec_from_json(doc: dict) -> ScenarioSpec:
         return ScenarioSpec(
             scenario_id=as_text(doc["scenario_id"]),
             kind=as_text(doc["kind"]),
-            world_seed=int(doc["world_seed"]),
-            world_n_rooms=int(doc["world_n_rooms"]),
-            world_objects=[(as_text(c), int(k)) for c, k in doc["world_objects"]],
+            world_seed=as_int(doc["world_seed"]),
+            world_n_rooms=as_int(doc["world_n_rooms"]),
+            world_objects=[(as_text(c), as_int(k)) for c, k in doc["world_objects"]],
             scripts=[
                 AcquisitionScript(
                     instruction=as_text(s["instruction"]),
                     facts=[(as_text(k), as_text(v)) for k, v in s["facts"]],
                     target_object_id=as_text(s["target_object_id"]),
-                    timestamp=int(s["timestamp"]),
-                    object_position=(float(s["object_position"][0]), float(s["object_position"][1])),
-                    agent_start=(float(s["agent_start"][0]), float(s["agent_start"][1])),
-                    agent_heading=int(s["agent_heading"]),
+                    timestamp=as_int(s["timestamp"]),
+                    object_position=(as_float(s["object_position"][0]), as_float(s["object_position"][1])),
+                    agent_start=(as_float(s["agent_start"][0]), as_float(s["agent_start"][1])),
+                    agent_heading=as_int(s["agent_heading"]),
                 )
                 for s in doc["scripts"]
             ],
             eval_instruction=as_text(doc["eval_instruction"]),
             gold_object_id=as_text(doc["gold_object_id"]),
-            eval_gold_position=(float(doc["eval_gold_position"][0]), float(doc["eval_gold_position"][1])),
-            eval_agent_start=(float(doc["eval_agent_start"][0]), float(doc["eval_agent_start"][1])),
-            eval_agent_heading=int(doc["eval_agent_heading"]),
+            eval_gold_position=(as_float(doc["eval_gold_position"][0]), as_float(doc["eval_gold_position"][1])),
+            eval_agent_start=(as_float(doc["eval_agent_start"][0]), as_float(doc["eval_agent_start"][1])),
+            eval_agent_heading=as_int(doc["eval_agent_heading"]),
         )
     except MALFORMED as exc:
         raise ParseError(f"malformed scenario spec: {exc}") from exc

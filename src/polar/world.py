@@ -9,7 +9,8 @@ front/left/right views: a +-45 degree cone, 5.0 m range, occlusion by wall
 cells via grid ray casting. Worlds are immutable after generation; moving
 an object between evaluation stages returns a new World sharing the grid
 and navigation caches. A turn leaves the position unchanged, so it reuses
-that position's sightings and stride descents and only reruns the view cones.
+that position's sightings and stride descents and only reruns the view cones;
+a move along a stride that descents found free is not tested again.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import GenerationError, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, as_text, check_version, dump_json, read_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_float, as_text, check_version, dump_json, read_json
 
 RESOLUTION = 0.25
 STRIDE_M = 1.0
@@ -136,43 +137,63 @@ class Observation:
 
 @dataclass
 class SceneGraph:
+    """Room adjacency. Neighbour lists and each source room's breadth-first tree
+    are built once, so a scene graph must not change after construction."""
+
     rooms: list[str]
     edges: list[tuple[str, str]]
     waypoints: dict[str, tuple[float, float]]
+    _adjacency: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _trees: dict[str, tuple[dict[str, str], dict[str, int]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        adjacency: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        self._adjacency = {room: sorted(out) for room, out in adjacency.items()}
 
     def neighbors(self, room: str) -> list[str]:
-        out = [b for a, b in self.edges if a == room] + [a for a, b in self.edges if b == room]
-        return sorted(out)
+        return list(self._adjacency.get(room, ()))
+
+    def _tree(self, src: str, dst: str) -> tuple[dict[str, str], dict[str, int]]:
+        """(predecessor, hops) of every room reachable from src, visiting neighbours
+        in sorted order; src and dst must both be rooms."""
+        if src not in self.waypoints or dst not in self.waypoints:
+            raise RejectedInput(f"unknown room {src!r} or {dst!r}")
+        tree = self._trees.get(src)
+        if tree is None:
+            prev = {src: src}
+            hops = {src: 0}
+            queue = [src]
+            for here in queue:
+                for nxt in self._adjacency.get(here, ()):
+                    if nxt not in prev:
+                        prev[nxt] = here
+                        hops[nxt] = hops[here] + 1
+                        queue.append(nxt)
+            tree = self._trees[src] = (prev, hops)
+        return tree
 
     def bfs_path(self, src: str, dst: str) -> list[str] | None:
         """Rooms to traverse after src, ending at dst; [] when src == dst."""
-        if src not in self.waypoints or dst not in self.waypoints:
-            raise RejectedInput(f"unknown room {src!r} or {dst!r}")
-        if src == dst:
-            return []
-        prev: dict[str, str] = {src: src}
-        queue = [src]
-        while queue:
-            here = queue.pop(0)
-            for nxt in self.neighbors(here):
-                if nxt in prev:
-                    continue
-                prev[nxt] = here
-                if nxt == dst:
-                    path = [dst]
-                    while prev[path[-1]] != src:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                queue.append(nxt)
-        return None
+        prev = self._tree(src, dst)[0]
+        if dst not in prev:
+            return None
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        return path[-2::-1]
 
     def hop_distance(self, src: str, dst: str) -> int:
-        path = self.bfs_path(src, dst)
-        return len(path) if path is not None else len(self.rooms) + 1
+        return self._tree(src, dst)[1].get(dst, len(self.rooms) + 1)
 
 
 class _NavCache:
-    """Shared per-grid navigation state: sparse 8-connected graph + distance fields."""
+    """Shared per-grid navigation state: sparse 8-connected graph, distance fields,
+    the scene graph and room centres."""
 
     _MAX_FIELDS = 64
 
@@ -218,6 +239,7 @@ class _NavCache:
         self.rows = grid.tolist()
         self.bounds = (nx * resolution, ny * resolution)  # (w, h) in meters
         self.last_descents: tuple[tuple, tuple] | None = None  # last ((x, y, goal cell), descents)
+        self.room_centers: dict[tuple[str, int], np.ndarray] = {}  # (room, margin) -> read-only centers
 
     def field(self, cell: tuple[int, int]) -> np.ndarray:
         cached = self.fields.get(cell)
@@ -262,10 +284,13 @@ class World:
     """Occupancy-grid world whose grid, rooms and objects never change; cells hold a
     room index or WALL. Reads fill two last-key caches, so a World is not for
     concurrent use. Each caches only what its key and owner fix, so a hit equals a
-    recomputation: `_sightings`, the last observed position's in-range objects
-    (fixed by the position and this World's objects), and the grid-shared
-    `_NavCache.last_descents`, the strides from the last position that descend to
-    the last goal cell (fixed by those and the grid, which moved copies share)."""
+    recomputation: `_sightings`, the in-range objects of the last observed
+    (position, watch set) (fixed by those and this World's objects), and the
+    grid-shared `_NavCache.last_descents`, the strides from the last position that
+    descend to the last goal cell (fixed by those and the grid, which moved copies
+    share). Every descending stride is a free one, so `step` moves along it without
+    testing it again. A watch set limits sightings to the objects a policy reads;
+    without one, `observe` sees every object."""
 
     def __init__(
         self,
@@ -286,9 +311,7 @@ class World:
             self.objects[obj.object_id] = obj
         self.resolution = resolution
         self._nav = _nav if _nav is not None else _NavCache(grid, resolution)
-        self._obj_ids = [o.object_id for o in objects]
-        self._obj_positions = np.array([o.position for o in objects], dtype=np.float64).reshape(len(objects), 2)
-        self._sightings: tuple[tuple, list] | None = None  # last observed (x, y), its sightings
+        self._sightings: tuple[tuple, list] | None = None  # last observed (x, y, watch), its sightings
 
     # -- geometry ----------------------------------------------------------
 
@@ -377,8 +400,10 @@ class World:
 
     # -- dynamics ----------------------------------------------------------
 
-    def step(self, state: AgentState, action: str) -> tuple[AgentState, "Observation", bool]:
-        """Apply one low-level action; returns (new state, observation, done)."""
+    def step(
+        self, state: AgentState, action: str, watch: frozenset[str] | None = None
+    ) -> tuple[AgentState, "Observation", bool]:
+        """Apply one low-level action; returns (new state, observation of watch, done)."""
         if action not in LOW_LEVEL_ACTIONS:
             raise RejectedInput(f"unknown action {action!r}")
         position = state.position
@@ -388,7 +413,14 @@ class World:
         if action == MOVE_FORWARD:
             ux, uy = heading_vector(heading)
             target = (position[0] + STRIDE_M * ux, position[1] + STRIDE_M * uy)
-            if self.segment_free(position, target):
+            last = self._nav.last_descents
+            descended = (
+                last is not None
+                and last[0][0] == position[0]
+                and last[0][1] == position[1]
+                and any(h == heading for _value, h in last[1])
+            )
+            if descended or self.segment_free(position, target):
                 position = target
             else:
                 blocked = True
@@ -399,20 +431,25 @@ class World:
         else:
             done = True
         new_state = AgentState(position, heading, state.steps_taken + 1)
-        return new_state, self.observe(new_state, blocked=blocked), done
+        return new_state, self.observe(new_state, blocked=blocked, watch=watch), done
 
-    def observe(self, state: AgentState, blocked: bool = False) -> Observation:
+    def observe(self, state: AgentState, blocked: bool = False, watch: frozenset[str] | None = None) -> Observation:
+        """The three views from state, of the objects in watch, or of every object
+        when watch is None."""
         pos = state.position
-        key = (pos[0], pos[1])
+        key = (pos[0], pos[1], watch)
         if self._sightings is None or self._sightings[0] != key:
             # per in-range object: [row, position, bearing (None when on top of it), line of sight]
             sightings: list[list] = []
-            if len(self._obj_ids):
-                deltas = self._obj_positions - np.array(pos)
-                near = np.flatnonzero(np.hypot(deltas[:, 0], deltas[:, 1]) <= VISIBILITY_RANGE_M + _EPS)
-                for i in near.tolist():
-                    obj = self.objects[self._obj_ids[i]]
-                    dist = math.hypot(obj.position[0] - pos[0], obj.position[1] - pos[1])
+            for obj in self.objects.values():  # in object order, which category lock-on reads
+                if watch is not None and obj.object_id not in watch:
+                    continue
+                dx = obj.position[0] - pos[0]
+                dy = obj.position[1] - pos[1]
+                # numpy's hypot: math.hypot differs from it in the last bit for some offsets,
+                # which would move objects across the range boundary
+                if np.hypot(dx, dy) <= VISIBILITY_RANGE_M + _EPS:
+                    dist = math.hypot(dx, dy)
                     bearing = None if dist < _EPS else bearing_deg(pos, obj.position)
                     sightings.append([(obj.object_id, obj.category, dist), obj.position, bearing, None])
             self._sightings = (key, sightings)
@@ -455,7 +492,7 @@ class World:
         ends closer to goal, in HEADINGS order.
 
         The last (pos, goal cell) is cached on the grid's shared nav cache, so turns
-        in place while steering reuse it.
+        in place while steering reuse it, and `step` moves along its strides untested.
         """
         nav = self._nav
         cell = self._goal_cell(goal)
@@ -556,10 +593,16 @@ class World:
         return list(zip(ix.tolist(), iy.tolist()))
 
     def room_centers(self, room: str, margin: int = 0) -> np.ndarray:
-        """Centers (x, y) of room_cells(room, margin), sorted by x, then y."""
-        cells = np.array(self.room_cells(room, margin), dtype=np.intp).reshape(-1, 2)
-        cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
-        return (cells + 0.5) * self.resolution
+        """Centers (x, y) of room_cells(room, margin), sorted by x, then y: computed
+        once per grid, room and margin, and read-only."""
+        centers = self._nav.room_centers.get((room, margin))
+        if centers is None:
+            cells = np.array(self.room_cells(room, margin), dtype=np.intp).reshape(-1, 2)
+            cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+            centers = (cells + 0.5) * self.resolution
+            centers.setflags(write=False)
+            self._nav.room_centers[(room, margin)] = centers
+        return centers
 
     # -- persistence -----------------------------------------------------------
 
@@ -619,7 +662,7 @@ class World:
                 ObjectInstance(
                     as_text(o["object_id"]),
                     as_text(o["category"]),
-                    (float(o["position"][0]), float(o["position"][1])),
+                    (as_float(o["position"][0]), as_float(o["position"][1])),
                     None if o.get("feature") is None else np.asarray(o["feature"], dtype=np.float64),
                 )
                 for o in doc["objects"]
@@ -630,7 +673,7 @@ class World:
                 raise ParseError("world grid is empty")
             if (grid[[0, -1], :] != WALL).any() or (grid[:, [0, -1]] != WALL).any():
                 raise ParseError("world grid must be enclosed by a ring of wall cells")
-            world = cls(grid, room_names, objects, float(doc.get("resolution", RESOLUTION)))
+            world = cls(grid, room_names, objects, as_float(doc.get("resolution", RESOLUTION)))
         except (*MALFORMED, RejectedInput) as exc:
             raise ParseError(f"malformed world file: {exc}") from exc
         for obj in objects:

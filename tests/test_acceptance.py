@@ -311,22 +311,23 @@ def test_criterion_8_full_pipeline_is_bitwise_deterministic(run_all_seed0, tmp_p
 
 # sha256 of every `run-all --seed 0` artifact. A change that alters any of them changes
 # what polar computes or stores, however fast it is; benchmarks/README.md lists an
-# older set, from before the graph and spec files dropped their unread fields.
+# older set, from before the graph and spec files dropped their unread fields and the
+# episode files kept only the watched objects in view.
 RUN_ALL_SEED0_SHA256 = {
-    "compositional-joint/episodes.jsonl": "84becb202f700df83a3899fa07ee9e9238ef25dee811dcaee1ca4163f97e9b58",
+    "compositional-joint/episodes.jsonl": "452d84e7a878857e7b5cafc9cd3b8df87dcca26f40f61ce4fbf0cf14387c24fa",
     "compositional-joint/graphs.json": "c5c9a0382e39ba956e03d16309619946ececee68369abd35c902532485217692",
     "compositional-joint/metrics.json": "7897090e268bc12919a6066243f6e105f8379a2717f290c1e9080fe7d04c7a0d",
     "compositional-joint/metrics.txt": "b02b21e192172db0d46af2dd289dba7982a77988f3fb618963b1840843d9c84e",
     "compositional-joint/specs.json": "19ce84fb07ede6f8ac9299179c18dbae6a7201807feea17837058e58ed8a10d0",
     "compositional-joint/world.json": "e0239144adf13d73fc835b157a086ba404976e6fd5bc6e64d88fc1dfe8253ea0",
-    "compositional-single/episodes.jsonl": "936cb7ce7da77f39c2bfc42df76858bc9e15213bf3a2af3bc9b412468135fe69",
+    "compositional-single/episodes.jsonl": "86ff79c467b4a73feba5223fb07da6cbea92de1f43e96405da05b30b2ab32918",
     "compositional-single/graphs.json": "da405a09c3051dc05db992b0ec368164152ea5073177bed405c9c68485405d6e",
     "compositional-single/metrics.json": "0d304e91114d9fa4fc7877f9b5696502c94d831f2b390e3f13d66de74614fcb5",
     "compositional-single/metrics.txt": "9b3ecbfc250da25fdeab6b42e96a9d48c4c72550916740babb79250042c99853",
     "compositional-single/specs.json": "2f6943733dba2ae7c5df3edf54e012310601f8bd2fe5456de5e2ca23e7f4df20",
     "compositional-single/world.json": "0c47ebca5e398c20e791fd08883e272906c5e1c3a6f7567e310f63d7164912c9",
     "config.json": "0885ba255bbc65f92e32c3e6cb8890683a92496c04a9830ca2a8de68e1e0a6ba",
-    "distractor/episodes.jsonl": "9e1ea80737d1721fa6d4ef2817fef6b904875e69d7c52c0a3ef5e29c84e276ad",
+    "distractor/episodes.jsonl": "0818554a746603e620f2e0d680bc0084830a0e82390bcc236aa95c9db6eecf63",
     "distractor/graphs.json": "4efa27007c252a0087a2a076825ee4fec3cb095c0b4ccc16ea0d8fbb9492a942",
     "distractor/metrics.json": "38d75ea67a7b3708b681c1ac6b104356389110edb2c8765721f92e2cab75d785",
     "distractor/metrics.txt": "0ea1adcbbe58d4f89981940a97b1ec2528e6bc8e7239a028f8e3444c9ab8b71f",
@@ -334,13 +335,13 @@ RUN_ALL_SEED0_SHA256 = {
     "distractor/world.json": "d43eb9d27794046e0863e2ec40210e1914e8749a9fc12fdd10c6015c354794f9",
     "metrics.json": "1cd508f87302e58e49eff0678ab6862bb93d2a08c6a5c963445f0dfd272c56ed",
     "metrics.txt": "bd73d4e56ea6cb6b75cb96dde79d2b28cafbc6867542b39e63934e18023852a0",
-    "temporal-context/episodes.jsonl": "3ff883e4806f21700cd1d391f477ed560b65d0a284ad52a368813cc0ec416b33",
+    "temporal-context/episodes.jsonl": "580d3e94a91d5e2d2b328934f7cd6df9e95f246138035a37d3270f574bbf0c58",
     "temporal-context/graphs.json": "073ece49ec41a1eec46a2572b4d979c016dcb6e13a2004c627b6b867f1776e36",
     "temporal-context/metrics.json": "999d4829db6e815bd3213f4be1783358bff4e11909893fb438ce12226e4ed37a",
     "temporal-context/metrics.txt": "2e5b807005945396e3d049ae28e2d27b78321a5276d858e3af7474eb07612e13",
     "temporal-context/specs.json": "0cc452f0c6f1b71c874af4698b8ffe51d8a615f9b3ab2296136db330f20162d5",
     "temporal-context/world.json": "505931ba726c8929f674f3b57679f4efb77105a696cf7aa7a2215e3c6dd17600",
-    "temporal-object/episodes.jsonl": "5e5b7b0edbbcb1d799f429dbc3883d7f95db935a7a6e19b69d8f00bf161e4f3f",
+    "temporal-object/episodes.jsonl": "cee1e9f78895cbacc9472bb77b6f4c812acfd797ddb769df3b5cf966d4373d07",
     "temporal-object/graphs.json": "57096d27dd5a74a8000d7710a80ecc94af0474d59cf3830549df88a4188898be",
     "temporal-object/metrics.json": "93fcde595fbd388a2eaff7906610b6a1ffbbbdc91258981f06c8c1fa5bf560df",
     "temporal-object/metrics.txt": "5a4c2cea950c818ab8767e502300cae3e0de8f4e65f234fe92abd406859cf540",

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_descents, reference_ground, reference_steer
+from conftest import reference_descents, reference_ground, reference_segment_free, reference_steer
 from polar import agent
 from polar.agent import (
     CategoryMatcher,
@@ -22,6 +24,7 @@ from polar.agent import (
     plan_high,
     run_episode,
 )
+from polar.cli import main as cli_main
 from polar.distiller import EpisodeLog, TrajectoryStep, memorize, no_prior_room, trajectory_last_room
 from polar.encoder import DEFAULT_ENCODER, EncoderConfig, encode
 from polar import evaluation
@@ -29,8 +32,25 @@ from polar.evaluation import MODES, evaluate
 from polar.errors import ExplorationExhausted, GroundingFailed, RejectedInput
 from polar.graph import MemoryGraph
 from polar.retrieval import MemorySettings, retrieve
-from polar.scenarios import _KEY_POOL, _VALUE_POOL, ScenarioSpec, _acq_instruction, _eval_instruction
-from polar.world import ACTION_START, HEADINGS, MOVE_FORWARD, STOP, TURN_LEFT, TURN_RIGHT, AgentState, SceneGraph, gen_world
+from polar.scenarios import _KEY_POOL, _VALUE_POOL, ScenarioSpec, _acq_instruction, _eval_instruction, gen_scenarios
+from polar.world import (
+    ACTION_START,
+    HEADINGS,
+    MOVE_FORWARD,
+    STOP,
+    STRIDE_M,
+    TURN_LEFT,
+    TURN_RIGHT,
+    VISIBILITY_HALF_ANGLE_DEG,
+    VISIBILITY_RANGE_M,
+    AgentState,
+    SceneGraph,
+    World,
+    angle_diff_deg,
+    bearing_deg,
+    gen_world,
+    heading_vector,
+)
 
 
 def _scene() -> SceneGraph:
@@ -67,14 +87,16 @@ def _point_in_cell(draw, cells):
     iy, ix = cells[draw(st.integers(0, len(cells) - 1))]
     fx, fy = (draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)) for _ in range(2))
     res = _STEER_WORLD.resolution
-    return ((int(ix) + fx) * res, (int(iy) + fy) * res)
+    # a fraction just below 1 can round up onto the next cell's edge: keep it inside
+    return tuple(min((int(i) + f) * res, math.nextafter((int(i) + 1) * res, 0.0)) for i, f in ((ix, fx), (iy, fy)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_descents_and_steering_sequences_match_scalar_loop(data):
     """Positions reused with new goals and goal cells reached through different goal
-    points, on two Worlds of one grid: the cached descents must never go stale."""
+    points, on two Worlds of one grid: the cached descents must never go stale, and
+    a step forward that reuses them moves exactly when the stride is free."""
     free = _STEER_WORLD._nav.free_cells
     positions = data.draw(st.lists(_point_in_cell(free), min_size=1, max_size=3))
     # goal cells may be walls, whose points snap to the nearest free cell
@@ -93,6 +115,11 @@ def test_descents_and_steering_sequences_match_scalar_loop(data):
         assert list(world.descents(pos, goal)) == reference_descents(world, pos, goal)
         state = AgentState(pos, heading)
         assert _steer_action(world, state, goal) == reference_steer(world, state, goal)
+        ux, uy = heading_vector(heading)
+        end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
+        moved_to, observation, _ = world.step(state, MOVE_FORWARD, frozenset())
+        free = reference_segment_free(world, pos, end)
+        assert (moved_to.position, observation.blocked) == ((end, False) if free else (pos, True))
 
 
 # -- sweep policy --------------------------------------------------------------
@@ -363,6 +390,101 @@ def test_run_episode_validates_inputs():
     with pytest.raises(RejectedInput):
         run_episode(world, "go", _decision(), gold_object_id="mug_01",
                     start=AgentState((0.0, 0.0), 0))
+
+
+def _walk(log: EpisodeLog) -> tuple:
+    """Everything of an episode but its views."""
+    steps = [(s.position, s.heading, s.action, s.room) for s in log.trajectory]
+    return steps, log.success, log.final_position
+
+
+def _run_fully_observed(world, instruction, decision, **rest) -> EpisodeLog:
+    """run_episode on observations of every object, whatever the watch set."""
+    full_observe = World.observe
+
+    def observe_all(self, state, blocked=False, watch=None):
+        return full_observe(self, state, blocked)
+
+    with mock.patch.object(World, "observe", observe_all):
+        return run_episode(world, instruction, decision, **rest)
+
+
+def _assert_watched_equals_full(world, instruction, decision, **rest) -> EpisodeLog:
+    """The watched episode walks as the fully observed one does, and each step's
+    ids are the full view's ids of watched objects (of the chosen one, once known)."""
+    watched = run_episode(world, instruction, decision, **rest)
+    full = _run_fully_observed(world, instruction, decision, **rest)
+    assert _walk(watched) == _walk(full)
+    watch = agent._watch(world, decision)
+    for w, f in zip(watched.trajectory, full.trajectory):
+        if decision.chosen_object_id:
+            assert w.visible_object_ids == [oid for oid in f.visible_object_ids if oid in watch]
+        else:
+            assert set(w.visible_object_ids) <= set(f.visible_object_ids) & watch
+    return watched
+
+
+def test_watched_episodes_match_fully_observed_ones_over_run_all_seed0(tmp_path, monkeypatch, capsys):
+    """All 360 acquisition and 75 evaluation episodes of `run-all --seed 0`."""
+    episodes = []
+
+    def checked_run_episode(world, instruction, decision, **rest):
+        episodes.append(_assert_watched_equals_full(world, instruction, decision, **rest))
+        return episodes[-1]
+
+    monkeypatch.setattr(evaluation, "run_episode", checked_run_episode)
+    assert cli_main(["run-all", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(episodes) == 435
+
+
+_EPISODE_WORLDS = [gen_world(0, 5, [("mug", 2), ("vase", 1)]), gen_world(4, 8, [("lamp", 3), ("keys", 2), ("watch", 1)])]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_watched_episodes_match_fully_observed_ones_for_any_decision(data):
+    """Grounded (right, wrong or unknown object), category-only (present or absent
+    category) and ungrounded decisions, from random starts, with or without a prior room."""
+    world = _EPISODE_WORLDS[data.draw(st.integers(0, len(_EPISODE_WORLDS) - 1))]
+    ids = sorted(world.objects)
+    categories = sorted({obj.category for obj in world.objects.values()})
+    kind = data.draw(st.sampled_from(["grounded", "category", "ungrounded"]))
+    if kind == "grounded":
+        oid = data.draw(st.sampled_from(ids + ["ghost_01"]))
+        decision = GroundingDecision(oid, oid.split("_")[0], None, "drawn")
+    elif kind == "category":
+        decision = GroundingDecision("", data.draw(st.sampled_from(categories + ["unicorn"])), None, "drawn")
+    else:
+        decision = GroundingDecision("", "", None, "drawn")
+    decision = dataclasses.replace(decision, prior_room=data.draw(st.none() | st.sampled_from(world.room_names)))
+    iy, ix = world._nav.free_cells[data.draw(st.integers(0, len(world._nav.free_cells) - 1))]
+    start = AgentState(world.cell_center((int(ix), int(iy))), data.draw(st.sampled_from(HEADINGS)))
+    gold = data.draw(st.sampled_from(ids))
+    _assert_watched_equals_full(world, "find it", decision, gold_object_id=gold, start=start)
+
+
+def test_acquire_traces_only_watched_sightlines():
+    """One fixed spec's acquisition traces a sightline at most once per distinct
+    (position, watched object) pair that falls in a view cone; every acquisition
+    episode watches its target alone."""
+    spec = gen_scenarios(0, "compositional-single", 1)[0]
+    with mock.patch.object(World, "line_of_sight", autospec=True, side_effect=World.line_of_sight) as los:
+        logs = evaluation.acquire(spec)
+    pairs = set()
+    scripts = sorted(spec.scripts, key=lambda s: (s.timestamp, s.target_object_id))
+    for script, log in zip(scripts, logs):
+        ox, oy = script.object_position
+        for step in log.trajectory:
+            (px, py), heading = step.position, step.heading
+            dist = math.hypot(ox - px, oy - py)
+            if dist < 1e-9 or not np.hypot(ox - px, oy - py) <= VISIBILITY_RANGE_M + 1e-9:
+                continue
+            bearing = bearing_deg(step.position, script.object_position)
+            views = ((heading + offset) % 360 for offset in (0, -90, 90))
+            if any(angle_diff_deg(bearing, view) <= VISIBILITY_HALF_ANGLE_DEG + 1e-9 for view in views):
+                pairs.add((step.position, script.target_object_id, script.object_position))
+    assert 0 < los.call_count <= len(pairs)
 
 
 def _probe_spec(objects: list[tuple[str, int]], instruction: str) -> ScenarioSpec:

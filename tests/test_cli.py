@@ -465,6 +465,11 @@ def _quoted_bool(key: str):
     return lambda text: re.sub(f'("{key}": )(true|false)', r'\g<1>"false"', text, count=1)
 
 
+def _quoted_number(key: str):
+    """The staged file with the first number value of key replaced by that number as a string."""
+    return lambda text: re.sub(f'("{key}": )(-?[0-9][0-9.eE+-]*)', r'\g<1>"\g<2>"', text, count=1)
+
+
 def _object_missing(text: str) -> str:
     """The staged specs with the last world object's category renamed, so that a
     script names an object the spec's world lacks."""
@@ -499,6 +504,14 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         ("--metrics", "metrics", _retyped("kind")),
         ("--episodes", "episodes", _quoted_bool("success")),
         ("--graphs", "graphs", _quoted_bool("active")),
+        ("--episodes", "episodes", _quoted_number("timestamp")),
+        ("--episodes", "episodes", _quoted_number("heading")),
+        ("--episodes", "episodes", lambda text: re.sub(r'"position": \[[^]]*\]', '"position": ["0.5", 1]', text, count=1)),
+        ("--episodes", "episodes", lambda text: re.sub(r'("heading": )(\d+)', r"\g<1>\g<2>.0", text, count=1)),
+        ("--specs", "specs", _quoted_number("agent_heading")),
+        ("--specs", "specs", lambda text: re.sub(r'("eval_gold_position": \[\s*)([0-9.]+)', r'\g<1>"\g<2>"', text, count=1)),
+        ("--graphs", "graphs", _quoted_number("timestamp")),
+        ("--graphs", "graphs", _quoted_number("semantic")),
         ("acquire --specs", "specs", _object_missing),
     ],
     ids=[
@@ -507,6 +520,8 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         "specs-1e400", "episodes-1e400", "metrics-1e400", "metrics-sr-string",
         "graphs-statement-number", "specs-eval-instruction-number", "episodes-instruction-number",
         "metrics-mode-number", "metrics-kind-number", "episodes-success-string", "graphs-active-string",
+        "episodes-timestamp-string", "episodes-heading-string", "episodes-position-strings", "episodes-heading-float",
+        "specs-heading-string", "specs-position-string", "graphs-timestamp-string", "graphs-counter-string",
         "acquire-specs-object-missing",
     ],
 )

@@ -26,7 +26,7 @@ from polar.distiller import (
 )
 from polar.errors import ParseError, RejectedInput
 from polar.evaluation import acquire
-from polar.fileio import MALFORMED, as_bool, as_text
+from polar.fileio import MALFORMED, as_bool, as_float, as_int, as_text
 from polar.graph import MemoryGraph
 from polar.scenarios import gen_scenarios
 from polar.world import ACTION_START, MOVE_FORWARD, STOP, TURN_RIGHT
@@ -244,13 +244,14 @@ def test_episode_from_json_rejects_missing_fields():
 
 
 def _reference_episode_from_json(doc: dict) -> EpisodeLog:
-    """The record parser as it read before the lean trajectory loop: as_text per
-    field and per visible id. The oracle for the lean one."""
+    """The record parser as it read before the lean trajectory loop, with one check
+    call per value: as_text per field and per visible id, as_int and as_float per
+    number. The oracle for the lean one."""
     try:
         feat = doc["reference_feature"]
         episode = EpisodeLog(
             episode_id=as_text(doc["episode_id"]),
-            timestamp=int(doc["timestamp"]),
+            timestamp=as_int(doc["timestamp"]),
             instruction=as_text(doc["instruction"]),
             facts=[(as_text(k), as_text(v)) for k, v in doc["facts"]],
             reference_feature=None if feat is None else np.asarray(feat, dtype=np.float64),
@@ -258,8 +259,8 @@ def _reference_episode_from_json(doc: dict) -> EpisodeLog:
             target_category=as_text(doc["target_category"]),
             trajectory=[
                 TrajectoryStep(
-                    position=(float(s["position"][0]), float(s["position"][1])),
-                    heading=int(s["heading"]),
+                    position=(as_float(s["position"][0]), as_float(s["position"][1])),
+                    heading=as_int(s["heading"]),
                     action=as_text(s["action"]),
                     room=as_text(s["room"]),
                     visible_object_ids=[as_text(oid) for oid in s["visible_object_ids"]],
@@ -267,7 +268,7 @@ def _reference_episode_from_json(doc: dict) -> EpisodeLog:
                 for s in doc["trajectory"]
             ],
             success=as_bool(doc["success"]),
-            final_position=(float(doc["final_position"][0]), float(doc["final_position"][1])),
+            final_position=(as_float(doc["final_position"][0]), as_float(doc["final_position"][1])),
         )
     except MALFORMED as exc:
         raise ParseError(f"malformed episode record: {exc}") from exc

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polar.errors import EncoderUnavailable, ParseError
-from polar.fileio import dump_json, load_json, post_json, read_json, read_json_lines, render_json
+from polar.fileio import as_float, as_int, dump_json, load_json, post_json, read_json, read_json_lines, render_json
 
 
 def test_post_json_returns_reply_object(stub):
@@ -134,3 +134,18 @@ def test_dump_json_writes_the_rendering_and_a_newline(tmp_path):
     path = tmp_path / "doc.json"
     dump_json(str(path), doc)
     assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [True, False, "12", "0.5", 12.0, 12.9, None, [1], {}])
+def test_as_int_takes_only_json_integers(value):
+    assert as_int(7) == 7 and type(as_int(-3)) is int
+    with pytest.raises(TypeError):
+        as_int(value)
+
+
+@pytest.mark.parametrize("value", [True, False, "12", "0.5", None, [0.5], {}])
+def test_as_float_takes_only_json_numbers(value):
+    assert as_float(0.5) == 0.5
+    assert as_float(3) == 3.0 and type(as_float(3)) is float
+    with pytest.raises(TypeError):
+        as_float(value)

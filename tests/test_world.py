@@ -23,6 +23,7 @@ from polar.world import (
     VISIBILITY_RANGE_M,
     WALL,
     AgentState,
+    SceneGraph,
     World,
     angle_diff_deg,
     bearing_deg,
@@ -292,6 +293,19 @@ def test_world_load_rejects_bad_documents(tmp_path, small_world):
         World.load(str(path))
 
 
+@pytest.mark.parametrize("field, value", [("position", ["0.5", 1.0]), ("position", [True, 1.0]), ("resolution", "0.25")])
+def test_world_load_refuses_quoted_numbers(tmp_path, small_world, field, value):
+    doc = small_world.to_json()
+    if field == "position":
+        doc["objects"][0]["position"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        World.load(str(path))
+
+
 def test_render_ascii_shape(small_world):
     art = small_world.render_ascii()
     *rows, legend = art.splitlines()
@@ -481,23 +495,35 @@ _MOVED_WORLDS = [
 ]
 
 
+def _watched(views, watch):
+    """views cut to the rows of objects in watch (every row when watch is None)."""
+    return [[row for row in view if watch is None or row[0] in watch] for view in views]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.data())
 def test_observe_sequences_match_uncached_loop(data):
-    """Every heading in turn at one position, positions revisited out of order and
-    on the moved-object copy: the cached sightings must never go stale."""
+    """Every heading in turn at one position, positions revisited out of order, on
+    the moved-object copy and with another watch set (or none): the cached sightings
+    must never go stale, and a watched observation is the full one cut to its watch."""
     pick = data.draw(st.integers(0, len(_DIFF_WORLDS) - 1))
     worlds = (_DIFF_WORLDS[pick], _MOVED_WORLDS[pick])
     pool = data.draw(st.lists(_positions(worlds[0]).filter(worlds[0].in_bounds), min_size=1, max_size=3))
+    ids = sorted(worlds[0].objects) + ["ghost_01"]
+    watches = st.none() | st.frozensets(st.sampled_from(ids))
     visits = data.draw(
-        st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans(), st.permutations(HEADINGS)), min_size=1, max_size=6)
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.booleans(), st.permutations(HEADINGS), watches),
+            min_size=1,
+            max_size=6,
+        )
     )
-    for at, moved, headings in visits:
+    for at, moved, headings, watch in visits:
         world = worlds[moved]
         for heading in headings:
             state = AgentState(pool[at], heading)
-            got = list(world.observe(state).views)
-            assert got == _reference_observe(world, state)
+            got = list(world.observe(state, watch=watch).views)
+            assert got == _watched(_reference_observe(world, state), watch)
 
 
 def test_in_place_scan_traces_each_sightline_at_most_once():
@@ -522,6 +548,101 @@ def test_in_place_scan_traces_each_sightline_at_most_once():
     for heading, observation in zip((0, 30, 60, 90), observations):
         got = list(observation.views)
         assert got == _reference_observe(world, AgentState(pos, heading))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_world_positions(), st.sampled_from(HEADINGS), st.data())
+def test_watched_range_test_matches_the_full_one_at_the_boundary(world_pos, heading, data):
+    """Positions on and near the 5 m range of an object: watching that object alone
+    sees it exactly when the full observation does."""
+    world, pos = world_pos
+    if not world.in_bounds(pos):
+        return
+    oid = data.draw(st.sampled_from(sorted(world.objects)))
+    state = AgentState(pos, heading)
+    full = world.observe(state)
+    assert list(world.observe(state, watch=frozenset((oid,))).views) == _watched(full.views, {oid})
+
+
+# positions about 5 m from small_world's mug_01, found by stepping y one ulp at a time
+# around the range circle, where numpy's and math's hypot disagree on the range test
+@pytest.mark.parametrize("pos", [(10.012507175897758, 0.6117991773768973), (9.424451501935113, 1.0335823812640983)])
+def test_watched_range_test_is_numpys_where_math_hypot_differs(small_world, pos):
+    mug = small_world.objects["mug_01"].position
+    dx, dy = mug[0] - pos[0], mug[1] - pos[1]
+    limit = VISIBILITY_RANGE_M + 1e-9
+    assert bool(np.hypot(dx, dy) <= limit) != (math.hypot(dx, dy) <= limit)
+    state = AgentState(pos, 30)
+    want = _watched(_reference_observe(small_world, state), {"mug_01"})
+    assert list(small_world.observe(state, watch=frozenset({"mug_01"})).views) == want
+
+
+def test_room_centers_are_computed_once_per_grid_and_read_only(small_world):
+    moved = small_world.move_object("vase_01", small_world.build_scene_graph().waypoints["kitchen"])
+    for margin in (0, 1, 3):
+        centers = small_world.room_centers("kitchen", margin)
+        assert not centers.flags.writeable
+        assert moved.room_centers("kitchen", margin) is centers
+        cells = sorted(small_world.room_cells("kitchen", margin))
+        assert centers.tolist() == [[(ix + 0.5) * RESOLUTION, (iy + 0.5) * RESOLUTION] for ix, iy in cells]
+        with pytest.raises(ValueError):
+            centers[0, 0] = 0.0
+    with pytest.raises(RejectedInput):
+        small_world.room_centers("attic")
+
+
+def _reference_neighbors(scene, room):
+    """SceneGraph.neighbors as a scan of every edge."""
+    return sorted([b for a, b in scene.edges if a == room] + [a for a, b in scene.edges if b == room])
+
+
+def _reference_bfs_path(scene, src, dst):
+    """SceneGraph.bfs_path as a breadth-first search per call, stopping at dst."""
+    if src == dst:
+        return []
+    prev = {src: src}
+    queue = [src]
+    while queue:
+        here = queue.pop(0)
+        for nxt in _reference_neighbors(scene, here):
+            if nxt in prev:
+                continue
+            prev[nxt] = here
+            if nxt == dst:
+                path = [dst]
+                while prev[path[-1]] != src:
+                    path.append(prev[path[-1]])
+                return list(reversed(path))
+            queue.append(nxt)
+    return None
+
+
+_ROOMS = ("hallway", "kitchen", "den", "pantry", "study", "attic")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, len(_ROOMS)),
+    st.lists(st.tuples(st.sampled_from(_ROOMS), st.sampled_from(_ROOMS)), max_size=12),
+    st.lists(st.tuples(st.sampled_from(_ROOMS), st.sampled_from(_ROOMS)), min_size=1, max_size=8),
+)
+def test_scene_graph_tables_match_per_call_search(n_rooms, edges, queries):
+    """Neighbour lists and hop trees built once give the per-call scan's results,
+    with duplicate edges, self-loops, unreachable rooms and edges to unknown rooms."""
+    rooms = list(_ROOMS[:n_rooms])
+    scene = SceneGraph(rooms, edges, {room: (float(i), 0.0) for i, room in enumerate(rooms)})
+    for room in _ROOMS:
+        assert scene.neighbors(room) == _reference_neighbors(scene, room)
+    for src, dst in queries:
+        if src not in rooms or dst not in rooms:
+            with pytest.raises(RejectedInput):
+                scene.bfs_path(src, dst)
+            with pytest.raises(RejectedInput):
+                scene.hop_distance(src, dst)
+            continue
+        path = _reference_bfs_path(scene, src, dst)
+        assert scene.bfs_path(src, dst) == path
+        assert scene.hop_distance(src, dst) == (len(path) if path is not None else len(rooms) + 1)
 
 
 def test_line_of_sight_is_false_past_every_edge():
