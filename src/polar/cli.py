@@ -55,7 +55,7 @@ from .evaluation import (
     world_for_spec,
     write_report,
 )
-from .fileio import atomic_write_text, dump_json, read_json
+from .fileio import MALFORMED, atomic_write_text, dump_json, read_json, record_from_json
 from .retrieval import DEFAULT_SETTINGS, MemorySettings
 from .scenarios import DEFAULT_N_ROOMS, KINDS, gen_scenarios, load_specs, save_specs
 from .world import gen_world
@@ -96,16 +96,12 @@ class PipelineConfig:
 
 
 _HINTS = typing.get_type_hints(PipelineConfig)
-# the JSON type a config file gives each field: a list for a tuple, str for `str | None`
-_FILE_TYPES = {
-    name: list if typing.get_origin(hint) is tuple else (typing.get_args(hint) or (hint,))[0]
-    for name, hint in _HINTS.items()
-}
-# the `str | None` fields, which a config file's null leaves unset
-_NULLABLE = {name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)}
 
 
 def _load_config(path: str | None) -> dict:
+    """The fields a config file sets, each read by the record codec for its hint (so
+    an int widens to a float and a bool is no number); null leaves a `str | None`
+    field unset."""
     if path is None:
         return {}
     doc = read_json(path)
@@ -113,16 +109,14 @@ def _load_config(path: str | None) -> dict:
         raise ParseError("config file must hold a flat object")
     config = {}
     for key, value in doc.items():
-        if key not in _FILE_TYPES:
+        if key not in _HINTS:
             raise RejectedInput(f"unknown config field {key!r}")
-        if value is None and key in _NULLABLE:
-            continue
-        want = _FILE_TYPES[key]
-        if want is float and type(value) is int:  # JSON writes 1.0 as 1; a bool stays rejected
-            value = float(value)
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise RejectedInput(f"config field {key!r} must be {want.__name__}")
-        config[key] = value
+        try:
+            value = record_from_json(_HINTS[key], value)
+        except MALFORMED as exc:
+            raise RejectedInput(f"config field {key!r}: {exc}") from exc
+        if value is not None:
+            config[key] = value
     return config
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, DEFAULT_ENCODER, encode
 from .errors import ParseError, RejectedInput
-from .fileio import MALFORMED, as_bool, as_float, as_int, as_text, atomic_write_text, read_json_lines
+from .fileio import MALFORMED, atomic_write_text, read_json_lines, record_from_json, record_to_json
 from .graph import MemoryGraph
 from .world import MOVE_FORWARD
 
@@ -62,9 +62,9 @@ class EpisodeLog:
     def validate(self) -> None:
         if not self.trajectory:
             raise RejectedInput(f"episode {self.episode_id!r} has an empty trajectory")
-        for step in self.trajectory:
-            if step.heading % 30 != 0 or not (0 <= step.heading < 360):
-                raise RejectedInput(f"heading {step.heading} is not a multiple of 30 in [0, 330]")
+        for heading in sorted({step.heading for step in self.trajectory}):
+            if heading % 30 != 0 or not (0 <= heading < 360):
+                raise RejectedInput(f"heading {heading} is not a multiple of 30 in [0, 330]")
 
 
 @dataclass
@@ -229,71 +229,9 @@ def memorize(
 # -- episode files (one JSON object per line) ------------------------------
 
 
-def episode_to_json(episode: EpisodeLog) -> dict:
-    return {
-        "episode_id": episode.episode_id,
-        "timestamp": episode.timestamp,
-        "instruction": episode.instruction,
-        "facts": [[k, v] for k, v in episode.facts],
-        "reference_feature": None if episode.reference_feature is None else episode.reference_feature.tolist(),
-        "target_object_id": episode.target_object_id,
-        "target_category": episode.target_category,
-        "trajectory": [
-            {
-                "position": [s.position[0], s.position[1]],
-                "heading": s.heading,
-                "action": s.action,
-                "room": s.room,
-                "visible_object_ids": s.visible_object_ids,
-            }
-            for s in episode.trajectory
-        ],
-        "success": episode.success,
-        "final_position": [episode.final_position[0], episode.final_position[1]],
-    }
-
-
-_NUMBERS = (int, float)  # the JSON number types as_float takes; bool is neither
-
-
-def _trajectory_from_json(steps: list) -> list[TrajectoryStep]:
-    """The trajectory of an episode record, in one loop with no call per value: the
-    checks of as_float, as_int and as_text are inlined, a step's id list must be a
-    JSON list, and str.join raises TypeError on a non-string."""
-    trajectory = []
-    append = trajectory.append
-    for s in steps:
-        position = s["position"]
-        x = position[0]
-        y = position[1]
-        heading = s["heading"]
-        action = s["action"]
-        room = s["room"]
-        ids = s["visible_object_ids"]
-        if type(x) not in _NUMBERS or type(y) not in _NUMBERS or type(heading) is not int:
-            raise TypeError("a step's position must hold two numbers and its heading must be an integer")
-        if not isinstance(action, str) or not isinstance(room, str) or type(ids) is not list:
-            raise TypeError("a step's action and room must be strings and its visible_object_ids a list")
-        "".join(ids)
-        append(TrajectoryStep((float(x), float(y)), heading, action, room, ids[:]))
-    return trajectory
-
-
 def episode_from_json(doc: dict) -> EpisodeLog:
     try:
-        feat = doc["reference_feature"]
-        episode = EpisodeLog(
-            episode_id=as_text(doc["episode_id"]),
-            timestamp=as_int(doc["timestamp"]),
-            instruction=as_text(doc["instruction"]),
-            facts=[(as_text(k), as_text(v)) for k, v in doc["facts"]],
-            reference_feature=None if feat is None else np.asarray(feat, dtype=np.float64),
-            target_object_id=as_text(doc["target_object_id"]),
-            target_category=as_text(doc["target_category"]),
-            trajectory=_trajectory_from_json(doc["trajectory"]),
-            success=as_bool(doc["success"]),
-            final_position=(as_float(doc["final_position"][0]), as_float(doc["final_position"][1])),
-        )
+        episode = record_from_json(EpisodeLog, doc)
     except MALFORMED as exc:
         raise ParseError(f"malformed episode record: {exc}") from exc
     episode.validate()
@@ -301,7 +239,7 @@ def episode_from_json(doc: dict) -> EpisodeLog:
 
 
 def save_episodes(episodes: list[EpisodeLog], path: str) -> None:
-    lines = [json.dumps(episode_to_json(e), sort_keys=True) for e in episodes]
+    lines = [json.dumps(record_to_json(e), sort_keys=True) for e in episodes]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EncoderUnavailable, RejectedInput
-from .fileio import MALFORMED, post_json
+from .fileio import MALFORMED, as_vector, post_json
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -119,10 +119,10 @@ def encode_batch(texts: list[str], config: EncoderConfig = DEFAULT_ENCODER) -> l
     out = []
     for row in rows:
         try:
-            arr = np.asarray(row, dtype=np.float64)
+            arr = as_vector(row)
         except MALFORMED as exc:
             raise EncoderUnavailable(f"embedding is not numeric: {exc}") from exc
-        if arr.ndim != 1 or arr.shape[0] != config.dim:
+        if arr.shape[0] != config.dim:
             raise EncoderUnavailable(f"embedding dimension mismatch: got {arr.shape}, want ({config.dim},)")
         if not np.isfinite(arr).all():
             raise EncoderUnavailable("embedding holds NaN or infinity")

@@ -50,7 +50,7 @@ from .distiller import (
 )
 from .encoder import EncoderConfig
 from .errors import ConfigurationError, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, as_text, atomic_write_text, dump_json, load_json
+from .fileio import FORMAT_VERSION, MALFORMED, atomic_write_text, dump_json, load_json, record_from_json, record_to_json
 from .graph import MemoryGraph
 from .retrieval import DEFAULT_SETTINGS, MemorySettings, RetrievalResult, raw_retrieve, recall_at_k, retrieve
 from .scenarios import ScenarioSpec
@@ -222,16 +222,7 @@ class MetricsReport:
             self.recall[name] = sum(present) / len(present) if present else None
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "kind": self.kind,
-            "n": self.n,
-            "sr": self.sr,
-            "spl": self.spl,
-            "cm": self.cm,
-            "recall": dict(self.recall),
-            "rows": list(self.rows),
-        }
+        return record_to_json(self)
 
 
 def spl_term(success: bool, path_m: float, shortest_m: float) -> float:
@@ -375,7 +366,7 @@ def load_reports(path: str) -> list[MetricsReport]:
     reports = []
     for doc in load_json(path, "reports", list):
         try:
-            report = MetricsReport(as_text(doc["mode"]), as_text(doc["kind"]), list(doc["rows"]))
+            report = record_from_json(MetricsReport, doc)
         except MALFORMED as exc:
             raise ParseError(f"malformed metrics report: {exc}") from exc
         if report.mode not in MODES:

@@ -6,23 +6,40 @@ indent makes json fall back to its slow pure-Python encoder. Every persisted
 file is read through `read_json`, `read_json_lines` or `load_json` (which
 also checks the format_version and the type of the one top-level container),
 so any input that is not UTF-8 JSON of the expected shape raises ParseError;
-record parsers map the exceptions in `MALFORMED` to ParseError as well, and
-check that their text and id fields are strings, their flags booleans and
-their numbers JSON numbers (mostly through `as_text`, `as_bool`, `as_int` and
-`as_float`).
+loaders map the exceptions in `MALFORMED` to ParseError as well.
+
+The record codec reads and writes every persisted record (specs, episodes,
+graph nodes and edges, world objects) from its dataclass annotations:
+`record_to_json` writes a record as a JSON object keyed by its field names,
+and `record_from_json` reads one back. Keys a record has no field for are
+ignored, and every field's key is required but one whose default is None. A
+str, int, float or bool must be that JSON type (`as_text`, `as_int`,
+`as_float`, which widens an int, and `as_bool`), a tuple or list a JSON list
+(a fixed tuple of exactly its length), and an np.ndarray a JSON list of
+numbers (`as_vector`). A value of another type raises FieldError, whose
+message names the path to it (`trajectory[2].visible_object_ids: expected a
+list, got str`). Each hint's reader and writer is built once; a list of
+records is read a column at a time.
 `post_json` is the JSON-over-POST client of the remote encoder, on
 `urllib.request`; every fault it meets raises EncoderUnavailable.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import http.client
+import itertools
 import json
+import operator
 import os
 import tempfile
+import typing
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import EncoderUnavailable, ParseError
 
@@ -33,9 +50,9 @@ FORMAT_VERSION = 1
 MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def as_text(value: object, optional: bool = False) -> str | None:
-    """value if it is a str (or None, where optional); TypeError, one of MALFORMED, otherwise."""
-    if isinstance(value, str) or (optional and value is None):
+def as_text(value: object) -> str:
+    """value if it is a str; TypeError, one of MALFORMED, otherwise."""
+    if isinstance(value, str):
         return value
     raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
 
@@ -59,6 +76,176 @@ def as_float(value: object) -> float:
     if type(value) in (float, int):
         return float(value)
     raise TypeError(f"expected a number, got {type(value).__name__} {value!r}")
+
+
+def as_object(value: object) -> dict:
+    """value if it is a JSON object; TypeError otherwise."""
+    if type(value) is dict:
+        return value
+    raise TypeError(f"expected an object, got {type(value).__name__}")
+
+
+def as_vector(value: object) -> np.ndarray:
+    """value as a float64 vector if it is a JSON list of numbers; TypeError otherwise
+    (np.asarray would read "0.5" and true as numbers, null as NaN, and a number)."""
+    if type(value) is list and set(map(type, value)) <= {float, int}:
+        return np.array(value, dtype=np.float64)
+    got = type(value).__name__
+    if type(value) is list:
+        got = "a list holding " + ", ".join(sorted({t.__name__ for t in map(type, value)} - {"float", "int"}))
+    raise TypeError(f"expected a list of numbers, got {got}")
+
+
+# -- the record codec -------------------------------------------------------------
+
+
+class FieldError(TypeError):
+    """A JSON value of the wrong type; the message starts with the path to it."""
+
+
+def _under(step: str | int, exc: Exception) -> FieldError:
+    """exc, raised reading the value at step (a field name or a list index), with
+    step put in front of its path."""
+    text = str(exc)
+    if not isinstance(exc, FieldError):  # the reason itself: the path ends at step
+        text = ": " + text
+    elif not text.startswith("["):  # a field name follows
+        text = "." + text
+    return FieldError((f"[{step}]" if type(step) is int else step) + text)
+
+
+def record_from_json(cls, doc: object):
+    """The cls (a dataclass record, or any hint a record's field has) that a JSON value
+    holds; FieldError, naming the path, on a value of the wrong JSON type."""
+    return _reader(cls)[0](doc)
+
+
+def record_to_json(obj) -> dict:
+    """The JSON object record_from_json reads obj back from."""
+    return _writer(type(obj))(obj)
+
+
+def _each(read, values) -> list:
+    """read of each value, with the index of the one it refuses in the path."""
+    items = []
+    for i, value in enumerate(values):
+        try:
+            items.append(read(value))
+        except (TypeError, OverflowError) as exc:
+            raise _under(i, exc) from None
+    return items
+
+
+_SCALARS = {str: as_text, int: as_int, float: as_float, bool: as_bool, dict: as_object}  # read as themselves
+
+
+@functools.cache
+def _reader(hint) -> tuple:
+    """(one, many, exact) for hint. `one` reads a JSON value. `many` reads a list of
+    them a column at a time, so that a list of records costs a few passes per field;
+    it may raise any of MALFORMED without a path, and the list around it then reads
+    the values one by one to name it. `exact` is the JSON type of a value that reads
+    as itself, if there is one."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:
+        one = _SCALARS[hint]
+        return one, lambda values: values if set(map(type, values)) <= {hint} else list(map(one, values)), hint
+    if hint is np.ndarray:
+        return as_vector, lambda values: list(map(as_vector, values)), None
+    if type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        read = _reader(inner)[0]
+        one = lambda value: None if value is None else read(value)  # noqa: E731
+        return one, lambda values: list(map(one, values)), None
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = []  # (key, get, one, many); only a key whose default is None may be absent
+        for f in dataclasses.fields(hint):
+            if f.init:  # a field the record computes from the others is written, not read
+                get = operator.itemgetter(f.name) if f.default is not None else operator.methodcaller("get", f.name)
+                fields.append((f.name, get, *_reader(hints[f.name])[:2]))
+
+        def one(doc):
+            as_object(doc)
+            values = []
+            for key, get, read, _ in fields:
+                try:
+                    values.append(read(get(doc)))
+                except KeyError:
+                    raise FieldError(f"{key}: missing") from None
+                except (TypeError, OverflowError) as exc:
+                    raise _under(key, exc) from None
+            return hint(*values)
+
+        def many(docs):  # one column per field
+            return list(map(hint, *(read_many(list(map(get, docs))) for _, get, _, read_many in fields)))
+
+        return one, many, None
+    if origin is tuple and Ellipsis not in args:
+        ones, _, shape = zip(*map(_reader, args))
+        n, exact = len(args), set(shape)
+
+        def one(value):
+            if type(value) is list and tuple(map(type, value)) == shape:
+                return tuple(value)
+            if type(value) is not list or len(value) != n:
+                got = f"a list of {len(value)}" if type(value) is list else type(value).__name__
+                raise TypeError(f"expected a list of {n}, got {got}")
+            return tuple(_each(lambda pair: pair[0](pair[1]), zip(ones, value)))
+
+    elif origin in (list, tuple):
+        n, (read_one, read_many, item) = None, _reader(args[0])
+        exact = {item}
+
+        def one(value):
+            if type(value) is not list:
+                raise TypeError(f"expected a list, got {type(value).__name__}")
+            try:
+                return origin(read_many(value))
+            except MALFORMED:
+                return origin(_each(read_one, value))
+
+    else:
+        raise TypeError(f"no JSON reader for {hint!r}")
+
+    def many(values):  # a few passes over lists that each hold values of one exact type
+        if None not in exact and len(exact) == 1 and set(map(type, values)) <= {list}:
+            items = itertools.chain.from_iterable(values)
+            if (n is None or set(map(len, values)) <= {n}) and set(map(type, items)) <= exact:
+                return list(map(origin, values))
+        return list(map(one, values))
+
+    return one, many, None
+
+
+@functools.cache
+def _writer(hint):
+    """What writes a hint's value as JSON; None where the value is its own JSON."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        names = [f.name for f in dataclasses.fields(hint)]
+        converted = [(name, w) for name in names if (w := _writer(hints[name]))]
+
+        def write(record):
+            # by name: reading record.__dict__ would give each record a dict of its own,
+            # which costs memory and slows every later attribute read
+            doc = {name: getattr(record, name) for name in names}
+            for key, w in converted:
+                doc[key] = w(doc[key])
+            return doc
+
+        return write
+    if hint is np.ndarray:
+        return np.ndarray.tolist
+    if type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        write = _writer(inner)
+        return write and (lambda value: None if value is None else write(value))
+    if origin in (list, tuple):
+        item = _writer(args[0]) if origin is list or Ellipsis in args else None
+        return (lambda value: list(map(item, value))) if item else list
+    return dict if dict in (hint, origin) else None
 
 
 def atomic_write_text(path: str, text: str) -> None:

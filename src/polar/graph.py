@@ -10,7 +10,7 @@ new active one, so history stays queryable.
 
 Snapshots. `to_json` stores only what some reader uses: the thresholds, the
 id counters (new ids after a reload), each node's fields and each edge with
-its timestamp (the `neighbors` order). Keys that older version-1 snapshots
+its timestamp (the `neighbors` order), every record through the record codec. Keys that older version-1 snapshots
 carry and nothing reads are ignored on load.
 
 Indexes. Besides the edge list, the graph keeps three edge indexes in step
@@ -51,7 +51,8 @@ import numpy as np
 
 from .encoder import cosine, cosine_from_norms
 from .errors import NotFound, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, as_bool, as_float, as_int, as_text, check_version, dump_json, read_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_float, check_version, dump_json, read_json
+from .fileio import record_from_json, record_to_json
 
 THETA_DEDUP = 0.92  # statements at or above this cosine collapse to one node
 THETA_OBJ = 0.95  # reference features at or above this cosine are the same object
@@ -135,6 +136,17 @@ class _Counters:
     object: int = 1
     semantic: int = 1
     episodic: int = 1
+
+
+@dataclass
+class _Snapshot:
+    """The records of a graph snapshot; its format_version and thresholds are read apart."""
+
+    counters: _Counters
+    object_nodes: list[ObjectNode]
+    semantic_nodes: list[SemanticNode]
+    episodic_nodes: list[EpisodicNode]
+    edges: list[Edge]
 
 
 class MemoryGraph:
@@ -394,46 +406,11 @@ class MemoryGraph:
     # -- persistence ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "counters": {
-                "object": self.counters.object,
-                "semantic": self.counters.semantic,
-                "episodic": self.counters.episodic,
-            },
-            "thresholds": {"theta_dedup": self.theta_dedup, "theta_obj": self.theta_obj},
-            "object_nodes": [
-                {
-                    "object_id": n.object_id,
-                    "category": n.category,
-                    "reference_feature": None if n.reference_feature is None else n.reference_feature.tolist(),
-                }
-                for _, n in sorted(self.objects.items())
-            ],
-            "semantic_nodes": [
-                {
-                    "node_id": n.node_id,
-                    "statement": n.statement,
-                    "embedding": n.embedding.tolist(),
-                }
-                for _, n in sorted(self.semantic.items())
-            ],
-            "episodic_nodes": [
-                {
-                    "node_id": n.node_id,
-                    "episode_id": n.episode_id,
-                    "success": n.success,
-                    "room_sequence": n.room_sequence,
-                    "found_room": n.found_room,
-                    "rendered_text": n.rendered_text,
-                }
-                for _, n in sorted(self.episodic.items())
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "kind": e.kind, "timestamp": e.timestamp, "active": e.active}
-                for e in self.edges
-            ],
-        }
+        nodes = ([index[k] for k in sorted(index)] for index in (self.objects, self.semantic, self.episodic))
+        doc = record_to_json(_Snapshot(self.counters, *nodes, self.edges))
+        doc["format_version"] = FORMAT_VERSION
+        doc["thresholds"] = {"theta_dedup": self.theta_dedup, "theta_obj": self.theta_obj}
+        return doc
 
     def save(self, path: str) -> None:
         dump_json(path, self.to_json())
@@ -447,45 +424,20 @@ class MemoryGraph:
                 theta_dedup=as_float(thresholds.get("theta_dedup", THETA_DEDUP)),
                 theta_obj=as_float(thresholds.get("theta_obj", THETA_OBJ)),
             )
-            counters = doc["counters"]
-            g.counters = _Counters(as_int(counters["object"]), as_int(counters["semantic"]), as_int(counters["episodic"]))
-            for row in doc["object_nodes"]:
-                feat = row["reference_feature"]
-                g.objects[row["object_id"]] = ObjectNode(
-                    as_text(row["object_id"]),
-                    as_text(row["category"]),
-                    None if feat is None else _frozen(np.array(feat, dtype=np.float64)),
-                )
-            for row in doc["semantic_nodes"]:
-                g.semantic[row["node_id"]] = SemanticNode(
-                    as_text(row["node_id"]),
-                    as_text(row["statement"]),
-                    _frozen(np.array(row["embedding"], dtype=np.float64)),
-                )
-            for row in doc["episodic_nodes"]:
-                g.episodic[row["node_id"]] = EpisodicNode(
-                    as_text(row["node_id"]),
-                    as_text(row["episode_id"]),
-                    as_bool(row["success"]),
-                    [as_text(room) for room in row["room_sequence"]],
-                    as_text(row["found_room"], optional=True),
-                    as_text(row["rendered_text"]),
-                )
+            snapshot = record_from_json(_Snapshot, doc)
+            g.counters, g.edges = snapshot.counters, snapshot.edges
+            g.objects = {n.object_id: n for n in snapshot.object_nodes}
+            g.semantic = {n.node_id: n for n in snapshot.semantic_nodes}
+            g.episodic = {n.node_id: n for n in snapshot.episodic_nodes}
             for kind, nodes in (("object", g.objects), ("semantic", g.semantic), ("episodic", g.episodic)):
-                if len(nodes) != len(doc[f"{kind}_nodes"]):
+                if len(nodes) != len(getattr(snapshot, f"{kind}_nodes")):
                     raise ValueError(f"two {kind} nodes share an id")
-            for row in doc["edges"]:
-                g.edges.append(Edge(row["src"], row["dst"], row["kind"], as_int(row["timestamp"]), as_bool(row["active"])))
             for node in g.semantic.values():
-                if node.embedding.ndim != 1:
-                    raise ValueError(f"embedding of {node.node_id!r} is not a vector")
-                g._add_row(node, float(np.linalg.norm(node.embedding)))
+                g._add_row(node, float(np.linalg.norm(_frozen(node.embedding))))
             _check_units(g._row_ids, g._norms[: len(g._row_ids)], "semantic embedding")
             featured = [n for n in g.objects.values() if n.reference_feature is not None]
             if featured:
-                features = np.stack([n.reference_feature for n in featured])  # one dimension per snapshot
-                if features.ndim != 2:
-                    raise ValueError("reference features must be vectors")
+                features = np.stack([_frozen(n.reference_feature) for n in featured])  # one dimension per snapshot
                 _check_units([n.object_id for n in featured], np.linalg.norm(features, axis=1), "reference_feature")
                 g._feature_shape = features.shape[1:]
             g._validate_structure()

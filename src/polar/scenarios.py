@@ -32,7 +32,7 @@ from .agent import OraclePlanner, sweep_room
 from .encoder import cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
 from .distiller import memorize_facts, render_statement
-from .fileio import FORMAT_VERSION, MALFORMED, as_float, as_int, as_text, dump_json, load_json
+from .fileio import FORMAT_VERSION, MALFORMED, dump_json, load_json, record_from_json, record_to_json
 from .graph import MemoryGraph
 from .retrieval import DEFAULT_SETTINGS, MemorySettings, retrieve
 from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
@@ -514,66 +514,12 @@ def _gen_one(
 # -- persistence -----------------------------------------------------------------
 
 
-def spec_to_json(spec: ScenarioSpec) -> dict:
-    return {
-        "scenario_id": spec.scenario_id,
-        "kind": spec.kind,
-        "world_seed": spec.world_seed,
-        "world_n_rooms": spec.world_n_rooms,
-        "world_objects": [list(row) for row in spec.world_objects],
-        "scripts": [
-            {
-                "instruction": s.instruction,
-                "facts": [list(f) for f in s.facts],
-                "target_object_id": s.target_object_id,
-                "timestamp": s.timestamp,
-                "object_position": list(s.object_position),
-                "agent_start": list(s.agent_start),
-                "agent_heading": s.agent_heading,
-            }
-            for s in spec.scripts
-        ],
-        "eval_instruction": spec.eval_instruction,
-        "gold_object_id": spec.gold_object_id,
-        "eval_gold_position": list(spec.eval_gold_position),
-        "eval_agent_start": list(spec.eval_agent_start),
-        "eval_agent_heading": spec.eval_agent_heading,
-    }
-
-
-def spec_from_json(doc: dict) -> ScenarioSpec:
-    try:
-        return ScenarioSpec(
-            scenario_id=as_text(doc["scenario_id"]),
-            kind=as_text(doc["kind"]),
-            world_seed=as_int(doc["world_seed"]),
-            world_n_rooms=as_int(doc["world_n_rooms"]),
-            world_objects=[(as_text(c), as_int(k)) for c, k in doc["world_objects"]],
-            scripts=[
-                AcquisitionScript(
-                    instruction=as_text(s["instruction"]),
-                    facts=[(as_text(k), as_text(v)) for k, v in s["facts"]],
-                    target_object_id=as_text(s["target_object_id"]),
-                    timestamp=as_int(s["timestamp"]),
-                    object_position=(as_float(s["object_position"][0]), as_float(s["object_position"][1])),
-                    agent_start=(as_float(s["agent_start"][0]), as_float(s["agent_start"][1])),
-                    agent_heading=as_int(s["agent_heading"]),
-                )
-                for s in doc["scripts"]
-            ],
-            eval_instruction=as_text(doc["eval_instruction"]),
-            gold_object_id=as_text(doc["gold_object_id"]),
-            eval_gold_position=(as_float(doc["eval_gold_position"][0]), as_float(doc["eval_gold_position"][1])),
-            eval_agent_start=(as_float(doc["eval_agent_start"][0]), as_float(doc["eval_agent_start"][1])),
-            eval_agent_heading=as_int(doc["eval_agent_heading"]),
-        )
-    except MALFORMED as exc:
-        raise ParseError(f"malformed scenario spec: {exc}") from exc
-
-
 def save_specs(specs: list[ScenarioSpec], path: str) -> None:
-    dump_json(path, {"format_version": FORMAT_VERSION, "specs": [spec_to_json(s) for s in specs]})
+    dump_json(path, {"format_version": FORMAT_VERSION, "specs": [record_to_json(s) for s in specs]})
 
 
 def load_specs(path: str) -> list[ScenarioSpec]:
-    return [spec_from_json(row) for row in load_json(path, "specs", list)]
+    try:
+        return record_from_json(list[ScenarioSpec], load_json(path, "specs", list))
+    except MALFORMED as exc:
+        raise ParseError(f"malformed scenario spec {exc}") from exc

@@ -24,7 +24,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import GenerationError, ParseError, RejectedInput
-from .fileio import FORMAT_VERSION, MALFORMED, as_float, as_text, check_version, dump_json, read_json
+from .fileio import FORMAT_VERSION, MALFORMED, as_float, check_version, dump_json, read_json
+from .fileio import record_from_json, record_to_json
 
 RESOLUTION = 0.25
 STRIDE_M = 1.0
@@ -621,15 +622,7 @@ class World:
             "resolution": self.resolution,
             "room_names": self.room_names,
             "grid_rows": rows,
-            "objects": [
-                {
-                    "object_id": o.object_id,
-                    "category": o.category,
-                    "position": [o.position[0], o.position[1]],
-                    "feature": None if o.feature is None else o.feature.tolist(),
-                }
-                for o in self.objects.values()
-            ],
+            "objects": [record_to_json(o) for o in self.objects.values()],
         }
 
     def save(self, path: str) -> None:
@@ -643,10 +636,10 @@ class World:
     def from_json(cls, doc: dict) -> "World":
         check_version(doc, "world")
         try:
-            room_names = [as_text(name) for name in doc["room_names"]]
+            room_names = record_from_json(list[str], doc["room_names"])
             rows = []
             width = None
-            for encoded in doc["grid_rows"]:
+            for encoded in record_from_json(list[list[tuple[int, int]]], doc["grid_rows"]):
                 row: list[int] = []
                 for count, value in encoded:
                     if value != WALL and not (0 <= value < len(room_names)):
@@ -658,15 +651,7 @@ class World:
                     raise ParseError("ragged run-length rows")
                 rows.append(row)
             grid = np.array(rows, dtype=np.int16)
-            objects = [
-                ObjectInstance(
-                    as_text(o["object_id"]),
-                    as_text(o["category"]),
-                    (as_float(o["position"][0]), as_float(o["position"][1])),
-                    None if o.get("feature") is None else np.asarray(o["feature"], dtype=np.float64),
-                )
-                for o in doc["objects"]
-            ]
+            objects = record_from_json(list[ObjectInstance], doc["objects"])
             if len(room_names) > MAX_ROOMS:
                 raise ParseError(f"at most {MAX_ROOMS} rooms are supported, got {len(room_names)}")
             if grid.ndim != 2 or grid.size == 0:

@@ -470,6 +470,22 @@ def _quoted_number(key: str):
     return lambda text: re.sub(f'("{key}": )(-?[0-9][0-9.eE+-]*)', r'\g<1>"\g<2>"', text, count=1)
 
 
+def _vector(key: str, mutate_numbers):
+    """The staged file with the first list of numbers at key rewritten by mutate_numbers
+    (the list's text in, its new text out)."""
+
+    def mutate(text: str) -> str:
+        start = text.index(f'"{key}": [') + len(f'"{key}": ')
+        end = text.index("]", start) + 1
+        return text[:start] + mutate_numbers(text[start:end]) + text[end:]
+
+    return mutate
+
+
+def _quote_numbers(text: str) -> str:
+    return re.sub(r"-?[0-9][0-9.eE+-]*", r'"\g<0>"', text)
+
+
 def _object_missing(text: str) -> str:
     """The staged specs with the last world object's category renamed, so that a
     script names an object the spec's world lacks."""
@@ -513,6 +529,11 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         ("--graphs", "graphs", _quoted_number("timestamp")),
         ("--graphs", "graphs", _quoted_number("semantic")),
         ("acquire --specs", "specs", _object_missing),
+        ("--episodes", "episodes", _vector("reference_feature", _quote_numbers)),
+        ("--episodes", "episodes", _vector("reference_feature", lambda v: "[true" + ", false" * (v.count(",")) + "]")),
+        ("--episodes", "episodes", _vector("reference_feature", lambda v: "0")),
+        ("--graphs", "graphs", _vector("embedding", _quote_numbers)),
+        ("--episodes", "episodes", lambda text: re.sub(r'"facts": \[\[[^]]*\]', '"facts": ["ab"', text, count=1)),
     ],
     ids=[
         "config-not-utf8", "specs-not-utf8", "episodes-not-utf8", "graphs-not-utf8", "metrics-not-utf8",
@@ -522,7 +543,8 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         "metrics-mode-number", "metrics-kind-number", "episodes-success-string", "graphs-active-string",
         "episodes-timestamp-string", "episodes-heading-string", "episodes-position-strings", "episodes-heading-float",
         "specs-heading-string", "specs-position-string", "graphs-timestamp-string", "graphs-counter-string",
-        "acquire-specs-object-missing",
+        "acquire-specs-object-missing", "episodes-feature-strings", "episodes-feature-booleans",
+        "episodes-feature-number", "graphs-embedding-strings", "episodes-fact-pair-string",
     ],
 )
 def test_malformed_file_flag_is_one_line_domain_error(tmp_path, capsys, staged, flag, source, mutate):

@@ -10,7 +10,6 @@ from polar.distiller import (
     TrajectoryStep,
     digest_found_in,
     episode_from_json,
-    episode_to_json,
     load_episodes,
     memorize,
     no_prior_room,
@@ -26,7 +25,7 @@ from polar.distiller import (
 )
 from polar.errors import ParseError, RejectedInput
 from polar.evaluation import acquire
-from polar.fileio import MALFORMED, as_bool, as_float, as_int, as_text
+from polar.fileio import MALFORMED, as_bool, as_float, as_int, as_text, record_to_json
 from polar.graph import MemoryGraph
 from polar.scenarios import gen_scenarios
 from polar.world import ACTION_START, MOVE_FORWARD, STOP, TURN_RIGHT
@@ -225,19 +224,19 @@ def test_episode_jsonl_round_trip(tmp_path):
     path = tmp_path / "episodes.jsonl"
     save_episodes(eps, str(path))
     loaded = load_episodes(str(path))
-    assert [episode_to_json(e) for e in loaded] == [episode_to_json(e) for e in eps]
+    assert [record_to_json(e) for e in loaded] == [record_to_json(e) for e in eps]
 
 
 def test_load_episodes_reports_bad_line(tmp_path):
     path = tmp_path / "episodes.jsonl"
-    good = json.dumps(episode_to_json(_episode()))
+    good = json.dumps(record_to_json(_episode()))
     path.write_text(good + "\n{broken\n")
     with pytest.raises(ParseError):
         load_episodes(str(path))
 
 
 def test_episode_from_json_rejects_missing_fields():
-    doc = episode_to_json(_episode())
+    doc = record_to_json(_episode())
     del doc["trajectory"]
     with pytest.raises(ParseError):
         episode_from_json(doc)
@@ -279,7 +278,7 @@ def _reference_episode_from_json(doc: dict) -> EpisodeLog:
 def _staged_record() -> dict:
     """An acquisition record as `polar acquire` writes it, cut to three steps and
     a three-float feature so that every field can be mutated in turn."""
-    doc = json.loads(json.dumps(episode_to_json(acquire(gen_scenarios(0, "compositional-single", 1)[0])[0])))
+    doc = json.loads(json.dumps(record_to_json(acquire(gen_scenarios(0, "compositional-single", 1)[0])[0])))
     doc["trajectory"] = doc["trajectory"][:3]
     doc["reference_feature"] = doc["reference_feature"][:3]
     assert any(step["visible_object_ids"] for step in doc["trajectory"])
@@ -314,7 +313,7 @@ def _mutated(doc: dict, path: tuple, value) -> dict:
 
 
 def _record_text(episode: EpisodeLog) -> str:
-    return json.dumps(episode_to_json(episode), sort_keys=True)  # compares a NaN feature as text
+    return json.dumps(record_to_json(episode), sort_keys=True)  # compares a NaN feature as text
 
 
 def _parse_or_error(parse, doc: dict):
@@ -324,21 +323,41 @@ def _parse_or_error(parse, doc: dict):
         return None
 
 
+def _intended_difference(path: tuple, value) -> bool:
+    """The mutations the record codec refuses and the reference parser may load, each
+    tested below: an id list or the facts read from a string or an object, a fact pair
+    read from a string, and a feature that is not a list of numbers."""
+    if value is _DROP:
+        return False
+    value = float("inf") if value == _HUGE else value
+    if path[-1] in ("visible_object_ids", "facts") and isinstance(value, (str, dict)):
+        return True
+    if path[:1] == ("facts",) and len(path) == 2:
+        return isinstance(value, str)
+    if path == ("reference_feature",):
+        return value is not None and not (isinstance(value, list) and {type(v) for v in value} <= {int, float})
+    return path[:1] == ("reference_feature",) and type(value) not in (int, float)
+
+
+def _line(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True).replace(f'"{_HUGE}"', "1e400")
+
+
 def test_lean_parser_raises_where_the_reference_raises(tmp_path):
     """Each field of a staged record swapped for another JSON value (or dropped): the
     lean parser raises ParseError on line 2 exactly where the reference parser raises,
-    and otherwise loads the episode the reference parser builds. The one intended
-    difference, a visible_object_ids string or object, has its own test below."""
+    and otherwise loads the episode the reference parser builds. The intended
+    differences (_intended_difference) have their own tests below."""
     staged = _staged_record()
     path_file = tmp_path / "episodes.jsonl"
     first_line = json.dumps(staged, sort_keys=True)
     checked = raised = 0
     for path in _paths(staged):
         for value in _SWAPS:
-            if path[-1] == "visible_object_ids" and isinstance(value, (str, dict)):
+            if _intended_difference(path, value):
                 continue
             doc = _mutated(staged, path, value)
-            line = json.dumps(doc, sort_keys=True).replace(f'"{_HUGE}"', "1e400")
+            line = _line(doc)
             path_file.write_text(first_line + "\n" + line + "\n", encoding="utf-8")
             expected = _parse_or_error(_reference_episode_from_json, json.loads(line))
             if expected is None:
@@ -360,3 +379,23 @@ def test_lean_parser_wants_a_list_of_visible_ids(ids):
     _reference_episode_from_json(doc)
     with pytest.raises(ParseError, match="visible_object_ids"):
         episode_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["facts", "reference_feature"])
+def test_codec_refuses_the_mutations_the_differential_test_skips(field):
+    """Intended differences from the reference parser, which reads facts from a string
+    or an object (a pair from a two-character string) and a feature from strings,
+    booleans, null or a lone number: the codec refuses every one of them, naming the
+    field, and the reference parser loads some."""
+    staged = _staged_record()
+    refused = loaded = 0
+    for path in _paths(staged):
+        for value in _SWAPS:
+            if path[0] != field or not _intended_difference(path, value):
+                continue
+            doc = json.loads(_line(_mutated(staged, path, value)))
+            with pytest.raises(ParseError, match=field):
+                episode_from_json(doc)
+            refused += 1
+            loaded += _parse_or_error(_reference_episode_from_json, doc) is not None
+    assert refused > loaded > 0

@@ -159,6 +159,8 @@ def test_remote_encode_happy_path(stub):
         (200, {"embeddings": [[1.0] * 16]}),  # 1 row for 2 texts
         (200, {"embeddings": [[1.0] * 4, [1.0] * 4]}),  # wrong dim
         (200, {"embeddings": [["a"] * 16, ["a"] * 16]}),  # rows of strings
+        (200, {"embeddings": [["0.25"] * 16, ["0.25"] * 16]}),  # rows of quoted numbers
+        (200, {"embeddings": [[True] + [False] * 15, [False, True] + [False] * 14]}),  # rows of booleans
         (200, {"embeddings": [[float("nan")] * 16, [float("inf")] * 16]}),  # non-finite rows
     ],
 )

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from polar.distiller import digest_found_in, episode_to_json, summarize_episodic, summary_digest, trajectory_text
+from polar.distiller import digest_found_in, summarize_episodic, summary_digest, trajectory_text
 from polar.errors import ConfigurationError, ParseError, RejectedInput
+from polar.fileio import record_to_json
 from polar.evaluation import (
     MODES,
     RAW_SAMPLE_SIZE,
@@ -61,8 +62,8 @@ def test_acquire_executes_every_script(single_suite):
 def test_acquire_is_deterministic(single_suite):
     specs, episodes, _ = single_suite
     again = acquire(specs[0])
-    have = [episode_to_json(e) for e in episodes[specs[0].scenario_id]]
-    want = [episode_to_json(e) for e in again]
+    have = [record_to_json(e) for e in episodes[specs[0].scenario_id]]
+    want = [record_to_json(e) for e in again]
     assert json.dumps(have, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 

@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polar.cli import _load_config
-from polar.distiller import EpisodeLog, TrajectoryStep, episode_to_json, load_episodes
+from polar.distiller import EpisodeLog, TrajectoryStep, load_episodes
 from polar.encoder import EncoderConfig, encode
 from polar.errors import ParseError, RejectedInput
 from polar.evaluation import MetricsReport, load_graphs, load_reports
 from polar.graph import MemoryGraph
-from polar.scenarios import gen_scenarios, load_specs, spec_to_json
+from polar.fileio import record_to_json
+from polar.scenarios import gen_scenarios, load_specs
 from polar.world import ACTION_START, STOP, World, gen_world
 
 _HUGE = "__1e400__"  # written to the file as the bare literal 1e400
@@ -56,7 +57,7 @@ _REPORT_ROW = {
 def _episode_doc(i: int) -> dict:
     steps = [TrajectoryStep((0.5, 0.5), 0, ACTION_START, "hallway", ["mug_01"]), TrajectoryStep((0.5, 0.5), 30, STOP, "hallway")]
     episode = EpisodeLog(f"s:acq:{i:02d}", i, "note the mug", [("color", "red")], np.eye(4)[1], "mug_01", "mug", steps, True, (0.5, 0.5))
-    return episode_to_json(episode)
+    return record_to_json(episode)
 
 
 # name -> (loader, valid document, exceptions the loader may raise); a list document is JSON lines
@@ -65,7 +66,7 @@ _CASES = {
     "MemoryGraph.load": (MemoryGraph.load, _graph_doc, (ParseError,)),
     "load_specs": (
         load_specs,
-        lambda: {"format_version": 1, "specs": [spec_to_json(gen_scenarios(0, "compositional-single", 1)[0])]},
+        lambda: {"format_version": 1, "specs": [record_to_json(gen_scenarios(0, "compositional-single", 1)[0])]},
         (ParseError,),
     ),
     "load_graphs": (load_graphs, lambda: {"format_version": 1, "graphs": {"s": _graph_doc()}}, (ParseError,)),

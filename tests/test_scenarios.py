@@ -3,6 +3,7 @@ import json
 import pytest
 
 from polar.errors import GenerationError, ParseError, RejectedInput
+from polar.fileio import record_to_json
 from polar.scenarios import (
     FILLER_COUNT,
     KINDS,
@@ -11,8 +12,6 @@ from polar.scenarios import (
     gen_scenarios,
     load_specs,
     save_specs,
-    spec_from_json,
-    spec_to_json,
 )
 from polar.world import gen_world
 
@@ -38,7 +37,7 @@ def test_gen_scenarios_refuses_spec_whose_memory_grounds_a_distractor():
 def test_gen_scenarios_deterministic():
     a = gen_scenarios(3, "compositional-single", 3)
     b = gen_scenarios(3, "compositional-single", 3)
-    assert [spec_to_json(s) for s in a] == [spec_to_json(s) for s in b]
+    assert [record_to_json(s) for s in a] == [record_to_json(s) for s in b]
 
 
 def test_suite_shares_world_chassis(one_of_each):
@@ -147,7 +146,7 @@ def test_spec_round_trip(tmp_path, one_of_each):
     path = tmp_path / "specs.json"
     save_specs(specs, str(path))
     loaded = load_specs(str(path))
-    assert [spec_to_json(s) for s in loaded] == [spec_to_json(s) for s in specs]
+    assert [record_to_json(s) for s in loaded] == [record_to_json(s) for s in specs]
 
 
 def test_load_specs_rejects_bad_documents(tmp_path):
@@ -163,8 +162,10 @@ def test_load_specs_rejects_bad_documents(tmp_path):
         load_specs(str(path))
 
 
-def test_spec_from_json_rejects_missing_fields(one_of_each):
-    doc = spec_to_json(one_of_each["distractor"][0])
+def test_spec_from_json_rejects_missing_fields(tmp_path, one_of_each):
+    doc = record_to_json(one_of_each["distractor"][0])
     del doc["scripts"]
-    with pytest.raises(ParseError):
-        spec_from_json(doc)
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps({"format_version": 1, "specs": [doc]}))
+    with pytest.raises(ParseError, match=r"\[0\]\.scripts: missing"):
+        load_specs(str(path))
