@@ -55,11 +55,6 @@ class GroundingDecision:
     rationale: str
 
 
-def _turn_count(current: int, target: int) -> int:
-    delta = (target - current) % 360
-    return min(delta, 360 - delta) // 30
-
-
 def _turn_toward(current: int, target: int) -> str:
     delta = (target - current) % 360
     return TURN_RIGHT if delta <= 180 else TURN_LEFT
@@ -209,17 +204,22 @@ def plan_high(scene_graph: SceneGraph, prior: str | None, visited: set[str], cur
 
 
 def _steer_action(world: World, state: AgentState, goal: tuple[float, float]) -> str | None:
-    """One action descending the goal's distance field; None when no stride improves."""
-    best = min(
-        ((value, _turn_count(state.heading, heading), heading) for value, heading in world.descents(state.position, goal)),
-        default=None,
-    )
+    """One action descending the goal's distance field; None when no stride improves.
+
+    The stride taken has the lowest field value, then the fewest turns, then the
+    smallest heading; descents come in heading order, so a tie keeps the first."""
+    current = state.heading
+    best = None
+    for value, heading in world.descents(state.position, goal):
+        delta = (heading - current) % 360
+        turns = min(delta, 360 - delta) // 30  # turns to face heading
+        if best is None or value < best_value or (value == best_value and turns < best_turns):
+            best, best_value, best_turns = heading, value, turns
     if best is None:
         return None
-    heading = best[2]
-    if heading == state.heading:
+    if best == current:
         return MOVE_FORWARD
-    return _turn_toward(state.heading, heading)
+    return _turn_toward(current, best)
 
 
 def plan_low(
@@ -282,9 +282,8 @@ def run_episode(
     state = AgentState(start.position, start.heading, 0)
     watch = _watch(world, decision)
     observation = world.observe(state, watch=watch)
-    trajectory = [
-        TrajectoryStep(state.position, state.heading, ACTION_START, world.room_of(state.position) or "", _visible_ids(observation))
-    ]
+    room = world.room_of(state.position) or ""  # the room of state.position
+    trajectory = [TrajectoryStep(state.position, state.heading, ACTION_START, room, _visible_ids(observation))]
     working = decision
     target_sighted = False
     visited: set[str] = set()
@@ -317,19 +316,19 @@ def run_episode(
             action = TURN_RIGHT
             scan_left -= 1
             if scan_left == 0:
-                visited.add(world.room_of(state.position) or "")
+                visited.add(room)
                 plan = []
         else:
             if not plan:
                 try:
-                    plan = plan_high(scene_graph, working.prior_room, visited, world.room_of(state.position) or "")
+                    plan = plan_high(scene_graph, working.prior_room, visited, room)
                 except ExplorationExhausted:
                     break
                 if not plan:
                     scan_left = 3
                     continue
             # room entry closes an intermediate leg; the last leg needs its waypoint area
-            while len(plan) > 1 and world.room_of(state.position) == plan[0]:
+            while len(plan) > 1 and room == plan[0]:
                 plan.pop(0)
             waypoint = scene_graph.waypoints[plan[-1] if len(plan) == 1 else plan[0]]
             final_leg = len(plan) == 1
@@ -351,10 +350,11 @@ def run_episode(
             stall = 0
             continue
         state, observation, done = world.step(state, action, watch)
-        stall = 0 if (action == MOVE_FORWARD and not observation.blocked) or action == STOP else stall + 1
-        trajectory.append(
-            TrajectoryStep(state.position, state.heading, action, world.room_of(state.position) or "", _visible_ids(observation))
-        )
+        moved = action == MOVE_FORWARD and not observation.blocked
+        if moved:
+            room = world.room_of(state.position) or ""
+        stall = 0 if moved or action == STOP else stall + 1
+        trajectory.append(TrajectoryStep(state.position, state.heading, action, room, _visible_ids(observation)))
 
     gold = world.objects[gold_object_id]
     distance = math.hypot(state.position[0] - gold.position[0], state.position[1] - gold.position[1])

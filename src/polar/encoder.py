@@ -7,10 +7,14 @@ bit picks the sign. The result is L2-normalized, so identical strings
 always embed identically and unrelated strings are near-orthogonal.
 Empty text maps to the zero vector, which scores 0 against everything.
 
-Each distinct gram is hashed once per text and adds sign * count to its
-bucket. Every bucket holds an integer, so the sums and the squared norm are
-exact in any order and the bits match a per-gram loop in text order. Each
-text's vector is cached as one read-only float64 array (dim * 8 bytes).
+An ASCII text (one byte per character) is hashed as one array: the FNV-1a
+state of every gram is a uint64 lane, so each byte step is one xor and one
+multiply over all grams (uint64 wraps exactly as the 64-bit mask does), and
+np.bincount adds each gram's sign into its bucket. Other text hashes each
+distinct gram once and adds sign * count to its bucket. Either way every
+bucket holds an integer, so the sums and the squared norm are exact in any
+order and the bits match a per-gram loop in text order. Each text's vector is
+cached as one read-only float64 array (dim * 8 bytes).
 
 A remote mode posts {"texts": [...]} to an HTTP endpoint and expects
 {"embeddings": [[...], ...]} back, one finite vector per input text.
@@ -71,6 +75,19 @@ def _gram_slot(dim: int, gram: str) -> tuple[int, float]:
     return h % dim, 1.0 if (h >> 63) == 0 else -1.0
 
 
+def _ascii_buckets(dim: int, width: int, data: bytes) -> np.ndarray:
+    """Signed bucket sums of every width-byte gram of data: FNV-1a of all grams at
+    once in uint64 (wrapping as the 64-bit mask does), summed by np.bincount."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    count = len(data) - width + 1
+    h = np.full(count, _FNV_OFFSET, dtype=np.uint64)
+    for k in range(width):
+        h ^= raw[k : k + count]
+        h *= _FNV_PRIME
+    signs = 1.0 - 2.0 * (h >> 63).astype(np.float64)
+    return np.bincount((h % dim).astype(np.intp), weights=signs, minlength=dim)
+
+
 @lru_cache(maxsize=16384)
 def _hash_text(dim: int, ngram: int, text: str) -> np.ndarray:
     """Read-only unit vector of text; `encode` hands out copies."""
@@ -79,15 +96,16 @@ def _hash_text(dim: int, ngram: int, text: str) -> np.ndarray:
         vec = np.zeros(dim)
         vec.flags.writeable = False
         return vec
-    if len(lowered) < ngram:
-        grams = [lowered]  # whole short text as a single gram keeps non-empty => unit norm
+    # the whole of a text shorter than ngram is its one gram, so non-empty text has unit norm
+    width = min(ngram, len(lowered))
+    if lowered.isascii():
+        vec = _ascii_buckets(dim, width, lowered.encode("ascii"))
     else:
-        grams = [lowered[i : i + ngram] for i in range(len(lowered) - ngram + 1)]
-    buckets = [0.0] * dim
-    for gram, count in Counter(grams).items():
-        bucket, sign = _gram_slot(dim, gram)
-        buckets[bucket] += sign * count
-    vec = np.array(buckets)
+        buckets = [0.0] * dim
+        for gram, count in Counter(lowered[i : i + width] for i in range(len(lowered) - width + 1)).items():
+            bucket, sign = _gram_slot(dim, gram)
+            buckets[bucket] += sign * count
+        vec = np.array(buckets)
     norm = math.sqrt(float(vec @ vec))
     if norm == 0.0:
         # Pathological exact sign cancellation across distinct grams; fall back to a

@@ -28,6 +28,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .agent import OraclePlanner, sweep_room
 from .encoder import cosine, encode
 from .errors import GenerationError, ParseError, RejectedInput
@@ -155,24 +157,21 @@ def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 def _hidden_from_hallway(world: World, pos: tuple[float, float]) -> bool:
-    """True when no hallway cell within view range has line of sight to pos.
+    """True when no hallway cell centre within view range has line of sight to pos.
 
     Passing traffic on the corridor spine is what turns searches into lucky
     glimpses; doorway cones from adjacent rooms only matter once a room is
-    being searched anyway.
+    being searched anyway. A numpy prefilter keeps the grid's memoised hallway
+    centres within view range plus a slack; the exact `_dist` test then decides,
+    and sightlines are traced in row-major cell order until one is clear.
     """
-    cx, cy = world.cell_of(pos)
-    reach = int(math.ceil(VISIBILITY_RANGE_M / world.resolution))
-    height, width = world.grid.shape
-    for iy in range(max(0, cy - reach), min(height, cy + reach + 1)):
-        for ix in range(max(0, cx - reach), min(width, cx + reach + 1)):
-            center = world.cell_center((ix, iy))
-            if _dist(center, pos) > VISIBILITY_RANGE_M:
-                continue
-            if world.room_of(center) != "hallway":
-                continue
-            if world.line_of_sight(center, pos):
-                return False
+    centers = world.room_centers("hallway")
+    offsets = centers - pos
+    near = centers[(offsets * offsets).sum(axis=1) <= (VISIBILITY_RANGE_M + 1e-6) ** 2]
+    for center in near[np.lexsort((near[:, 0], near[:, 1]))].tolist():
+        center = tuple(center)
+        if _dist(center, pos) <= VISIBILITY_RANGE_M and world.line_of_sight(center, pos):
+            return False
     return True
 
 
@@ -205,10 +204,13 @@ def _pick_cell(
 def _pick_start(
     rng: random.Random, world: World, rooms: list[str] | None = None, avoid: list[tuple[float, float]] = ()
 ) -> tuple[tuple[float, float], int]:
+    """A start and a heading: a cell centre of one of rooms (any room by default)
+    that is not in avoid, the starts drawn before. Starts are cell centres, so an
+    exact tuple match finds a used one; the candidates keep room_centers' order,
+    on which the rng draws depend."""
     room = rng.choice(sorted(rooms) if rooms else sorted(world.room_names))
-    centers = world.room_centers(room, margin=1)
-    # starts are cell centers, so "farther than 1e-9 m" means "another cell"
-    candidates = centers[clear_of(centers, avoid, 1e-9)].tolist()
+    used = set(avoid)
+    candidates = [c for c in world.room_centers(room, margin=1).tolist() if tuple(c) not in used]
     if not candidates:
         raise GenerationError(f"no free start cell left in room {room!r}")
     return tuple(rng.choice(candidates)), rng.choice(HEADINGS)

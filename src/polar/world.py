@@ -76,6 +76,9 @@ _ROOM_NAME_POOL = (
 )
 
 _EPS = 1e-9
+_IN_RANGE = VISIBILITY_RANGE_M + _EPS  # an object is in view range up to this distance
+# (heading, dx, dy) of each STRIDE_M stride, in HEADINGS order
+_STRIDES = tuple((h, STRIDE_M * _HEADING_VECTORS[h][0], STRIDE_M * _HEADING_VECTORS[h][1]) for h in HEADINGS)
 
 
 def heading_vector(heading: int) -> tuple[float, float]:
@@ -194,7 +197,13 @@ class SceneGraph:
 
 class _NavCache:
     """Shared per-grid navigation state: sparse 8-connected graph, distance fields,
-    the scene graph and room centres."""
+    the scene graph and room centres.
+
+    Each cached distance field is kept with a flat read-only memoryview of the same
+    buffer (index iy * nx + ix), so scalar readers (`descents`, `shortest_path_length`)
+    get Python floats without numpy indexing. The view is no copy, and it is cached
+    and evicted together with its field.
+    """
 
     _MAX_FIELDS = 64
 
@@ -203,7 +212,6 @@ class _NavCache:
         ny, nx = grid.shape
         self.shape = (ny, nx)
         free = grid != WALL
-        self.free = free
         idx = np.arange(ny * nx).reshape(ny, nx)
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
@@ -233,7 +241,7 @@ class _NavCache:
         free_cells = np.argwhere(free)  # (iy, ix)
         self.free_centers = (free_cells[:, ::-1] + 0.5) * resolution  # (x, y)
         self.free_cells = free_cells
-        self.fields: dict[tuple[int, int], np.ndarray] = {}
+        self.fields: dict[tuple[int, int], tuple[np.ndarray, memoryview]] = {}  # goal cell -> (field, flat view)
         self.scene_graph: SceneGraph | None = None
         # plain lists and floats: every scalar cell read (is_free, room_of,
         # segment_free, line_of_sight) goes through rows and bounds
@@ -243,22 +251,26 @@ class _NavCache:
         self.room_centers: dict[tuple[str, int], np.ndarray] = {}  # (room, margin) -> read-only centers
 
     def field(self, cell: tuple[int, int]) -> np.ndarray:
-        cached = self.fields.get(cell)
-        if cached is None:
-            ix, iy = cell
-            node = iy * self.shape[1] + ix
-            dist = _csgraph_dijkstra(self.csr, directed=False, indices=node)
-            cached = dist.reshape(self.shape)
-            if len(self.fields) >= self._MAX_FIELDS:
-                self.fields.pop(next(iter(self.fields)))
-            self.fields[cell] = cached
-        return cached
+        """Meters from the goal cell (ix, iy) to every cell, as an ny x nx array."""
+        return (self.fields.get(cell) or self._add_field(cell))[0]
+
+    def flat_field(self, cell: tuple[int, int]) -> memoryview:
+        """field(cell) as a flat read-only view: index iy * nx + ix reads a Python float."""
+        return (self.fields.get(cell) or self._add_field(cell))[1]
+
+    def _add_field(self, cell: tuple[int, int]) -> tuple[np.ndarray, memoryview]:
+        ix, iy = cell
+        dist = _csgraph_dijkstra(self.csr, directed=False, indices=iy * self.shape[1] + ix)
+        if len(self.fields) >= self._MAX_FIELDS:
+            self.fields.pop(next(iter(self.fields)))
+        entry = self.fields[cell] = (dist.reshape(self.shape), memoryview(dist).toreadonly())
+        return entry
 
     def snap(self, pos: tuple[float, float]) -> tuple[int, int]:
         """Nearest free cell (ix, iy) to a position."""
         ix = int(pos[0] // self.res)
         iy = int(pos[1] // self.res)
-        if 0 <= iy < self.shape[0] and 0 <= ix < self.shape[1] and self.free[iy, ix]:
+        if 0 <= iy < self.shape[0] and 0 <= ix < self.shape[1] and self.rows[iy][ix] != WALL:
             return (ix, iy)
         d2 = (self.free_centers[:, 0] - pos[0]) ** 2 + (self.free_centers[:, 1] - pos[1]) ** 2
         best = int(np.argmin(d2))
@@ -291,7 +303,9 @@ class World:
     descend to the last goal cell (fixed by those and the grid, which moved copies
     share). Every descending stride is a free one, so `step` moves along it without
     testing it again. A watch set limits sightings to the objects a policy reads;
-    without one, `observe` sees every object."""
+    without one, `observe` sees every object. Scalar distance reads (`descents`,
+    `shortest_path_length`) go through the nav cache's flat field views, one Python
+    float per read."""
 
     def __init__(
         self,
@@ -447,16 +461,18 @@ class World:
                     continue
                 dx = obj.position[0] - pos[0]
                 dy = obj.position[1] - pos[1]
-                # numpy's hypot: math.hypot differs from it in the last bit for some offsets,
-                # which would move objects across the range boundary
-                if np.hypot(dx, dy) <= VISIBILITY_RANGE_M + _EPS:
-                    dist = math.hypot(dx, dy)
+                dist = math.hypot(dx, dy)
+                # the range test is numpy's hypot: math.hypot differs from it in the last
+                # bit for some offsets, so numpy decides within 1e-6 m of the bound
+                if dist <= _IN_RANGE - 1e-6 or (dist <= _IN_RANGE + 1e-6 and np.hypot(dx, dy) <= _IN_RANGE):
                     bearing = None if dist < _EPS else bearing_deg(pos, obj.position)
                     sightings.append([(obj.object_id, obj.category, dist), obj.position, bearing, None])
             self._sightings = (key, sightings)
         sightings = self._sightings[1]
-        view_headings = [(state.heading + offset) % 360 for offset in (0, -90, 90)]
         visible: list[list[tuple[str, str, float]]] = [[], [], []]
+        if not sightings:
+            return Observation(*visible, blocked)
+        view_headings = [(state.heading + offset) % 360 for offset in (0, -90, 90)]
         for sighting in sightings:
             row, position, bearing, clear = sighting
             if bearing is None:
@@ -474,8 +490,10 @@ class World:
             if clear:
                 for k in in_cone:
                     visible[k].append(row)
-        front, left, right = (sorted(rows, key=lambda row: (row[2], row[0])) for rows in visible)
-        return Observation(front, left, right, blocked)
+        for rows in visible:
+            if len(rows) > 1:
+                rows.sort(key=lambda row: (row[2], row[0]))
+        return Observation(*visible, blocked)
 
     # -- navigation metric ---------------------------------------------------
 
@@ -490,7 +508,7 @@ class World:
 
     def descents(self, pos: tuple[float, float], goal: tuple[float, float]) -> tuple[tuple[float, int], ...]:
         """(distance-field value, heading) of every free STRIDE_M stride from pos that
-        ends closer to goal, in HEADINGS order.
+        ends closer to goal, in HEADINGS order; pos must lie inside the grid.
 
         The last (pos, goal cell) is cached on the grid's shared nav cache, so turns
         in place while steering reuse it, and `step` moves along its strides untested.
@@ -499,21 +517,24 @@ class World:
         cell = self._goal_cell(goal)
         key = (pos[0], pos[1], cell)
         if nav.last_descents is None or nav.last_descents[0] != key:
-            dist_field = nav.field(cell)
-            cx, cy = self.cell_of(pos)
-            here = dist_field[cy, cx]
+            x, y = pos
             w, h = nav.bounds
+            if not (0.0 <= x < w and 0.0 <= y < h):
+                raise RejectedInput(f"position {pos} outside world bounds {nav.bounds}")
+            flat = nav.flat_field(cell)
+            res = self.resolution
+            nx = nav.shape[1]
+            limit = flat[int(y // res) * nx + int(x // res)] - _EPS
             found = []
-            for heading in HEADINGS:
-                ux, uy = _HEADING_VECTORS[heading]
-                end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)  # as step moves
-                # the field lookup is cheaper than the segment test, so it goes first
-                # whenever end has a cell; an out-of-bounds end keeps the segment test first
-                inside = 0.0 <= end[0] < w and 0.0 <= end[1] < h
-                if inside or self.segment_free(pos, end):
-                    ex, ey = self.cell_of(end)
-                    value = float(dist_field[ey, ex])
-                    if value < here - _EPS and (not inside or self.segment_free(pos, end)):
+            for heading, dx, dy in _STRIDES:
+                ex = x + dx  # the end as step moves
+                ey = y + dy
+                # a stride that ends outside the grid is never free: its last sample is its
+                # end up to rounding, outside or on the grid's ring of wall cells
+                if 0.0 <= ex < w and 0.0 <= ey < h:
+                    # the field read is cheaper than the segment test, so it goes first
+                    value = flat[int(ey // res) * nx + int(ex // res)]
+                    if value < limit and self.segment_free(pos, (ex, ey)):
                         found.append((value, heading))
             nav.last_descents = (key, tuple(found))
         return nav.last_descents[1]
@@ -522,8 +543,9 @@ class World:
         """8-connected grid distance in meters between the nearest free cells."""
         if not self.in_bounds(start) or not self.in_bounds(goal):
             raise RejectedInput(f"positions {start} -> {goal} outside world bounds {self.bounds_m}")
-        ix, iy = self._nav.snap(start)
-        return float(self.distance_field(goal)[iy, ix])
+        nav = self._nav
+        ix, iy = nav.snap(start)
+        return nav.flat_field(nav.snap(goal))[iy * nav.shape[1] + ix]
 
     # -- scene graph ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from polar.agent import _turn_count, _turn_toward
+from polar.agent import _turn_toward
 from polar.distiller import parse_statement
 from polar.encoder import DEFAULT_ENCODER, cosine, encode
 from polar.world import HEADINGS, MOVE_FORWARD, STRIDE_M, WALL, World, gen_world, heading_vector
@@ -106,11 +106,17 @@ def reference_descents(world, pos, goal):
     ]
 
 
+def reference_turn_count(current: int, target: int) -> int:
+    """Turns of TURN_DEG from one heading to another, the short way round."""
+    delta = (target - current) % 360
+    return min(delta, 360 - delta) // 30
+
+
 def reference_steer(world, state, goal):
     """The per-heading steering loop over the reference strides."""
     best = None
     for value, heading in reference_descents(world, state.position, goal):
-        key = (value, _turn_count(state.heading, heading), heading)
+        key = (value, reference_turn_count(state.heading, heading), heading)
         if best is None or key < best:
             best = key
     if best is None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_descents, reference_ground, reference_segment_free, reference_steer
+from conftest import reference_descents, reference_ground, reference_segment_free, reference_steer, reference_turn_count
 from polar import agent
 from polar.agent import (
     CategoryMatcher,
@@ -18,7 +18,6 @@ from polar.agent import (
     SUCCESS_RADIUS_M,
     _steer_action,
     sweep_room,
-    _turn_count,
     _turn_toward,
     ground_target,
     plan_high,
@@ -43,6 +42,7 @@ from polar.world import (
     TURN_RIGHT,
     VISIBILITY_HALF_ANGLE_DEG,
     VISIBILITY_RANGE_M,
+    WALL,
     AgentState,
     SceneGraph,
     World,
@@ -66,8 +66,8 @@ def _decision(prior=None):
 
 
 def test_turn_math():
-    assert _turn_count(0, 90) == 3
-    assert _turn_count(0, 330) == 1
+    assert reference_turn_count(0, 90) == 3
+    assert reference_turn_count(0, 330) == 1
     assert _turn_toward(0, 60) == TURN_RIGHT
     assert _turn_toward(0, 300) == TURN_LEFT
 
@@ -120,6 +120,20 @@ def test_descents_and_steering_sequences_match_scalar_loop(data):
         moved_to, observation, _ = world.step(state, MOVE_FORWARD, frozenset())
         free = reference_segment_free(world, pos, end)
         assert (moved_to.position, observation.blocked) == ((end, False) if free else (pos, True))
+
+
+def test_steering_tie_keeps_the_smaller_heading():
+    """Strides 30 and 330 descend equally far (the grid mirrors about the agent's
+    column, and a wall cell blocks heading 0); facing 180, each is five turns away."""
+    grid = np.full((21, 21), WALL, dtype=np.int16)
+    grid[1:-1, 1:-1] = 0
+    grid[6, 10] = WALL
+    world = World(grid, ["hallway"], [])
+    pos, goal = world.cell_center((10, 4)), world.cell_center((10, 16))
+    values = {heading: value for value, heading in world.descents(pos, goal)}
+    assert 0 not in values and values[30] == values[330] == min(values.values())
+    state = AgentState(pos, 180)
+    assert _steer_action(world, state, goal) == reference_steer(world, state, goal) == TURN_LEFT
 
 
 # -- sweep policy --------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polar.encoder import DEFAULT_ENCODER, EncoderConfig, _hash_text, cosine, encode, encode_batch, fnv1a_64
@@ -44,13 +45,26 @@ def _reference_hash_text(dim, ngram, text):
         st.text(),  # random Unicode, including characters whose lowercase is longer
         st.text(alphabet="aAbBİßΣς ", max_size=12),  # mixed case, repeated grams
         st.text(max_size=4),  # empty and shorter than n
+        st.text(alphabet=string.printable, max_size=400),  # ASCII: hashed as one array
+        st.text(alphabet="abAB ", max_size=6),  # short ASCII with few distinct grams
     ),
     st.sampled_from([(16, 2), (64, 3), (256, 3), (256, 5)]),
 )
+@example("", (64, 3))
+@example("ab", (64, 3))  # shorter than n: the whole text is its one gram
+@example("İstanbul café", (256, 3))
+@example("ABBM", (64, 3))  # its two grams cancel: the whole-text fallback bucket
+@example("find my red mug " * 40, (256, 3))
 def test_hash_text_matches_per_gram_reference(text, dim_ngram):
     dim, ngram = dim_ngram
     got = np.array(_hash_text(dim, ngram, text))
     assert got.tobytes() == np.array(_reference_hash_text(dim, ngram, text)).tobytes()
+
+
+def test_hash_text_falls_back_to_one_bucket_when_signs_cancel():
+    want = np.zeros(64)
+    want[fnv1a_64(b"abbm", seed=1) % 64] = 1.0
+    assert _hash_text(64, 3, "abbm").tobytes() == want.tobytes()
 
 
 def test_hash_text_caches_read_only_float64_array():

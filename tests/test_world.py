@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dijkstra_oracle, reference_cell, reference_steer, reference_strides
+from conftest import dijkstra_oracle, reference_cell, reference_descents, reference_steer, reference_strides
 from polar.agent import _steer_action
 from polar.errors import ParseError, RejectedInput
 from polar.world import (
@@ -228,6 +228,29 @@ def test_distance_field_validates_bounds(small_world):
         small_world.distance_field((-1.0, 2.0))
     with pytest.raises(RejectedInput):
         small_world.shortest_path_length((0.5, 0.5), (1e9, 1e9))
+
+
+def test_descents_refuse_a_position_outside_the_grid():
+    world = gen_world(0, 6)
+    goal = world.build_scene_graph().waypoints["hallway"]
+    w, h = world.bounds_m
+    for pos in [(-0.3, 3.1), (3.1, -0.3), (w, 3.1), (3.1, h), (w + 5.0, h + 5.0)]:
+        with pytest.raises(RejectedInput, match="outside world bounds"):
+            world.descents(pos, goal)
+
+
+def test_field_views_are_kept_and_evicted_with_their_fields():
+    nav = gen_world(0, 6)._nav  # a fresh grid: no field cached yet
+    limit = nav._MAX_FIELDS
+    cells = [(int(ix), int(iy)) for iy, ix in nav.free_cells[: limit + 10]]
+    for cell in cells:
+        field, view = nav.field(cell), nav.flat_field(cell)
+        assert isinstance(view, memoryview) and view.readonly
+        assert np.shares_memory(np.asarray(view), field)  # the field's own buffer, no copy
+        assert np.asarray(view).reshape(field.shape).tobytes() == field.tobytes()
+    assert len(nav.fields) == limit
+    assert list(nav.fields) == cells[-limit:]
+    assert all(isinstance(view, memoryview) for _field, view in nav.fields.values())
 
 
 def test_scene_graph_paths(small_world):
@@ -475,6 +498,61 @@ def test_steer_action_matches_scalar_steering_loop(world_pos, heading, goal_pick
     goal = world.cell_center((int(gx), int(gy)))
     state = AgentState(pos, heading)
     assert _steer_action(world, state, goal) == reference_steer(world, state, goal)
+
+
+# worlds of run-all seeds whose scenario generation has a long tail
+_SEED_WORLDS = [gen_world(seed, 6, [("mug", 3), ("vase", 1)]) for seed in (188, 195, 23)]
+
+
+@st.composite
+def _seed_world_positions(draw):
+    """A seed world and a free cell centre of it, or any position in its grid."""
+    world = _SEED_WORLDS[draw(st.integers(0, len(_SEED_WORLDS) - 1))]
+    if draw(st.booleans()):
+        free_cells = world._nav.free_cells
+        iy, ix = free_cells[draw(st.integers(0, len(free_cells) - 1))]
+        return world, world.cell_center((int(ix), int(iy)))
+    w, h = world.bounds_m
+    return world, (draw(st.floats(0.0, w, exclude_max=True)), draw(st.floats(0.0, h, exclude_max=True)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_seed_world_positions(), st.integers(0, 10**6))
+def test_field_view_reads_match_numpy_indexed_reads(world_pos, goal_pick):
+    """descents and shortest_path_length read the flat field views; the references
+    index the ny x nx field with numpy."""
+    world, pos = world_pos
+    free_cells = world._nav.free_cells
+    gy, gx = free_cells[goal_pick % len(free_cells)]
+    goal = world.cell_center((int(gx), int(gy)))
+    assert list(world.descents(pos, goal)) == reference_descents(world, pos, goal)
+    ix, iy = world._nav.snap(pos)
+    got = world.shortest_path_length(pos, goal)
+    assert type(got) is float and got == float(world.distance_field(goal)[iy, ix])
+
+
+_FIVE_METRES = [(5.0, 0.0), (0.0, -5.0), (3.0, 4.0), (-4.0, 3.0), (-3.0, -4.0), (4.0, -3.0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _seed_world_positions(),
+    st.sampled_from(_FIVE_METRES),
+    st.sampled_from([-1e-9, 0.0, 5e-16, 1e-9, 2e-9]),
+    st.sampled_from(HEADINGS),
+)
+def test_observe_range_at_five_metres_matches_numpys_hypot(world_pos, offset, stretch, heading):
+    """An object moved to exactly (or about) 5 m from the agent: observe decides its
+    range as the per-view loop's np.hypot test does, watched or not."""
+    world, pos = world_pos
+    scale = 1.0 + stretch
+    target = (pos[0] + offset[0] * scale, pos[1] + offset[1] * scale)
+    assume(world.is_free(target))
+    world = world.move_object("vase_01", target)
+    state = AgentState(pos, heading)
+    want = _reference_observe(world, state)
+    assert list(world.observe(state).views) == want
+    assert list(world.observe(state, watch=frozenset({"vase_01"})).views) == _watched(want, {"vase_01"})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
