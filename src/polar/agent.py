@@ -39,6 +39,7 @@ from .world import (
     Observation,
     SceneGraph,
     World,
+    check_heading,
 )
 
 MAX_STEPS = 700  # an episode's step cap
@@ -277,6 +278,7 @@ def run_episode(
         raise RejectedInput(f"unknown gold object {gold_object_id!r}")
     if not world.is_free(start.position):
         raise RejectedInput(f"start position {start.position} is not free space")
+    check_heading(start.heading)
     scene_graph = world.build_scene_graph()
 
     state = AgentState(start.position, start.heading, 0)

@@ -28,7 +28,7 @@ from .encoder import EncoderConfig, DEFAULT_ENCODER, encode
 from .errors import ParseError, RejectedInput
 from .fileio import MALFORMED, atomic_write_text, read_json_lines, record_from_json, record_to_json
 from .graph import MemoryGraph
-from .world import MOVE_FORWARD
+from .world import MOVE_FORWARD, check_heading
 
 STATEMENT_TEMPLATE = "user: {key} = {value} refers to {category} {object_id}"
 
@@ -63,8 +63,7 @@ class EpisodeLog:
         if not self.trajectory:
             raise RejectedInput(f"episode {self.episode_id!r} has an empty trajectory")
         for heading in sorted({step.heading for step in self.trajectory}):
-            if heading % 30 != 0 or not (0 <= heading < 360):
-                raise RejectedInput(f"heading {heading} is not a multiple of 30 in [0, 330]")
+            check_heading(heading)
 
 
 @dataclass

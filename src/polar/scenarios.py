@@ -37,7 +37,7 @@ from .distiller import memorize_facts, render_statement
 from .fileio import FORMAT_VERSION, MALFORMED, dump_json, load_json, record_from_json, record_to_json
 from .graph import MemoryGraph
 from .retrieval import DEFAULT_SETTINGS, MemorySettings, retrieve
-from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, clear_of
+from .world import HEADINGS, VISIBILITY_RANGE_M, SceneGraph, World, cached_world, check_heading, clear_of
 
 KINDS = (
     "compositional-single",
@@ -205,15 +205,27 @@ def _pick_start(
     rng: random.Random, world: World, rooms: list[str] | None = None, avoid: list[tuple[float, float]] = ()
 ) -> tuple[tuple[float, float], int]:
     """A start and a heading: a cell centre of one of rooms (any room by default)
-    that is not in avoid, the starts drawn before. Starts are cell centres, so an
-    exact tuple match finds a used one; the candidates keep room_centers' order,
-    on which the rng draws depend."""
+    that is not in avoid, the starts drawn before. The candidates keep
+    room_centers' order, on which the rng draws depend.
+
+    room_centers sorts by x, then y, so the cell keys ix * ny + iy of the
+    candidates increase. A used start drops the candidate at its own cell key's
+    binary-search position when the two are exactly equal, as a tuple match
+    would: a point equal to a cell centre lies in that cell, and a point that is
+    no candidate drops nothing."""
     room = rng.choice(sorted(rooms) if rooms else sorted(world.room_names))
-    used = set(avoid)
-    candidates = [c for c in world.room_centers(room, margin=1).tolist() if tuple(c) not in used]
-    if not candidates:
+    centers = world.room_centers(room, margin=1)
+    keep = np.ones(len(centers), dtype=bool)
+    if len(avoid) and len(centers):
+        res, ny = world.resolution, world.grid.shape[0]
+        keys = centers[:, 0] // res * ny + centers[:, 1] // res
+        used = np.asarray(avoid, dtype=np.float64).reshape(-1, 2)
+        at = np.searchsorted(keys, used[:, 0] // res * ny + used[:, 1] // res).clip(max=len(keys) - 1)
+        keep[at[(centers[at] == used).all(axis=1)]] = False
+    candidates = np.flatnonzero(keep)
+    if not len(candidates):
         raise GenerationError(f"no free start cell left in room {room!r}")
-    return tuple(rng.choice(candidates)), rng.choice(HEADINGS)
+    return tuple(centers[rng.choice(candidates)].tolist()), rng.choice(HEADINGS)
 
 
 def _sweep_path_m(
@@ -522,6 +534,13 @@ def save_specs(specs: list[ScenarioSpec], path: str) -> None:
 
 def load_specs(path: str) -> list[ScenarioSpec]:
     try:
-        return record_from_json(list[ScenarioSpec], load_json(path, "specs", list))
+        specs = record_from_json(list[ScenarioSpec], load_json(path, "specs", list))
     except MALFORMED as exc:
         raise ParseError(f"malformed scenario spec {exc}") from exc
+    for spec in specs:
+        try:
+            for heading in [script.agent_heading for script in spec.scripts] + [spec.eval_agent_heading]:
+                check_heading(heading)
+        except RejectedInput as exc:
+            raise ParseError(f"malformed scenario spec {spec.scenario_id!r}: {exc}") from exc
+    return specs

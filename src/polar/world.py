@@ -8,9 +8,12 @@ degrees (0 = +y, clockwise positive, so heading 90 = +x) and observes
 front/left/right views: a +-45 degree cone, 5.0 m range, occlusion by wall
 cells via grid ray casting. Worlds are immutable after generation; moving
 an object between evaluation stages returns a new World sharing the grid
-and navigation caches. A turn leaves the position unchanged, so it reuses
-that position's sightings and stride descents and only reruns the view cones;
-a move along a stride that descents found free is not tested again.
+and navigation caches, as do the cached worlds of one house. A turn leaves
+the position unchanged, so it reuses that position's sightings and stride
+descents and only reruns the view cones; a move along a stride that descents
+found free is not tested again. A per-grid stride table vouches for the
+strides whose every sample lies in free cells, so those skip the segment test
+too.
 """
 
 from __future__ import annotations
@@ -86,6 +89,13 @@ def heading_vector(heading: int) -> tuple[float, float]:
         return _HEADING_VECTORS[heading % 360]
     except KeyError:
         raise RejectedInput(f"heading must be a multiple of 30, got {heading}") from None
+
+
+def check_heading(heading: int) -> None:
+    """RejectedInput unless heading is one of HEADINGS, the multiples of TURN_DEG in
+    [0, 330]: a start facing any other heading never turns onto a stride."""
+    if heading not in _HEADING_VECTORS:
+        raise RejectedInput(f"heading {heading} is not a multiple of {TURN_DEG} in [0, 330]")
 
 
 def bearing_deg(from_pos: tuple[float, float], to_pos: tuple[float, float]) -> float:
@@ -197,17 +207,33 @@ class SceneGraph:
 
 class _NavCache:
     """Shared per-grid navigation state: sparse 8-connected graph, distance fields,
-    the scene graph and room centres.
+    the scene graph, room centres and the stride table. All of it is fixed by the
+    grid, the room names and the resolution, so Worlds that agree on those share one.
 
-    Each cached distance field is kept with a flat read-only memoryview of the same
-    buffer (index iy * nx + ix), so scalar readers (`descents`, `shortest_path_length`)
-    get Python floats without numpy indexing. The view is no copy, and it is cached
-    and evicted together with its field.
+    The graph holds both directions of every edge, so each Dijkstra call runs
+    directed and scipy converts nothing per field. Each cached distance field is
+    kept with a flat read-only memoryview of the same buffer (index iy * nx + ix),
+    so scalar readers (`descents`, `shortest_path_length`) get Python floats
+    without numpy indexing. The view is no copy, and it is cached and evicted
+    together with its field.
+
+    The stride table (`free_strides`) holds one `bytes` per `_STRIDES` heading,
+    one byte per cell, built on first use and shared by moved copies. A byte is 1
+    when every cell that meets the box spanned by the cell and its copy moved by
+    the stride (dx, dy), grown by 1e-6 m along each axis the stride moves on, lies
+    inside the grid and is free. That box holds every sample `segment_free` tests
+    for the stride from any point (x, y) of the cell, so a byte of 1 means the
+    stride is free; a 0 says nothing, and the caller tests the segment. Rounding
+    is monotone: along an axis with dx >= 0 each sample x + t * (end - x) is at
+    least x (exactly x when dx is 0), and at most the end, which is x + dx to
+    within about 1e-14 m; an axis with dx <= 0 mirrors that.
     """
 
     _MAX_FIELDS = 64
 
-    def __init__(self, grid: np.ndarray, resolution: float):
+    def __init__(self, grid: np.ndarray, room_names: list[str], resolution: float):
+        self.grid = grid
+        self.room_names = room_names  # the scene graph and room centres name rooms by these
         self.res = resolution
         ny, nx = grid.shape
         self.shape = (ny, nx)
@@ -235,9 +261,11 @@ class _NavCache:
         cols.append(idx[1:, :-1][block])
         data.append(np.full(int(block.sum()), diagonal))
         n = ny * nx
+        rows, cols, data = np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
         self.csr = coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+            (np.concatenate((data, data)), (np.concatenate((rows, cols)), np.concatenate((cols, rows)))), shape=(n, n)
         ).tocsr()
+        self.free = free
         free_cells = np.argwhere(free)  # (iy, ix)
         self.free_centers = (free_cells[:, ::-1] + 0.5) * resolution  # (x, y)
         self.free_cells = free_cells
@@ -249,6 +277,42 @@ class _NavCache:
         self.bounds = (nx * resolution, ny * resolution)  # (w, h) in meters
         self.last_descents: tuple[tuple, tuple] | None = None  # last ((x, y, goal cell), descents)
         self.room_centers: dict[tuple[str, int], np.ndarray] = {}  # (room, margin) -> read-only centers
+        self._free_strides: tuple[bytes, ...] | None = None
+
+    def free_strides(self) -> tuple[bytes, ...]:
+        """The stride table: per `_STRIDES` heading, byte iy * nx + ix is 1 when the
+        stride from any point of cell (ix, iy) is free (see the class docstring)."""
+        if self._free_strides is None:
+            ny, nx = self.shape
+            walls = np.zeros((ny + 1, nx + 1), dtype=np.int32)  # walls[j, i]: wall cells with iy < j, ix < i
+            walls[1:, 1:] = np.cumsum(np.cumsum(~self.free, axis=0, dtype=np.int32), axis=1)
+            tables = []
+            for _heading, dx, dy in _STRIDES:
+                x0, x1, x_in = self._box_cells(nx, dx)
+                y0, y1, y_in = self._box_cells(ny, dy)
+                box_walls = walls[y1][:, x1] - walls[y0][:, x1] - walls[y1][:, x0] + walls[y0][:, x0]
+                tables.append(((box_walls == 0) & y_in[:, None] & x_in[None, :]).astype(np.uint8).tobytes())
+            self._free_strides = tuple(tables)
+        return self._free_strides
+
+    def vouches(self, pos: tuple[float, float], heading: int) -> bool:
+        """True when the stride table says the STRIDE_M stride from pos along heading
+        (a multiple of TURN_DEG) is free; False outside the grid."""
+        x, y = pos
+        w, h = self.bounds
+        if not (0.0 <= x < w and 0.0 <= y < h):
+            return False
+        return self.free_strides()[heading % 360 // TURN_DEG][int(y // self.res) * self.shape[1] + int(x // self.res)] == 1
+
+    def _box_cells(self, n: int, d: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Along one axis of n cells, for each cell i: the first cell and one past the
+        last cell that meet [i * res + min(0, d), (i + 1) * res + max(0, d)] grown by
+        1e-6 m on the side d moves to (both clipped into the grid), and whether that
+        span lies inside the grid. Samples never pass the start on the other side."""
+        i = np.arange(n)
+        first = np.floor((i * self.res + d - 1e-6) / self.res).astype(np.intp) if d < 0 else i
+        last = np.floor(((i + 1) * self.res + d + 1e-6) / self.res).astype(np.intp) if d > 0 else i
+        return np.clip(first, 0, n - 1), np.clip(last, 0, n - 1) + 1, (first >= 0) & (last < n)
 
     def field(self, cell: tuple[int, int]) -> np.ndarray:
         """Meters from the goal cell (ix, iy) to every cell, as an ny x nx array."""
@@ -260,7 +324,7 @@ class _NavCache:
 
     def _add_field(self, cell: tuple[int, int]) -> tuple[np.ndarray, memoryview]:
         ix, iy = cell
-        dist = _csgraph_dijkstra(self.csr, directed=False, indices=iy * self.shape[1] + ix)
+        dist = _csgraph_dijkstra(self.csr, directed=True, indices=iy * self.shape[1] + ix)
         if len(self.fields) >= self._MAX_FIELDS:
             self.fields.pop(next(iter(self.fields)))
         entry = self.fields[cell] = (dist.reshape(self.shape), memoryview(dist).toreadonly())
@@ -283,13 +347,16 @@ _WORLD_CACHE: dict[tuple, "World"] = {}
 
 def cached_world(seed: int, n_rooms: int, objects_spec: list[tuple[str, int]]) -> "World":
     """gen_world, built once per distinct request. A World's grid and objects never change,
-    so scenario generation, acquisition and evaluation of one suite all share one World."""
+    so scenario generation, acquisition and evaluation of one suite all share one World.
+    The house is drawn before the objects, so the worlds of one seed and room count share
+    their grid, and with it one nav cache (see gen_world)."""
     key = (seed, n_rooms, tuple(tuple(row) for row in objects_spec))
     world = _WORLD_CACHE.get(key)
     if world is None:
         if len(_WORLD_CACHE) >= 16:
             _WORLD_CACHE.clear()
-        world = _WORLD_CACHE[key] = gen_world(seed, n_rooms, list(key[2]))
+        twin = next((w for (s, n, _objects), w in _WORLD_CACHE.items() if (s, n) == (seed, n_rooms)), None)
+        world = _WORLD_CACHE[key] = gen_world(seed, n_rooms, list(key[2]), twin and twin._nav)
     return world
 
 
@@ -301,11 +368,12 @@ class World:
     (position, watch set) (fixed by those and this World's objects), and the
     grid-shared `_NavCache.last_descents`, the strides from the last position that
     descend to the last goal cell (fixed by those and the grid, which moved copies
-    share). Every descending stride is a free one, so `step` moves along it without
-    testing it again. A watch set limits sightings to the objects a policy reads;
-    without one, `observe` sees every object. Scalar distance reads (`descents`,
-    `shortest_path_length`) go through the nav cache's flat field views, one Python
-    float per read."""
+    and the cached worlds of one house share). Every descending stride is a free
+    one, so `step` moves along it without testing it again, as it does along a
+    stride the nav cache's stride table vouches for. A watch set limits sightings
+    to the objects a policy reads; without one, `observe` sees every object. Scalar
+    distance reads (`descents`, `shortest_path_length`) go through the nav cache's
+    flat field views, one Python float per read."""
 
     def __init__(
         self,
@@ -325,7 +393,7 @@ class World:
                 raise RejectedInput(f"duplicate object id {obj.object_id!r}")
             self.objects[obj.object_id] = obj
         self.resolution = resolution
-        self._nav = _nav if _nav is not None else _NavCache(grid, resolution)
+        self._nav = _nav if _nav is not None else _NavCache(grid, self.room_names, resolution)
         self._sightings: tuple[tuple, list] | None = None  # last observed (x, y, watch), its sightings
 
     # -- geometry ----------------------------------------------------------
@@ -418,7 +486,12 @@ class World:
     def step(
         self, state: AgentState, action: str, watch: frozenset[str] | None = None
     ) -> tuple[AgentState, "Observation", bool]:
-        """Apply one low-level action; returns (new state, observation of watch, done)."""
+        """Apply one low-level action; returns (new state, observation of watch, done).
+
+        A forward stride skips the segment test when `descents` found it free from
+        this position or its stride-table byte is 1: every sample `segment_free` would
+        test lies in a box of free cells (see `_NavCache`), so the move is the one the
+        test gives."""
         if action not in LOW_LEVEL_ACTIONS:
             raise RejectedInput(f"unknown action {action!r}")
         position = state.position
@@ -435,7 +508,7 @@ class World:
                 and last[0][1] == position[1]
                 and any(h == heading for _value, h in last[1])
             )
-            if descended or self.segment_free(position, target):
+            if descended or self._nav.vouches(position, heading) or self.segment_free(position, target):
                 position = target
             else:
                 blocked = True
@@ -512,6 +585,9 @@ class World:
 
         The last (pos, goal cell) is cached on the grid's shared nav cache, so turns
         in place while steering reuse it, and `step` moves along its strides untested.
+        A stride whose stride-table byte is 1 is free without a segment test: every
+        sample of it lies in a box of free cells (see `_NavCache`), so the answer is
+        the one `segment_free` gives.
         """
         nav = self._nav
         cell = self._goal_cell(goal)
@@ -524,28 +600,30 @@ class World:
             flat = nav.flat_field(cell)
             res = self.resolution
             nx = nav.shape[1]
-            limit = flat[int(y // res) * nx + int(x // res)] - _EPS
+            here = int(y // res) * nx + int(x // res)
+            limit = flat[here] - _EPS
             found = []
-            for heading, dx, dy in _STRIDES:
+            for (heading, dx, dy), free in zip(_STRIDES, nav.free_strides()):
                 ex = x + dx  # the end as step moves
                 ey = y + dy
+                vouched = free[here]  # a vouched stride is free, and its end lies inside the grid
                 # a stride that ends outside the grid is never free: its last sample is its
                 # end up to rounding, outside or on the grid's ring of wall cells
-                if 0.0 <= ex < w and 0.0 <= ey < h:
+                if vouched or (0.0 <= ex < w and 0.0 <= ey < h):
                     # the field read is cheaper than the segment test, so it goes first
                     value = flat[int(ey // res) * nx + int(ex // res)]
-                    if value < limit and self.segment_free(pos, (ex, ey)):
+                    if value < limit and (vouched or self.segment_free(pos, (ex, ey))):
                         found.append((value, heading))
             nav.last_descents = (key, tuple(found))
         return nav.last_descents[1]
 
     def shortest_path_length(self, start: tuple[float, float], goal: tuple[float, float]) -> float:
         """8-connected grid distance in meters between the nearest free cells."""
-        if not self.in_bounds(start) or not self.in_bounds(goal):
-            raise RejectedInput(f"positions {start} -> {goal} outside world bounds {self.bounds_m}")
+        if not self.in_bounds(start):
+            raise RejectedInput(f"start {start} outside world bounds {self.bounds_m}")
         nav = self._nav
         ix, iy = nav.snap(start)
-        return nav.flat_field(nav.snap(goal))[iy * nav.shape[1] + ix]
+        return nav.flat_field(self._goal_cell(goal))[iy * nav.shape[1] + ix]
 
     # -- scene graph ---------------------------------------------------------
 
@@ -708,12 +786,16 @@ def _cells(meters: float) -> int:
     return int(round(meters / RESOLUTION))
 
 
-def gen_world(seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] | None = None) -> World:
+def gen_world(
+    seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] | None = None, _nav: _NavCache | None = None
+) -> World:
     """Generate a corridor-spine house with n_rooms total rooms (corridor included)
     and the requested objects, all placement seeded and deterministic.
 
     Same-category instances land in distinct rooms while enough rooms exist;
-    objects keep a 0.75 m margin from walls and 1 m from each other.
+    objects keep a 0.75 m margin from walls and 1 m from each other. A `_nav` of an
+    equal grid and room list is shared instead of building one: a nav cache holds only
+    what those fix.
     """
     if not 2 <= n_rooms <= MAX_ROOMS:
         raise RejectedInput(f"n_rooms must be in [2, {MAX_ROOMS}], got {n_rooms}")
@@ -772,7 +854,10 @@ def gen_world(seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] |
     carve_side(above, True)
     carve_side(below, False)
 
-    world = World(grid, names, [])
+    if _nav is not None and (_nav.room_names, _nav.res) == (names, RESOLUTION) and np.array_equal(_nav.grid, grid):
+        world = World(_nav.grid, names, [], _nav=_nav)
+    else:
+        world = World(grid, names, [])
 
     # object placement: per-category round-robin over side rooms keeps duplicates apart
     objects: list[ObjectInstance] = []
@@ -801,7 +886,7 @@ def gen_world(seed: int, n_rooms: int = 5, objects_spec: list[tuple[str, int]] |
             placed.append(position)
             feature = _random_unit(rng, FEATURE_DIM)
             objects.append(ObjectInstance(object_id, category, position, feature))
-    return World(grid, names, objects, _nav=world._nav)
+    return World(world.grid, names, objects, _nav=world._nav)
 
 
 def clear_of(centers: np.ndarray, points, min_m: float) -> np.ndarray:

@@ -404,6 +404,10 @@ def test_run_episode_validates_inputs():
     with pytest.raises(RejectedInput):
         run_episode(world, "go", _decision(), gold_object_id="mug_01",
                     start=AgentState((0.0, 0.0), 0))
+    # no turn from 45 reaches a stride heading
+    for heading in (45, -30, 360):
+        with pytest.raises(RejectedInput, match=f"heading {heading} is not a multiple of 30"):
+            run_episode(world, "go", _decision(), gold_object_id="mug_01", start=AgentState(start.position, heading))
 
 
 def _walk(log: EpisodeLog) -> tuple:

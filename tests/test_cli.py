@@ -534,6 +534,8 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         ("--episodes", "episodes", _vector("reference_feature", lambda v: "0")),
         ("--graphs", "graphs", _vector("embedding", _quote_numbers)),
         ("--episodes", "episodes", lambda text: re.sub(r'"facts": \[\[[^]]*\]', '"facts": ["ab"', text, count=1)),
+        ("acquire --specs", "specs", lambda text: re.sub(r'("agent_heading": )\d+', r"\g<1>45", text, count=1)),
+        ("--specs", "specs", lambda text: re.sub(r'("eval_agent_heading": )\d+', r"\g<1>45", text, count=1)),
     ],
     ids=[
         "config-not-utf8", "specs-not-utf8", "episodes-not-utf8", "graphs-not-utf8", "metrics-not-utf8",
@@ -545,6 +547,7 @@ _NOT_UTF8 = b'{"format_version": 1, "note": "\xff"}'
         "specs-heading-string", "specs-position-string", "graphs-timestamp-string", "graphs-counter-string",
         "acquire-specs-object-missing", "episodes-feature-strings", "episodes-feature-booleans",
         "episodes-feature-number", "graphs-embedding-strings", "episodes-fact-pair-string",
+        "acquire-specs-heading-off-grid", "specs-eval-heading-off-grid",
     ],
 )
 def test_malformed_file_flag_is_one_line_domain_error(tmp_path, capsys, staged, flag, source, mutate):

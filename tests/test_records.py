@@ -32,7 +32,7 @@ from polar.fileio import (
 from polar.graph import THETA_DEDUP, THETA_OBJ, Edge, EpisodicNode, MemoryGraph, ObjectNode, SemanticNode, _Counters
 from polar.graph import _check_units, _frozen
 from polar.scenarios import AcquisitionScript, ScenarioSpec, gen_scenarios, load_specs
-from polar.world import MAX_ROOMS, RESOLUTION, WALL, ObjectInstance, World
+from polar.world import HEADINGS, MAX_ROOMS, RESOLUTION, WALL, ObjectInstance, World
 
 # -- the codec --------------------------------------------------------------------
 
@@ -349,10 +349,13 @@ def _mutated(doc: dict, path: tuple, value) -> dict:
 def _intended_difference(path: tuple, value) -> bool:
     """The mutations the codec refuses and the reference parsers may load: a list read
     from a string or an object, a pair from a string, a vector that is not a list of
-    numbers, and a grid count or label that is not an integer."""
+    numbers, a grid count or label that is not an integer, and a spec's start heading
+    that is an integer off the 30-degree grid."""
     if value is _DROP:
         return False
     value = float("inf") if value == _HUGE else value
+    if path[-1] in ("agent_heading", "eval_agent_heading"):
+        return type(value) is int and value not in HEADINGS
     if "grid_rows" in path:  # a list of rows of [count, label] integer pairs
         depth = len(path) - path.index("grid_rows")
         if depth == 4:

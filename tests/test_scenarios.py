@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -13,11 +14,12 @@ from polar.scenarios import (
     KINDS,
     ScenarioSpec,
     _hidden_from_hallway,
+    _pick_start,
     gen_scenarios,
     load_specs,
     save_specs,
 )
-from polar.world import VISIBILITY_RANGE_M, World, gen_world
+from polar.world import HEADINGS, VISIBILITY_RANGE_M, World, gen_world
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +174,65 @@ def test_hidden_from_hallway_matches_the_cell_scan(world_pos):
         with mock.patch.object(World, "line_of_sight", autospec=True, side_effect=World.line_of_sight) as los:
             traced.append((check(world, pos), [call.args[1:] for call in los.call_args_list]))
     assert traced[0] == traced[1]
+
+
+def _reference_pick_start(rng, world, rooms=None, avoid=()):
+    """The start draw over a list of the room's margin-1 cell centres, less the used
+    ones by tuple membership."""
+    room = rng.choice(sorted(rooms) if rooms else sorted(world.room_names))
+    used = set(avoid)
+    candidates = [c for c in world.room_centers(room, margin=1).tolist() if tuple(c) not in used]
+    if not candidates:
+        raise GenerationError(f"no free start cell left in room {room!r}")
+    return tuple(rng.choice(candidates)), rng.choice(HEADINGS)
+
+
+_START_WORLDS = [gen_world(seed, 6) for seed in (0, 23, 188)]
+
+
+@st.composite
+def _start_draws(draw):
+    """A world, a room list (or None), used starts and an rng seed. Used starts are cell
+    centres of any room, points next to them, and all of one room's candidates."""
+    world = _START_WORLDS[draw(st.integers(0, len(_START_WORLDS) - 1))]
+    rooms = draw(st.none() | st.lists(st.sampled_from(world.room_names), min_size=1, max_size=3, unique=True))
+    centers = [tuple(c) for room in world.room_names for c in world.room_centers(room, margin=1).tolist()]
+    avoid = draw(st.lists(st.sampled_from(centers), max_size=25))
+    nudged = draw(st.lists(st.sampled_from(centers), max_size=3))
+    avoid += [(x, math.nextafter(y, math.inf)) for x, y in nudged] + [(x + 0.125, y) for x, y in nudged]
+    if draw(st.booleans()):
+        full = draw(st.sampled_from(rooms or world.room_names))
+        avoid += [tuple(c) for c in world.room_centers(full, margin=1).tolist()]
+    return world, rooms, draw(st.permutations(avoid)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_start_draws())
+def test_pick_start_matches_the_list_filter(start_draw):
+    """The same start and heading, the same GenerationError and the same rng state after."""
+    world, rooms, avoid, seed = start_draw
+    outcomes = []
+    for pick in (_pick_start, _reference_pick_start):
+        rng = random.Random(seed)
+        try:
+            outcome = pick(rng, world, rooms, avoid)
+        except GenerationError as exc:
+            outcome = str(exc)
+        outcomes.append((outcome, rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+    start = outcomes[0][0]
+    if not isinstance(start, str):
+        assert all(type(v) is float for v in start[0]) and start[0] not in set(avoid)
+
+
+def test_pick_start_refuses_a_room_with_every_cell_used():
+    world = _START_WORLDS[0]
+    room = "kitchen"
+    avoid = [tuple(c) for c in world.room_centers(room, margin=1).tolist()]
+    with pytest.raises(GenerationError, match="no free start cell left in room 'kitchen'"):
+        _pick_start(random.Random(0), world, [room], avoid)
+    start, _heading = _pick_start(random.Random(0), world, [room], avoid[1:])
+    assert start == avoid[0]
 
 
 def test_eval_instruction_names_category(one_of_each):

@@ -27,6 +27,7 @@ from polar.world import (
     World,
     angle_diff_deg,
     bearing_deg,
+    cached_world,
     clear_of,
     gen_world,
     heading_vector,
@@ -744,3 +745,173 @@ def test_clear_of_matches_hypot_on_cell_centers(cells, points, min_m):
     points = [((ix + 0.5) * RESOLUTION, (iy + 0.5) * RESOLUTION) for ix, iy in points]
     want = [all(math.hypot(c[0] - p[0], c[1] - p[1]) >= min_m for p in points) for c in centers.tolist()]
     assert clear_of(centers, points, min_m).tolist() == want
+
+
+# -- the stride table and the two-way Dijkstra graph ----------------------------
+
+# the worlds run-all builds for seeds 0, 23 and 188 (a grid depends on the seed alone)
+_TABLE_WORLDS = [gen_world(seed, 6, [("mug", 3), ("vase", 1)]) for seed in (0, 23, 188)]
+
+
+def _cell_coordinate(draw, i: int, res: float) -> float:
+    """A coordinate of cell i: its low edge, 1 ulp inside either edge, its centre or
+    anywhere inside it (its high edge belongs to the next cell)."""
+    low, high = i * res, (i + 1) * res
+    edges = [low, math.nextafter(low, math.inf), (low + high) / 2, math.nextafter(high, 0.0)]
+    return draw(st.sampled_from(edges) | st.floats(low, high, exclude_max=True))
+
+
+@st.composite
+def _table_cell_points(draw):
+    """A table world, any cell of it (wall-ring cells included) and a point in that cell."""
+    world = _TABLE_WORLDS[draw(st.integers(0, len(_TABLE_WORLDS) - 1))]
+    ny, nx = world.grid.shape
+    ix, iy = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+    res = world.resolution
+    return world, (ix, iy), (_cell_coordinate(draw, ix, res), _cell_coordinate(draw, iy, res))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_table_cell_points())
+def test_a_vouched_stride_is_free_from_every_point_of_its_cell(world_cell_pos):
+    world, (ix, iy), pos = world_cell_pos
+    assert world.cell_of(pos) == (ix, iy)
+    tables = world._nav.free_strides()
+    nx = world.grid.shape[1]
+    for heading, table in zip(HEADINGS, tables):
+        ux, uy = heading_vector(heading)
+        end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
+        if table[iy * nx + ix]:
+            assert world.segment_free(pos, end), (heading, pos)
+            assert world._nav.vouches(pos, heading)
+        else:
+            assert not world._nav.vouches(pos, heading)
+
+
+def test_a_vouched_stride_is_free_from_each_corner_of_its_cell():
+    """Every vouched (cell, heading) pair of the three worlds and of an open grid with no
+    wall ring, from the four corners of the cell that lie in it: its low edges and 1 ulp
+    inside its high edges."""
+    vouched = 0
+    open_grid = World(np.zeros((12, 14), dtype=np.int16), ["hallway"], [])
+    for world in [*_TABLE_WORLDS, open_grid]:
+        ny, nx = world.grid.shape
+        res = world.resolution
+        for heading, table in zip(HEADINGS, world._nav.free_strides()):
+            ux, uy = heading_vector(heading)
+            for index in [i for i, byte in enumerate(table) if byte]:
+                iy, ix = divmod(index, nx)
+                for x in (ix * res, math.nextafter((ix + 1) * res, 0.0)):
+                    for y in (iy * res, math.nextafter((iy + 1) * res, 0.0)):
+                        assert world.segment_free((x, y), (x + STRIDE_M * ux, y + STRIDE_M * uy)), (heading, x, y)
+                vouched += 1
+    assert vouched
+
+
+def test_the_stride_table_vouches_for_most_free_strides_from_cell_centres():
+    """A table of zeros would be exact too, and useless: on the run-all seed 0 world the
+    table vouches for most strides that are free from a free cell's centre."""
+    world = _TABLE_WORLDS[0]
+    nav = world._nav
+    free = vouched = 0
+    for iy, ix in nav.free_cells.tolist():
+        pos = world.cell_center((ix, iy))
+        for heading in HEADINGS:
+            ux, uy = heading_vector(heading)
+            if world.segment_free(pos, (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)):
+                free += 1
+                vouched += nav.vouches(pos, heading)
+    assert vouched > 0.85 * free
+
+
+def test_vouches_is_false_outside_the_grid():
+    world = _TABLE_WORLDS[0]
+    w, h = world.bounds_m
+    for pos in [(-0.1, 3.0), (3.0, -1e-300), (w, 3.0), (3.0, h), (math.nan, 3.0)]:
+        assert not any(world._nav.vouches(pos, heading) for heading in HEADINGS)
+
+
+def test_the_stride_table_is_built_once_per_grid_and_shared_by_moved_worlds():
+    world = gen_world(5, 6, [("mug", 1)])
+    assert world._nav._free_strides is None  # built on first use
+    moved = world.move_object("mug_01", world.build_scene_graph().waypoints["hallway"])
+    tables = moved._nav.free_strides()
+    assert world._nav.free_strides() is tables
+    ny, nx = world.grid.shape
+    assert len(tables) == len(HEADINGS)
+    assert all(type(table) is bytes and len(table) == ny * nx and set(table) <= {0, 1} for table in tables)
+
+
+@st.composite
+def _table_world_walks(draw):
+    """A table world, two Worlds of its grid, and a list of (which world, position,
+    goal, heading) steps whose positions and goals repeat."""
+    world = _TABLE_WORLDS[draw(st.integers(0, len(_TABLE_WORLDS) - 1))]
+    moved = world.move_object("vase_01", world.build_scene_graph().waypoints["hallway"])
+    res = world.resolution
+
+    def point(cells):
+        iy, ix = cells[draw(st.integers(0, len(cells) - 1))]
+        return (_cell_coordinate(draw, int(ix), res), _cell_coordinate(draw, int(iy), res))
+
+    free = world._nav.free_cells.tolist()
+    positions = [point(free) for _ in range(draw(st.integers(1, 3)))]
+    goals = [point(free) for _ in range(draw(st.integers(1, 3)))]
+    steps = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.sampled_from(positions), st.sampled_from(goals), st.sampled_from(HEADINGS)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return (world, moved), steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_table_world_walks())
+def test_descents_and_steps_match_the_reference_without_the_table(walk):
+    """Sequences of descents, steps forward and distance reads on two Worlds of one grid
+    equal the table-free references, so no cached stride or table byte goes stale."""
+    worlds, steps = walk
+    for moved, pos, goal, heading in steps:
+        world = worlds[moved]
+        assert list(world.descents(pos, goal)) == reference_descents(world, pos, goal)
+        ix, iy = world._nav.snap(pos)
+        assert world.shortest_path_length(pos, goal) == float(world.distance_field(goal)[iy, ix])
+        ux, uy = heading_vector(heading)
+        end = (pos[0] + STRIDE_M * ux, pos[1] + STRIDE_M * uy)
+        state, observation, _ = world.step(AgentState(pos, heading), MOVE_FORWARD, frozenset())
+        free = reference_strides(world, pos)[HEADINGS.index(heading)][0]
+        assert (state.position, observation.blocked) == ((end, False) if free else (pos, True))
+
+
+def test_fields_match_the_one_way_undirected_reference():
+    """The two-way graph holds each one-way edge of the old graph in both directions,
+    and its directed fields equal the old undirected ones bit for bit, from every 37th
+    free cell of the three worlds."""
+    from scipy.sparse import triu
+    from scipy.sparse.csgraph import dijkstra
+
+    for world in _TABLE_WORLDS:
+        nav = world._nav
+        one_way = triu(nav.csr, k=1).tocsr()
+        assert (nav.csr != nav.csr.T).nnz == 0 and nav.csr.nnz == 2 * one_way.nnz
+        nx = nav.shape[1]
+        for iy, ix in nav.free_cells[::37].tolist():
+            want = dijkstra(one_way, directed=False, indices=iy * nx + ix).reshape(nav.shape)
+            assert nav.field((ix, iy)).tobytes() == want.tobytes()
+
+
+def test_cached_worlds_of_one_seed_share_one_nav_cache(monkeypatch):
+    """The worlds of one seed and room count differ only in their objects: they share
+    one grid and nav cache, and each still equals the World gen_world builds alone."""
+    import polar.world
+
+    monkeypatch.setattr(polar.world, "_WORLD_CACHE", {})
+    requests = [(0, 6, [("mug", 1)]), (0, 6, [("vase", 2), ("mug", 1)]), (1, 6, [("mug", 1)]), (0, 5, [("mug", 1)])]
+    a, b, c, d = (cached_world(*request) for request in requests)
+    assert b._nav is a._nav and b.grid is a.grid
+    assert c._nav is not a._nav and d._nav is not a._nav
+    for world, request in zip((a, b, c, d), requests):
+        assert json.dumps(world.to_json()) == json.dumps(gen_world(*request).to_json())
+    assert gen_world(1, 6, [], a._nav)._nav is not a._nav  # another grid builds its own
